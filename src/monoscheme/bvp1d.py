@@ -131,13 +131,6 @@ def _solve_banded(bands, rhs, h: float) -> np.ndarray:
         raise SingularSchemeError(f"scheme matrix singular at h={h}: {exc}", h) from exc
 
 
-def _matrix_norm_c(bands: tuple[float, float, float], n: int) -> float:
-    lower, diag, upper = bands
-    if n == 1:
-        return abs(diag)
-    return abs(lower) + abs(diag) + abs(upper)
-
-
 def scheme_residual(
     c: SchemeCoefficients,
     mesh: Mesh1D,

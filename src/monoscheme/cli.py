@@ -104,27 +104,33 @@ class ConfigView:
         return SectionView(self._p[name], name)
 
 
+_REQUIRED = object()
+
+
 class SectionView:
+    """Typed values of one section. A key without a default is required; an
+    absent key with a default, None included, yields that default."""
+
     def __init__(self, section, name: str):
         self._s = section
         self._name = name
 
-    def _get(self, key: str, default=None):
-        if key not in self._s:
-            if default is None:
-                raise ConfigParseError(f"missing key {key!r} in [{self._name}]")
-            return None
-        return self._s[key]
+    def _get(self, key: str, default=_REQUIRED):
+        if key in self._s:
+            return self._s[key]
+        if default is _REQUIRED:
+            raise ConfigParseError(f"missing key {key!r} in [{self._name}]")
+        return None
 
-    def real(self, key: str, default: float | None = None) -> float:
+    def real(self, key: str, default=_REQUIRED) -> float | None:
         raw = self._get(key, default)
         return default if raw is None else _parse_real(raw)
 
-    def integer(self, key: str, default: int | None = None) -> int:
+    def integer(self, key: str, default=_REQUIRED) -> int | None:
         raw = self._get(key, default)
         return default if raw is None else _parse_int(raw)
 
-    def text(self, key: str, default: str | None = None) -> str:
+    def text(self, key: str, default=_REQUIRED) -> str | None:
         raw = self._get(key, default)
         return default if raw is None else raw.strip()
 
@@ -164,7 +170,13 @@ def _fmt(x) -> str:
     return str(x)
 
 
+TABLE_FORMATS = ("csv", "jsonl")
+
+
 def write_table(path: Path, header: list[str], rows: list[tuple], fmt: str) -> None:
+    """Write rows as csv or json-lines; callers name the file `<stem>.<fmt>`."""
+    if fmt not in TABLE_FORMATS:
+        raise ValueError(f"unknown table format {fmt!r}")
     with open(path, "w") as fh:
         if fmt == "csv":
             fh.write(",".join(header) + "\n")
@@ -275,7 +287,7 @@ def run_solve1d(cfg: ConfigView, out: Path, fmt: str, tol_override) -> dict:
          float(mono.y.values[i]), float(ref[i]), float(exact[i]))
         for i in range(mesh.n)
     ]
-    write_table(out / ("solution1d." + ("csv" if fmt == "csv" else "jsonl")),
+    write_table(out / f"solution1d.{fmt}",
                 ["x", "u", "v", "y", "reference_dense", "reference_analytic"], rows, fmt)
 
     summary = {
@@ -312,13 +324,9 @@ def run_solve3d(cfg: ConfigView, out: Path, fmt: str, tol_override) -> dict:
         hole_lo=sec.integer("hole_lo"), hole_hi=sec.integer("hole_hi"),
         tol=tol_override if tol_override is not None else sec.real("tol", 1e-2),
         max_iters=sec.integer("max_iters", 200000),
+        sigma_v=sec.real("sigma_v", None),
+        sigma_p=sec.real("sigma_p", None),
     )
-    sigma_v = sec.real("sigma_v", float("nan"))
-    sigma_p = sec.real("sigma_p", float("nan"))
-    if not np.isnan(sigma_v):
-        kwargs["sigma_v"] = sigma_v
-    if not np.isnan(sigma_p):
-        kwargs["sigma_p"] = sigma_p
     try:
         flow = FlowConfig(**kwargs)
     except ValueError as exc:
@@ -358,12 +366,11 @@ def run_solve3d(cfg: ConfigView, out: Path, fmt: str, tol_override) -> dict:
         (prof_base[i][0], prof_base[i][1], prof_aux[i][1], prof_mono[i][1])
         for i in range(len(prof_base))
     ]
-    ext = "csv" if fmt == "csv" else "jsonl"
-    write_table(out / f"centerline.{ext}",
+    write_table(out / f"centerline.{fmt}",
                 ["x", "vx_base", "vx_auxiliary", "vx_monotonized"], rows, fmt)
 
     for label, fld in fields.items():
-        write_table(out / f"field_{label}.{ext}",
+        write_table(out / f"field_{label}.{fmt}",
                     ["i", "j", "k", "vx", "vy", "vz", "p"],
                     _field_rows(fld), fmt)
 
@@ -434,7 +441,7 @@ def run_metrics(cfg: ConfigView, out: Path, fmt: str, seed: int) -> dict:
             a2, b2 = _brute_sharpness(u, cells)
             ok = ok and a == a2 and b == b2
         mismatches += 0 if ok else 1
-        rows.append((t, n, mine, len(cells), a, b, ok))
+        rows.append((t, n, mine, len(cells), a, b, bool(ok)))
 
     lipschitz_ok = True
     worst = 0.0
@@ -448,7 +455,7 @@ def run_metrics(cfg: ConfigView, out: Path, fmt: str, seed: int) -> dict:
             worst = max(worst, gap / bound)
         lipschitz_ok = lipschitz_ok and gap <= bound + 1e-12
 
-    write_table(out / ("metrics_trials." + ("csv" if fmt == "csv" else "jsonl")),
+    write_table(out / f"metrics_trials.{fmt}",
                 ["trial", "n", "count", "brute_count", "sharpness_a", "sharpness_b", "match"],
                 rows, fmt)
     summary = {
@@ -515,7 +522,7 @@ def run_order(cfg: ConfigView, out: Path, fmt: str) -> dict:
         (ns[i], est_base.hs[i], est_base.errors[i], est_mono.errors[i])
         for i in range(len(ns))
     ]
-    write_table(out / ("order." + ("csv" if fmt == "csv" else "jsonl")),
+    write_table(out / f"order.{fmt}",
                 ["n", "h", "error_base", "error_monotonized"], rows, fmt)
     summary = {
         "experiment": "order",
@@ -537,7 +544,7 @@ def run_scan_det(cfg: ConfigView, out: Path, fmt: str) -> dict:
     rows = [
         (r.h, r.n, r.indicator_base, r.indicator_monotonized, r.flagged) for r in rows_obj
     ]
-    write_table(out / ("determinant_scan." + ("csv" if fmt == "csv" else "jsonl")),
+    write_table(out / f"determinant_scan.{fmt}",
                 ["h", "n", "indicator_base", "indicator_monotonized", "flagged"], rows, fmt)
     summary = {
         "experiment": "scan-det",
@@ -588,8 +595,7 @@ def run_timestep(cfg: ConfigView, out: Path, fmt: str, tol_override=None) -> dic
         v2, y2 = step_monotonized_alt(v0, aux_op, bc, pc)
         agreements[f"sigma_{sigma:g}"] = norm_c(v1.values - v2.values)
 
-    ext = "csv" if fmt == "csv" else "jsonl"
-    write_table(out / f"trajectory.{ext}",
+    write_table(out / f"trajectory.{fmt}",
                 ["t", "update_c_norm"], [(t, u) for t, u in result.history], fmt)
     if result.snapshots:
         xs = mesh.interior_x()
@@ -598,7 +604,7 @@ def run_timestep(cfg: ConfigView, out: Path, fmt: str, tol_override=None) -> dic
             for t, v, y in result.snapshots
             for i in range(mesh.n)
         ]
-        write_table(out / f"snapshots.{ext}", ["t", "x", "v", "y"], snap_rows, fmt)
+        write_table(out / f"snapshots.{fmt}", ["t", "x", "v", "y"], snap_rows, fmt)
     summary = {
         "experiment": "timestep",
         "coefficients": asdict(c),
@@ -671,7 +677,7 @@ def _build_parser() -> argparse.ArgumentParser:
     runp = sub.add_parser("run", help="run the experiment named by a config file")
     runp.add_argument("config")
     runp.add_argument("--out", default=".", help="output directory")
-    runp.add_argument("--format", choices=("csv", "jsonl"), default="csv")
+    runp.add_argument("--format", choices=TABLE_FORMATS, default="csv")
     runp.add_argument("--seed", type=int, default=20240814,
                       help="seed for randomized test fields")
     runp.add_argument("--tol", type=float, default=None, help="solver tolerance override")

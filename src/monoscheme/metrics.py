@@ -148,10 +148,10 @@ def extremum_cells(u: MeshFunction, region: Region3D | None = None) -> list[tupl
     """The (i, j, k) triples counted by count_extrema_3d, in flat-index order."""
     region = _region_or_interior(u, region)
     _, is_max, is_min = _extrema_masks(u, region)
-    either = is_max | is_min
-    ii, jj, kk = np.nonzero(either)
-    cells = sorted(zip(ii.tolist(), jj.tolist(), kk.tolist()), key=lambda c: c[0] + c[1] * u.mesh.N + c[2] * u.mesh.N**2)
-    return cells
+    # Nonzero over the transposed mask walks k slowest and i fastest, which
+    # is flat-index order (flat = i + N*j + N*N*k).
+    kk, jj, ii = np.nonzero((is_max | is_min).T)
+    return list(zip(ii.tolist(), jj.tolist(), kk.tolist()))
 
 
 def sharpness_metrics(
@@ -170,34 +170,29 @@ def sharpness_metrics(
         isinstance(r, tuple) and len(r) == 2 for r in cells
     ):
         inside, _, _ = _extrema_masks(u, cells)
-        ii, jj, kk = np.nonzero(inside)
-        cell_list = list(zip(ii.tolist(), jj.tolist(), kk.tolist()))
+        idx = np.argwhere(inside)
     else:
-        cell_list = list(cells)
-    if not cell_list:
+        idx = np.asarray(list(cells))
+    if idx.size == 0:
         raise EmptySetError("sharpness metrics are undefined for an empty set")
+    if idx.ndim != 2 or idx.shape[1] != 3:
+        raise ValueError("cells must be (i, j, k) triples")
+    lacking = ((idx < 1) | (idx > N - 2)).any(axis=1)
+    if lacking.any():
+        i, j, k = idx[np.argmax(lacking)]
+        raise ValueError(f"cell ({i}, {j}, {k}) lacks a full six-neighbor set")
     g = u.as_grid()
-    a = 0.0
-    b = 0.0
-    for (i, j, k) in cell_list:
-        if not (1 <= i <= N - 2 and 1 <= j <= N - 2 and 1 <= k <= N - 2):
-            raise ValueError(f"cell ({i}, {j}, {k}) lacks a full six-neighbor set")
-        c = g[i, j, k]
-        jumps = np.abs(
-            np.array(
-                [
-                    c - g[i + 1, j, k],
-                    c - g[i - 1, j, k],
-                    c - g[i, j + 1, k],
-                    c - g[i, j - 1, k],
-                    c - g[i, j, k + 1],
-                    c - g[i, j, k - 1],
-                ]
-            )
-        )
-        a = max(a, float(jumps.max()))
-        b = max(b, float(jumps.min()))
-    return a, b
+    i, j, k = idx.T
+    c = g[i, j, k]
+    jumps = np.abs(np.stack([
+        c - g[i + 1, j, k], c - g[i - 1, j, k],
+        c - g[i, j + 1, k], c - g[i, j - 1, k],
+        c - g[i, j, k + 1], c - g[i, j, k - 1],
+    ]))
+    # fmax passes over a cell whose jumps hold a NaN, so a and b stay numbers.
+    a = np.fmax.reduce(jumps.max(axis=0), initial=0.0)
+    b = np.fmax.reduce(jumps.min(axis=0), initial=0.0)
+    return float(a), float(b)
 
 
 # ---------------------------------------------------------------------------

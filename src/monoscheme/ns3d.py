@@ -39,8 +39,12 @@ from .stencils import (
     FaceRule,
     GhostSpec3D,
     SolverError,
+    difference_pad,
+    divergence_pads,
+    laplacian_pad,
     pad_grid,
     smooth_3d,
+    smooth_pad,
 )
 
 
@@ -96,6 +100,9 @@ class FlowConfig:
             # |sigma_p| <= rho h^2 / sigma_v = 10 rho nu at the default
             # sigma_v; keep a 4x margin.
             object.__setattr__(self, "sigma_p", -2.5 * self.rho * self.nu)
+        for name in ("sigma_v", "sigma_p"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.sigma_v <= 0:
             raise ValueError("sigma_v must be positive")
 
@@ -194,74 +201,18 @@ def init_field(cfg: FlowConfig) -> FlowField:
     )
 
 
-# ---------------------------------------------------------------------------
-# Raw-array kernels (one ghost padding per field per sweep)
-# ---------------------------------------------------------------------------
-
-
-def _axis_slices(axis: int):
-    plus = [slice(1, -1)] * 3
-    minus = [slice(1, -1)] * 3
-    plus[axis] = slice(2, None)
-    minus[axis] = slice(0, -2)
-    return tuple(plus), tuple(minus)
-
-
-_SLICES = [_axis_slices(axis) for axis in range(3)]
-_CORE = (slice(1, -1),) * 3
-
-
-def _derivatives(pad: np.ndarray, h: float):
-    """First derivatives along x, y, z and the Laplacian from one padded array."""
-    core = pad[_CORE]
-    firsts = []
-    lap = -6.0 * core
-    for axis in range(3):
-        sp, sm = _SLICES[axis]
-        firsts.append((pad[sp] - pad[sm]) / (2.0 * h))
-        lap = lap + pad[sp] + pad[sm]
-    return firsts, lap / (h * h)
-
-
-def _smooth_from_pad(pad: np.ndarray) -> np.ndarray:
-    core = pad[_CORE]
-    nbr = np.zeros_like(core)
-    for axis in range(3):
-        sp, sm = _SLICES[axis]
-        nbr = nbr + pad[sp] + pad[sm]
-    return 0.5 * core + nbr / 12.0
-
-
-def _residual_grids(
-    v_pads: list[np.ndarray],
-    p_pad: np.ndarray,
-    cfg: FlowConfig,
-    monotonized: bool,
-):
-    """Momentum residual grids R_x, R_y, R_z from padded fields."""
+def _residual_grids(v_grids, p_grid, cfg: FlowConfig, policy: BoundaryPolicy3D, monotonized: bool):
+    """Momentum residual grids R_x, R_y, R_z; one ghost padding per field."""
     h = cfg.L / cfg.N
-    w = [
-        _smooth_from_pad(pad) if monotonized else pad[_CORE]
-        for pad in v_pads
-    ]
-    grad_p = []
-    for axis in range(3):
-        sp, sm = _SLICES[axis]
-        grad_p.append((p_pad[sp] - p_pad[sm]) / (2.0 * h))
+    v_pads = [pad_grid(v_grids[a], policy.velocity(a)) for a in range(3)]
+    p_pad = pad_grid(p_grid, policy.p)
+    w = [smooth_pad(pad) for pad in v_pads] if monotonized else v_grids
     out = []
-    for comp in range(3):
-        firsts, lap = _derivatives(v_pads[comp], h)
-        advect = w[0] * firsts[0] + w[1] * firsts[1] + w[2] * firsts[2]
-        out.append(-advect - grad_p[comp] / cfg.rho + cfg.nu * lap)
-    return out
-
-
-def _divergence_grid(v_pads: list[np.ndarray], h: float) -> np.ndarray:
-    out = None
-    for axis in range(3):
-        sp, sm = _SLICES[axis]
-        d = (v_pads[axis][sp] - v_pads[axis][sm]) / (2.0 * h)
-        out = d if out is None else out + d
+    for comp, pad in enumerate(v_pads):
+        advect = (w[0] * difference_pad(pad, 0, h) + w[1] * difference_pad(pad, 1, h)
+                  + w[2] * difference_pad(pad, 2, h))
+        out.append(-advect - difference_pad(p_pad, comp, h) / cfg.rho
+                   + cfg.nu * laplacian_pad(pad, h))
     return out
 
 
@@ -275,13 +226,13 @@ def momentum_residual(
     """
     if advecting not in ("raw", "monotonized"):
         raise ValueError(f"unknown advecting mode {advecting!r}")
-    policy = flow_boundary_policy(cfg)
-    v_pads = [
-        pad_grid(field.velocity(axis).as_grid(), policy.velocity(axis))
-        for axis in range(3)
-    ]
-    p_pad = pad_grid(field.p.as_grid(), policy.p)
-    grids = _residual_grids(v_pads, p_pad, cfg, advecting == "monotonized")
+    grids = _residual_grids(
+        [field.velocity(a).as_grid() for a in range(3)],
+        field.p.as_grid(),
+        cfg,
+        flow_boundary_policy(cfg),
+        advecting == "monotonized",
+    )
     mesh = field.mesh
     return tuple(MeshFunction.from_grid(mesh, g) for g in grids)
 
@@ -316,12 +267,9 @@ def _sweep(v_grids, p_grid, cfg: FlowConfig, policy: BoundaryPolicy3D, monotoniz
     # caller checks the norms for finiteness, so silence the warnings.
     h = cfg.L / cfg.N
     with np.errstate(over="ignore", invalid="ignore"):
-        v_pads = [pad_grid(v_grids[a], policy.velocity(a)) for a in range(3)]
-        p_pad = pad_grid(p_grid, policy.p)
-        residuals = _residual_grids(v_pads, p_pad, cfg, monotonized)
+        residuals = _residual_grids(v_grids, p_grid, cfg, policy, monotonized)
         new_v = [v_grids[a] + cfg.sigma_v * residuals[a] for a in range(3)]
-        new_pads = [pad_grid(new_v[a], policy.velocity(a)) for a in range(3)]
-        div = _divergence_grid(new_pads, h)
+        div = divergence_pads([pad_grid(new_v[a], policy.velocity(a)) for a in range(3)], h)
         new_p = p_grid + cfg.sigma_p * div
         mom_norm = max(float(np.max(np.abs(r))) for r in residuals)
         div_norm = float(np.max(np.abs(div)))

@@ -22,7 +22,7 @@ or the smoother (it zeroes the former and is asymmetric for the latter).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -278,9 +278,47 @@ def pad_grid(grid: np.ndarray, spec: GhostSpec3D) -> np.ndarray:
     return pad
 
 
-def padded_grid(u: MeshFunction, spec: GhostSpec3D) -> np.ndarray:
-    """pad_grid of a mesh function's (N,N,N) view."""
-    return pad_grid(u.as_grid(), spec)
+# ---------------------------------------------------------------------------
+# 3D padded-array kernels
+# ---------------------------------------------------------------------------
+#
+# Each kernel reads (N+2)^3 arrays from pad_grid and returns the (N, N, N)
+# values at the cells. The public operators below and the flow solver share
+# them, so both evaluate every stencil in the same floating-point order.
+
+_CORE = (slice(1, -1),) * 3
+_PLUS = tuple(_CORE[:a] + (slice(2, None),) + _CORE[a + 1 :] for a in range(3))
+_MINUS = tuple(_CORE[:a] + (slice(None, -2),) + _CORE[a + 1 :] for a in range(3))
+
+
+def difference_pad(pad: np.ndarray, axis: int, h: float) -> np.ndarray:
+    """Central first difference (u_+ - u_-) / 2h along one axis."""
+    return (pad[_PLUS[axis]] - pad[_MINUS[axis]]) / (2.0 * h)
+
+
+def laplacian_pad(pad: np.ndarray, h: float) -> np.ndarray:
+    """Seven-point Laplacian: -6u plus the neighbor pairs axis by axis, / h^2."""
+    lap = -6.0 * pad[_CORE]
+    for axis in range(3):
+        lap += pad[_PLUS[axis]]
+        lap += pad[_MINUS[axis]]
+    return lap / (h * h)
+
+
+def smooth_pad(pad: np.ndarray) -> np.ndarray:
+    """Seven-point average u/2 + (sum of six axis neighbors)/12."""
+    core = pad[_CORE]
+    nbr = np.zeros_like(core)
+    for axis in range(3):
+        nbr += pad[_PLUS[axis]]
+        nbr += pad[_MINUS[axis]]
+    return 0.5 * core + nbr / 12.0
+
+
+def divergence_pads(pads: list[np.ndarray], h: float) -> np.ndarray:
+    """d(vx)/dx + d(vy)/dy + d(vz)/dz from the three padded components."""
+    return (difference_pad(pads[0], 0, h) + difference_pad(pads[1], 1, h)
+            + difference_pad(pads[2], 2, h))
 
 
 def gradient_3d(u: MeshFunction, axis: int, spec: GhostSpec3D) -> MeshFunction:
@@ -289,38 +327,22 @@ def gradient_3d(u: MeshFunction, axis: int, spec: GhostSpec3D) -> MeshFunction:
     With an extrapolation ghost on a face this evaluates to the one-sided
     first-order difference at that face's cells.
     """
-    pad = padded_grid(u, spec)
-    h = u.mesh.h
-    sl_p = [slice(1, -1)] * 3
-    sl_m = [slice(1, -1)] * 3
-    sl_p[axis] = slice(2, None)
-    sl_m[axis] = slice(0, -2)
-    out = (pad[tuple(sl_p)] - pad[tuple(sl_m)]) / (2.0 * h)
-    return MeshFunction.from_grid(u.mesh, out)
+    pad = pad_grid(u.as_grid(), spec)
+    return MeshFunction.from_grid(u.mesh, difference_pad(pad, axis, u.mesh.h))
 
 
 def laplacian_3d(u: MeshFunction, spec: GhostSpec3D) -> MeshFunction:
     """Sum of the three second central differences."""
-    pad = padded_grid(u, spec)
-    h2 = u.mesh.h ** 2
-    core = pad[1:-1, 1:-1, 1:-1]
-    out = (
-        pad[2:, 1:-1, 1:-1] + pad[:-2, 1:-1, 1:-1]
-        + pad[1:-1, 2:, 1:-1] + pad[1:-1, :-2, 1:-1]
-        + pad[1:-1, 1:-1, 2:] + pad[1:-1, 1:-1, :-2]
-        - 6.0 * core
-    ) / h2
-    return MeshFunction.from_grid(u.mesh, out)
+    pad = pad_grid(u.as_grid(), spec)
+    return MeshFunction.from_grid(u.mesh, laplacian_pad(pad, u.mesh.h))
 
 
 def divergence_3d(
     vx: MeshFunction, vy: MeshFunction, vz: MeshFunction, policy: BoundaryPolicy3D
 ) -> MeshFunction:
     """d(vx)/dx + d(vy)/dy + d(vz)/dz with each component's own ghost spec."""
-    gx = gradient_3d(vx, 0, policy.vx)
-    gy = gradient_3d(vy, 1, policy.vy)
-    gz = gradient_3d(vz, 2, policy.vz)
-    return vx.with_values(gx.values + gy.values + gz.values)
+    pads = [pad_grid(v.as_grid(), policy.velocity(a)) for a, v in enumerate((vx, vy, vz))]
+    return MeshFunction.from_grid(vx.mesh, divergence_pads(pads, vx.mesh.h))
 
 
 def smooth_3d(u: MeshFunction, spec: GhostSpec3D = MIRROR_ALL) -> MeshFunction:
@@ -329,14 +351,7 @@ def smooth_3d(u: MeshFunction, spec: GhostSpec3D = MIRROR_ALL) -> MeshFunction:
     Neighbors beyond the mesh are supplied by the ghost spec; the default
     mirror-everywhere spec preserves constants on the whole mesh.
     """
-    pad = padded_grid(u, spec)
-    core = pad[1:-1, 1:-1, 1:-1]
-    nbr_sum = (
-        pad[2:, 1:-1, 1:-1] + pad[:-2, 1:-1, 1:-1]
-        + pad[1:-1, 2:, 1:-1] + pad[1:-1, :-2, 1:-1]
-        + pad[1:-1, 1:-1, 2:] + pad[1:-1, 1:-1, :-2]
-    )
-    return MeshFunction.from_grid(u.mesh, 0.5 * core + nbr_sum / 12.0)
+    return MeshFunction.from_grid(u.mesh, smooth_pad(pad_grid(u.as_grid(), spec)))
 
 
 def solve_smooth_3d(
@@ -424,32 +439,15 @@ def operator_norm_c(op) -> float:
 def _smooth_3d_norm(mesh: Mesh3D, spec: GhostSpec3D) -> float:
     if spec.has_extrapolation():
         raise ValueError("extrapolation ghosts are not part of the smoothing operator")
-    N = mesh.N
-    rules = dict(zip(FACES, spec.rules()))
+    # Every coefficient is nonnegative, so a row's absolute sum is M applied
+    # to ones once the affine "value" ghosts are set to zero.
+    def unknowns_only(rule: FaceRule) -> FaceRule:
+        patch = None if rule.patch is None else replace(rule.patch, value=0.0)
+        return replace(rule, base=replace(rule.base, value=0.0), patch=patch)
 
-    def face_kind(face: str, t1: int, t2: int) -> str:
-        rule = rules[face]
-        g = rule.base
-        if rule.patch is not None and rule.patch_lo <= t1 <= rule.patch_hi and rule.patch_lo <= t2 <= rule.patch_hi:
-            g = rule.patch
-        return g.kind
-
-    worst = 0.0
-    for k in range(N):
-        for j in range(N):
-            for i in range(N):
-                # Center 1/2; each in-mesh neighbor 1/12; a mirror ghost folds
-                # its 1/12 onto the center; a value ghost leaves the row.
-                twelfths = 0
-                for axis, (t1, t2, c) in enumerate(((j, k, i), (i, k, j), (i, j, k))):
-                    for side, edge in (("lo", 0), ("hi", N - 1)):
-                        if c == edge:
-                            if face_kind("xyz"[axis] + side, t1, t2) == "mirror":
-                                twelfths += 1
-                        else:
-                            twelfths += 1
-                worst = max(worst, 0.5 + twelfths / 12.0)
-    return worst
+    ones = np.ones((mesh.N,) * 3)
+    spec = GhostSpec3D(*map(unknowns_only, spec.rules()))
+    return float(smooth_pad(pad_grid(ones, spec)).max())
 
 
 __all__ = [
@@ -463,17 +461,20 @@ __all__ = [
     "SolverError",
     "StencilKind",
     "StencilOperator1D",
+    "difference_pad",
     "divergence_3d",
+    "divergence_pads",
     "first_derivative_1d",
     "gradient_3d",
     "laplacian_3d",
+    "laplacian_pad",
     "operator_norm_c",
     "pad_grid",
-    "padded_grid",
     "second_derivative_1d",
     "smooth_1d",
     "smooth_3d",
     "smooth_bands_1d",
+    "smooth_pad",
     "solve_smooth_1d",
     "solve_smooth_3d",
 ]

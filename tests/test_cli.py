@@ -1,5 +1,6 @@
 import filecmp
 import json
+from importlib import resources
 from pathlib import Path
 
 import pytest
@@ -13,6 +14,10 @@ BUNDLED = ("fig1.cfg", "fig2.cfg", "fig2_n10.cfg", "order1d.cfg", "scan.cfg", "t
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+def load_config_text(name):
+    return resources.files("monoscheme").joinpath("configs", name).read_text()
 
 
 class TestConfigLoading:
@@ -139,6 +144,15 @@ class TestOtherExperiments:
         assert summary["oracle_mismatches"] == 0
         assert summary["seed"] == 7
 
+    def test_metrics_run_jsonl(self, tmp_path):
+        cfg = tmp_path / "metrics.cfg"
+        cfg.write_text("[experiment]\nkind = metrics\n[metrics]\ntrials = 40\nmax_n = 5\n")
+        out = tmp_path / "m"
+        assert run_cli("run", str(cfg), "--out", str(out), "--seed", "7", "--format", "jsonl") == 0
+        rows = [json.loads(line) for line in (out / "metrics_trials.jsonl").read_text().splitlines()]
+        assert len(rows) == 40
+        assert all(row["match"] is True for row in rows)
+
     def test_solve3d_small_run(self, tmp_path):
         cfg = tmp_path / "tiny3d.cfg"
         cfg.write_text(
@@ -173,6 +187,27 @@ class TestSolverFailureExit:
             "[metrics]\ncentral_lo = 1\ncentral_hi = 4\n"
         )
         assert run_cli("run", str(cfg), "--out", str(tmp_path / "o")) == 4
+
+
+class TestOptionalFlowKeys:
+    """sigma_v/sigma_p are optional; when given they must be finite numbers."""
+
+    @staticmethod
+    def fig2_n10_with(tmp_path, line):
+        text = load_config_text("fig2_n10.cfg").replace("[flow]\n", f"[flow]\n{line}\n")
+        cfg = tmp_path / "fig2_n10_edit.cfg"
+        cfg.write_text(text)
+        return cfg
+
+    def test_nan_sigma_v_is_validation_error(self, tmp_path, capsys):
+        cfg = self.fig2_n10_with(tmp_path, "sigma_v = nan")
+        assert run_cli("run", str(cfg), "--out", str(tmp_path / "o")) == 3
+        assert "sigma_v must be finite" in capsys.readouterr().err
+
+    def test_inf_sigma_p_is_validation_error(self, tmp_path, capsys):
+        cfg = self.fig2_n10_with(tmp_path, "sigma_p = inf")
+        assert run_cli("run", str(cfg), "--out", str(tmp_path / "o")) == 3
+        assert "sigma_p must be finite" in capsys.readouterr().err
 
 
 class TestCompareErrors:

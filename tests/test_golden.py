@@ -1,0 +1,59 @@
+"""Golden outputs: sha256 of every file `monoscheme run` writes.
+
+The hashes pin the bundled fig2_n10 flow cell, a seeded `metrics` run and
+the fig1 solve written as json-lines. A refactor must keep them; a change
+that moves them on purpose updates them and says why. They were checked to
+be identical under 1 and 2 BLAS threads.
+"""
+
+import hashlib
+from pathlib import Path
+
+import pytest
+
+from monoscheme.cli import main
+
+METRICS_CFG = "[experiment]\nkind = metrics\n[metrics]\ntrials = 60\nmax_n = 6\n"
+
+GOLDEN = {
+    "fig2_n10": {
+        "centerline.csv": "810a13bae9a926cc504f97c861abb93f117b2a0a5aa24416233db09a895e4d2c",
+        "field_auxiliary.csv": "893d50fb859bd600b3d2fe2cda497e28484934de3d7e4020fcf03a41e60f0305",
+        "field_base.csv": "ec41316463e7d1cbb8984cdefb1180f8bfcbe6c160f62d47a030dcb38452f00c",
+        "field_monotonized.csv": "f94052d2fb516d1b973a44eaad42e8c3873920d9dc2a6414cdbfdbae543dcfca",
+        "report_auxiliary.json": "fa03a1cbe705b31f4ee8fd994a97f9aa0739b7c6283d2593d719b192f47e0987",
+        "report_base.json": "26b0574a08fc08764d05eafb5e51c87df68620d4dc6e5471c40d4b88cf66a898",
+        "report_monotonized.json": "0573d134d0a81b9335d2bea2678d3ca12768911801cddf5a2b5e8ff4eef02186",
+        "summary.json": "abf32b77b92b09946164a8fd9c27c52f1a1a367ffe0b6a6061860f9067e9db7f",
+    },
+    "metrics_seed7": {
+        "metrics_trials.csv": "c17010c82e24b26596574855246d6f9ec583b2160864dd162568b7dab832c06b",
+        "summary.json": "581598737409f972638a7bcefe121067c807914e292d8809b3d3fdaf81495922",
+    },
+    "fig1_jsonl": {
+        "report_auxiliary.json": "1e47de176835266099929a402f8c102b4a4f727318463966f1cbffb6ec9f5032",
+        "report_base.json": "519656efc57c6ea6db3af77b8070da1bf3bd7bee3ab2d41a733b5b46e86a5e41",
+        "report_monotonized.json": "e035746b6bf66719d41cf852b5946a394408ad05cad4f416b72c5fada5715d0b",
+        "solution1d.jsonl": "7a2411ddecf133a08416d185b374b6b833c31851932a7df441294bedd061a313",
+        "summary.json": "298142a487f7b57fd887aea692336473e39ddd79c5333a58ae3d32748d6573a5",
+    },
+}
+
+
+def _hashes(out: Path) -> dict[str, str]:
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.iterdir())}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_run_outputs_match_golden_hashes(name, tmp_path):
+    if name == "metrics_seed7":
+        cfg = tmp_path / "metrics.cfg"
+        cfg.write_text(METRICS_CFG)
+        argv = ["run", str(cfg), "--seed", "7"]
+    elif name == "fig1_jsonl":
+        argv = ["run", "fig1.cfg", "--format", "jsonl"]
+    else:
+        argv = ["run", "fig2_n10.cfg"]
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert _hashes(out) == GOLDEN[name]

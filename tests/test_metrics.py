@@ -166,6 +166,20 @@ class TestSharpness:
             pytest.skip("no extrema drawn")
         assert sharpness_metrics(u, cells) == brute_sharpness(u.as_grid(), cells)
 
+    def test_cell_lacking_neighbors_raises(self):
+        mesh = Mesh3D(1.0, 5)
+        u = MeshFunction(mesh, RNG.standard_normal(125))
+        with pytest.raises(ValueError, match=r"cell \(4, 2, 2\) lacks"):
+            sharpness_metrics(u, [(2, 2, 2), (4, 2, 2), (0, 1, 1)])
+
+    @pytest.mark.parametrize("trial", range(5))
+    def test_arbitrary_cells_match_brute_force(self, trial):
+        rng = np.random.default_rng(3000 + trial)
+        n = 8
+        u = MeshFunction(Mesh3D(1.0, n), rng.standard_normal(n**3))
+        cells = [tuple(c) for c in rng.integers(1, n - 1, size=(30, 3)).tolist()]
+        assert sharpness_metrics(u, cells) == brute_sharpness(u.as_grid(), cells)
+
     def test_region_form(self):
         mesh = Mesh3D(1.0, 5)
         u = MeshFunction(mesh, RNG.standard_normal(125))

@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from monoscheme.grid import BoundaryData1D, Mesh1D, MeshFunction, make_mesh_3d, norm_c, sample
 from monoscheme.stencils import (
+    FACES,
     FaceGhost,
+    FaceRule,
     GhostSpec3D,
     IterationFailureError,
     MIRROR_ALL,
@@ -16,6 +19,7 @@ from monoscheme.stencils import (
     gradient_3d,
     laplacian_3d,
     operator_norm_c,
+    pad_grid,
     second_derivative_1d,
     smooth_1d,
     smooth_3d,
@@ -27,6 +31,59 @@ from monoscheme.ns3d import BoundaryPolicy3D
 
 def _mesh_fn(mesh, values):
     return MeshFunction(mesh, np.asarray(values, dtype=float))
+
+
+def face_ghost(spec, cell, step):
+    """The FaceGhost that supplies the neighbor of `cell` one `step` away,
+    which lies outside the mesh."""
+    axis = next(a for a in range(3) if step[a] != 0)
+    rule = spec.rules()[2 * axis + (step[axis] > 0)]
+    t1, t2 = (cell[a] for a in range(3) if a != axis)
+    in_patch = rule.patch_lo <= t1 <= rule.patch_hi and rule.patch_lo <= t2 <= rule.patch_hi
+    return rule.patch if rule.patch is not None and in_patch else rule.base
+
+
+def brute_pad(grid, spec):
+    """pad_grid evaluated one ghost cell at a time from the face rules."""
+    N = grid.shape[0]
+    pad = np.zeros((N + 2, N + 2, N + 2))
+    pad[1:-1, 1:-1, 1:-1] = grid
+    for cell in np.ndindex(N, N, N):
+        for axis in range(3):
+            for side in (-1, 1):
+                if cell[axis] != (0 if side < 0 else N - 1):
+                    continue
+                step = tuple(side if a == axis else 0 for a in range(3))
+                ghost = face_ghost(spec, cell, step)
+                inward = tuple(c - s for c, s in zip(cell, step))
+                if ghost.kind == "value":
+                    g = ghost.value
+                elif ghost.kind == "mirror":
+                    g = grid[cell]
+                else:
+                    g = 2.0 * grid[cell] - grid[inward]
+                pad[tuple(c + s + 1 for c, s in zip(cell, step))] = g
+    return pad
+
+
+@st.composite
+def ghost_specs(draw, N, kinds=("value", "mirror", "extrapolate")):
+    """Random GhostSpec3D for an N^3 mesh: one rule per face, some patched."""
+    def ghost():
+        kind = draw(st.sampled_from(kinds))
+        value = draw(st.floats(-10.0, 10.0)) if kind == "value" else 0.0
+        return FaceGhost(kind, value)
+
+    rules = []
+    for _ in FACES:
+        base = ghost()
+        if draw(st.booleans()):
+            lo = draw(st.integers(0, N - 1))
+            hi = draw(st.integers(lo, N - 1))
+            rules.append(FaceRule(base, ghost(), lo, hi))
+        else:
+            rules.append(FaceRule(base))
+    return GhostSpec3D(*rules)
 
 
 class TestFirstDerivative1D:
@@ -208,7 +265,14 @@ class TestDenseCrossCheck:
     """Independent dense assembly of the seven-point smoothing system."""
 
     @staticmethod
-    def dense_smooth_matrix(N, mirror=True, value=0.0):
+    def dense_smooth_matrix(N, spec=MIRROR_ALL):
+        """Matrix and affine part of smooth_3d under a mirror/value spec.
+
+        A neighbor outside the mesh takes the rule of the face it lies
+        beyond, the patch rule when both tangential indices are inside the
+        patch: a mirror folds its 1/12 onto the center, a value moves it
+        into the affine part.
+        """
         import itertools
 
         size = N**3
@@ -222,17 +286,19 @@ class TestDenseCrossCheck:
                 ni, nj, nk = i + d, j + e, k + f
                 if 0 <= ni < N and 0 <= nj < N and 0 <= nk < N:
                     mat[row, ni + N * nj + N * N * nk] += 1.0 / 12.0
-                elif mirror:
+                    continue
+                ghost = face_ghost(spec, (i, j, k), (d, e, f))
+                if ghost.kind == "mirror":
                     mat[row, row] += 1.0 / 12.0
                 else:
-                    aff[row] += value / 12.0
+                    aff[row] += ghost.value / 12.0
         return mat, aff
 
     def test_apply_matches_dense(self):
         rng = np.random.default_rng(17)
         mesh = make_mesh_3d(1.0, 4)
         x = rng.standard_normal(64)
-        mat, aff = self.dense_smooth_matrix(4, mirror=True)
+        mat, aff = self.dense_smooth_matrix(4)
         mine = smooth_3d(MeshFunction(mesh, x)).values
         assert np.allclose(mine, mat @ x + aff, atol=1e-13)
 
@@ -241,7 +307,7 @@ class TestDenseCrossCheck:
         mesh = make_mesh_3d(1.0, 4)
         x = rng.standard_normal(64)
         spec = GhostSpec3D.uniform(FaceGhost("value", 1.7))
-        mat, aff = self.dense_smooth_matrix(4, mirror=False, value=1.7)
+        mat, aff = self.dense_smooth_matrix(4, spec)
         mine = smooth_3d(MeshFunction(mesh, x), spec).values
         assert np.allclose(mine, mat @ x + aff, atol=1e-13)
 
@@ -249,7 +315,7 @@ class TestDenseCrossCheck:
         rng = np.random.default_rng(19)
         mesh = make_mesh_3d(1.0, 4)
         b = rng.standard_normal(64)
-        mat, aff = self.dense_smooth_matrix(4, mirror=True)
+        mat, aff = self.dense_smooth_matrix(4)
         expected = np.linalg.solve(mat, b - aff)
         mine = solve_smooth_3d(MeshFunction(mesh, b), tol=1e-12).values
         assert norm_c(mine - expected) <= 1e-9
@@ -275,6 +341,20 @@ class TestOperatorNorms:
         spec = GhostSpec3D.uniform(FaceGhost("value", 0.0))
         assert operator_norm_c((mesh, spec)) == 1.0
 
+    def test_smooth_3d_norm_mixed_faces(self):
+        # Value ghosts on x, mirrors elsewhere: every row keeps its four
+        # y/z twelfths; a cell off both x-faces keeps both x twelfths, and
+        # at N=2 every cell sheds one of them.
+        value, mirror = FaceRule(FaceGhost("value", 2.0)), FaceRule(FaceGhost("mirror"))
+        spec = GhostSpec3D(value, value, mirror, mirror, mirror, mirror)
+        assert operator_norm_c((make_mesh_3d(1.0, 3), spec)) == 1.0
+        assert operator_norm_c((make_mesh_3d(1.0, 2), spec)) == 0.5 + 5 / 12
+
+    def test_smooth_3d_norm_rejects_extrapolation(self):
+        spec = GhostSpec3D.uniform(FaceGhost("extrapolate"))
+        with pytest.raises(ValueError, match="extrapolation"):
+            operator_norm_c((make_mesh_3d(1.0, 4), spec))
+
 
 class TestDerivatives3D:
     def test_gradient_exact_on_linear(self):
@@ -288,6 +368,24 @@ class TestDerivatives3D:
         u = sample(mesh, lambda x, y, z: x * x)
         lap = laplacian_3d(u, MIRROR_ALL).as_grid()
         assert np.max(np.abs(lap[1:-1, 1:-1, 1:-1] - 2.0)) < 1e-9
+
+    def test_laplacian_matches_neighbor_sum_within_roundoff(self):
+        # Reference: the six neighbors summed first, then -6u. The operator
+        # adds the neighbor pairs to -6u axis by axis, which may round
+        # differently but by no more than a few eps of the terms' scale.
+        rng = np.random.default_rng(23)
+        mesh = make_mesh_3d(1.0, 12)
+        spec = GhostSpec3D.uniform(FaceGhost("value", 0.3))
+        u = _mesh_fn(mesh, rng.standard_normal(12**3))
+        pad = pad_grid(u.as_grid(), spec)
+        core = pad[1:-1, 1:-1, 1:-1]
+        nbrs = (pad[2:, 1:-1, 1:-1], pad[:-2, 1:-1, 1:-1], pad[1:-1, 2:, 1:-1],
+                pad[1:-1, :-2, 1:-1], pad[1:-1, 1:-1, 2:], pad[1:-1, 1:-1, :-2])
+        h2 = mesh.h ** 2
+        expected = (sum(nbrs[1:], nbrs[0]) - 6.0 * core) / h2
+        scale = (sum(np.abs(n) for n in nbrs) + 6.0 * np.abs(core)) / h2
+        dev = np.abs(laplacian_3d(u, spec).as_grid() - expected)
+        assert np.all(dev <= 4 * np.finfo(float).eps * scale)
 
     def test_divergence_free_linear_field(self):
         mesh = make_mesh_3d(1.0, 6)
@@ -307,3 +405,40 @@ class TestDerivatives3D:
         h = mesh.h
         expected = (grid[1, 0, 0] - grid[0, 0, 0]) / h
         assert g[0, 0, 0] == pytest.approx(expected)
+
+
+PROPERTY = settings(max_examples=40, deadline=None, derandomize=True)
+
+
+class TestStencilProperties:
+    @PROPERTY
+    @given(data=st.data(), N=st.integers(2, 5))
+    def test_pad_grid_matches_per_cell_ghosts(self, data, N):
+        spec = data.draw(ghost_specs(N))
+        grid = np.asarray(data.draw(st.lists(
+            st.floats(-100.0, 100.0), min_size=N**3, max_size=N**3))).reshape(N, N, N)
+        assert np.array_equal(pad_grid(grid, spec), brute_pad(grid, spec))
+
+    @PROPERTY
+    @given(data=st.data(), N=st.integers(2, 4))
+    def test_operator_norm_is_dense_row_sum(self, data, N):
+        spec = data.draw(ghost_specs(N, kinds=("value", "mirror")))
+        mat, _ = TestDenseCrossCheck.dense_smooth_matrix(N, spec)
+        expected = np.abs(mat).sum(axis=1).max()
+        assert operator_norm_c((make_mesh_3d(1.0, N), spec)) == pytest.approx(expected, abs=1e-14)
+
+    @PROPERTY
+    @given(N=st.integers(2, 7), c=st.floats(-1e6, 1e6))
+    def test_smoother_keeps_constants_under_mirror(self, N, c):
+        mesh = make_mesh_3d(1.0, N)
+        out = smooth_3d(_mesh_fn(mesh, np.full(N**3, c))).values
+        assert np.max(np.abs(out - c)) <= 4 * np.finfo(float).eps * abs(c)
+
+    @PROPERTY
+    @given(N=st.integers(3, 7), amp=st.floats(-1e6, 1e6))
+    def test_smoother_zeroes_interior_checkerboard(self, N, amp):
+        mesh = make_mesh_3d(1.0, N)
+        i, j, k = np.indices((N, N, N))
+        u = MeshFunction.from_grid(mesh, amp * (-1.0) ** (i + j + k))
+        out = smooth_3d(u).as_grid()[1:-1, 1:-1, 1:-1]
+        assert np.max(np.abs(out)) <= 4 * np.finfo(float).eps * abs(amp)
