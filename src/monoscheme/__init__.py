@@ -28,6 +28,7 @@ from .stencils import (
     IterationFailureError,
     MIRROR_ALL,
     SolverError,
+    Tridiagonal,
     divergence_3d,
     first_derivative_1d,
     gradient_3d,

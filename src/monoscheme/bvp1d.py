@@ -21,14 +21,13 @@ while the base matrix does not.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .grid import BoundaryData1D, Mesh1D, MeshFunction, norm_c
-from .stencils import SingularOperatorError, smooth_1d, smooth_bands_1d, solve_smooth_1d
+from .stencils import SingularOperatorError, Tridiagonal, smooth_1d, smoothing, solve_smooth_1d
 
 
 class SingularSchemeError(SingularOperatorError):
@@ -81,54 +80,32 @@ class Bvp1dSolution:
 # ---------------------------------------------------------------------------
 
 
-def _base_bands(c: SchemeCoefficients, h: float) -> tuple[float, float, float]:
+def _base_bands(c: SchemeCoefficients, mesh: Mesh1D) -> Tridiagonal:
+    h = mesh.h
     lower = c.k3 - h * c.k2 / 2.0
     diag = h * h * c.k1 - 2.0 * c.k3
     upper = c.k3 + h * c.k2 / 2.0
-    return lower, diag, upper
+    return Tridiagonal(lower, diag, upper, mesh.n)
 
 
-def _monotonized_bands(c: SchemeCoefficients, h: float) -> tuple[float, float, float]:
+def _monotonized_bands(c: SchemeCoefficients, mesh: Mesh1D) -> Tridiagonal:
+    h = mesh.h
     m = h * h * c.k1 / 4.0
     lower = m + c.k3 - h * c.k2 / 2.0
     diag = 2.0 * m - 2.0 * c.k3
     upper = m + c.k3 + h * c.k2 / 2.0
-    return lower, diag, upper
+    return Tridiagonal(lower, diag, upper, mesh.n)
 
 
-def _banded_matrix(bands: tuple[float, float, float], n: int) -> np.ndarray:
-    lower, diag, upper = bands
-    ab = np.zeros((3, n))
-    ab[0, 1:] = upper
-    ab[1, :] = diag
-    ab[2, :-1] = lower
-    return ab
-
-
-def _dense_matrix(bands: tuple[float, float, float], n: int) -> np.ndarray:
-    lower, diag, upper = bands
-    m = np.zeros((n, n))
-    idx = np.arange(n)
-    m[idx, idx] = diag
-    m[idx[1:], idx[:-1]] = lower
-    m[idx[:-1], idx[1:]] = upper
-    return m
-
-
-def _rhs(c: SchemeCoefficients, bands: tuple[float, float, float], mesh: Mesh1D, bc: BoundaryData1D) -> np.ndarray:
-    lower, _, upper = bands
-    h = mesh.h
-    rhs = np.full(mesh.n, -h * h * c.k0)
-    rhs[0] -= lower * bc.u0
-    rhs[-1] -= upper * bc.u_np1
-    return rhs
-
-
-def _solve_banded(bands, rhs, h: float) -> np.ndarray:
+def _solve_scheme(
+    c: SchemeCoefficients, a: Tridiagonal, mesh: Mesh1D, bc: BoundaryData1D
+) -> np.ndarray:
+    """Banded solve of a u = -h^2 k0 with the end-value terms moved right."""
+    rhs = np.full(mesh.n, -mesh.h * mesh.h * c.k0) - a.offset(bc)
     try:
-        return scipy.linalg.solve_banded((1, 1), _banded_matrix(bands, len(rhs)), rhs)
+        return a.solve(rhs)
     except (np.linalg.LinAlgError, ValueError) as exc:
-        raise SingularSchemeError(f"scheme matrix singular at h={h}: {exc}", h) from exc
+        raise SingularSchemeError(f"scheme matrix singular at h={mesh.h}: {exc}", mesh.h) from exc
 
 
 def scheme_residual(
@@ -139,11 +116,8 @@ def scheme_residual(
     monotonized: bool,
 ) -> float:
     """C-norm of the scheme equations evaluated at the given unknown vector."""
-    bands = _monotonized_bands(c, mesh.h) if monotonized else _base_bands(c, mesh.h)
-    ext = np.concatenate(([bc.u0], unknown, [bc.u_np1]))
-    lower, diag, upper = bands
-    lhs = lower * ext[:-2] + diag * ext[1:-1] + upper * ext[2:] + mesh.h**2 * c.k0
-    return norm_c(lhs)
+    a = _monotonized_bands(c, mesh) if monotonized else _base_bands(c, mesh)
+    return norm_c(a.apply(unknown, bc) + mesh.h**2 * c.k0)
 
 
 # ---------------------------------------------------------------------------
@@ -153,8 +127,7 @@ def scheme_residual(
 
 def solve_base(c: SchemeCoefficients, mesh: Mesh1D, bc: BoundaryData1D) -> Bvp1dSolution:
     """Direct banded solve of the plain central-difference scheme."""
-    bands = _base_bands(c, mesh.h)
-    u = _solve_banded(bands, _rhs(c, bands, mesh, bc), mesh.h)
+    u = _solve_scheme(c, _base_bands(c, mesh), mesh, bc)
     res = scheme_residual(c, mesh, bc, u, monotonized=False)
     return Bvp1dSolution(
         mesh=mesh, bc=bc, scheme="base", residual_c_norm=res, u=MeshFunction(mesh, u)
@@ -168,8 +141,7 @@ def solve_monotonized(c: SchemeCoefficients, mesh: Mesh1D, bc: BoundaryData1D) -
     matrix stays tridiagonal. A singular auxiliary matrix is a legitimate
     math case at particular mesh steps and is reported as such.
     """
-    bands = _monotonized_bands(c, mesh.h)
-    v = _solve_banded(bands, _rhs(c, bands, mesh, bc), mesh.h)
+    v = _solve_scheme(c, _monotonized_bands(c, mesh), mesh, bc)
     vf = MeshFunction(mesh, v)
     y = smooth_1d(vf, bc)
     res = scheme_residual(c, mesh, bc, v, monotonized=True)
@@ -188,23 +160,18 @@ def solve_monotonized_inverse(
     solve_monotonized to direct-solve roundoff; kept as a separate route.
     """
     n, h = mesh.n, mesh.h
-    d_lower = c.k3 - h * c.k2 / 2.0
-    d_diag = -2.0 * c.k3
-    d_upper = c.k3 + h * c.k2 / 2.0
-    d_mat = _dense_matrix((d_lower, d_diag, d_upper), n)
+    # h k2 D1~ + k3 D2~ is the base scheme without its k1 term.
+    d = _base_bands(replace(c, k1=0.0), mesh)
+    d_mat = d.dense()
 
     # v = M^{-1} (y - m_aff) where (Mv)_i includes the boundary quarter-terms.
-    m_bands = smooth_bands_1d(n)
-    m_aff = np.zeros(n)
-    m_aff[0] = 0.25 * bc.u0
-    m_aff[-1] = 0.25 * bc.u_np1
-    minv = scipy.linalg.solve_banded((1, 1), m_bands, np.eye(n))
+    m = smoothing(n)
+    m_aff = m.offset(bc)
+    minv = m.solve(np.eye(n))
 
     # Derivative-operator boundary contributions use v's end values (the
     # Dirichlet data), independent of y.
-    d_aff = np.zeros(n)
-    d_aff[0] = d_lower * bc.u0
-    d_aff[-1] = d_upper * bc.u_np1
+    d_aff = d.offset(bc)
 
     full = h * h * c.k1 * np.eye(n) + d_mat @ minv
     rhs = -(h * h * c.k0) * np.ones(n) - d_aff + d_mat @ (minv @ m_aff)
@@ -247,9 +214,9 @@ class DeterminantScanRow:
         return cls(**d)
 
 
-def _singularity_indicator(bands: tuple[float, float, float], n: int) -> float:
+def _singularity_indicator(a: Tridiagonal) -> float:
     """Smallest over largest singular value; 0 marks an exactly singular matrix."""
-    svals = np.linalg.svd(_dense_matrix(bands, n), compute_uv=False)
+    svals = np.linalg.svd(a.dense(), compute_uv=False)
     top = float(svals[0])
     if top == 0.0:
         return 0.0
@@ -277,12 +244,11 @@ def determinant_scan(
             raise ValueError(f"mesh steps must be positive, got {h_req}")
         n = max(1, round((b - a) / h_req) - 1)
         mesh = Mesh1D(a, b, n)
-        h = mesh.h
-        ind_base = _singularity_indicator(_base_bands(c, h), n)
-        ind_mono = _singularity_indicator(_monotonized_bands(c, h), n)
+        ind_base = _singularity_indicator(_base_bands(c, mesh))
+        ind_mono = _singularity_indicator(_monotonized_bands(c, mesh))
         rows.append(
             DeterminantScanRow(
-                h=h,
+                h=mesh.h,
                 n=n,
                 indicator_base=ind_base,
                 indicator_monotonized=ind_mono,

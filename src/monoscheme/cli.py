@@ -51,7 +51,7 @@ from .bvp1d import (
     solve_monotonized_inverse,
 )
 from .ns3d import FlowConfig, centerline_profile, solve_steady
-from .stencils import SolverError, StencilKind, StencilOperator1D
+from .stencils import SolverError, smoothing
 from .timestep import LinearMeshOperator, TimeStepConfig, run_to_steady, step_monotonized, step_monotonized_alt
 
 
@@ -65,9 +65,6 @@ class ValidationError(Exception):
 
 class ComparisonError(ValidationError):
     pass
-
-
-EXPERIMENTS = ("solve1d", "solve3d", "metrics", "order", "scan-det", "timestep")
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +238,7 @@ def _coefficients(sec: SectionView) -> tuple[SchemeCoefficients, Mesh1D, Boundar
     return c, mesh, bc
 
 
-def run_solve1d(cfg: ConfigView, out: Path, fmt: str, tol_override) -> dict:
+def run_solve1d(cfg: ConfigView, out: Path, fmt: str, seed: int, tol: float | None) -> dict:
     sec = cfg.section("problem")
     c, mesh, bc = _coefficients(sec)
     dense_points = sec.integer("dense_points", 100)
@@ -290,7 +287,7 @@ def run_solve1d(cfg: ConfigView, out: Path, fmt: str, tol_override) -> dict:
     write_table(out / f"solution1d.{fmt}",
                 ["x", "u", "v", "y", "reference_dense", "reference_analytic"], rows, fmt)
 
-    summary = {
+    return {
         "experiment": "solve1d",
         "coefficients": asdict(c),
         "mesh": {"a": mesh.a, "b": mesh.b, "n": mesh.n, "h": mesh.h},
@@ -312,17 +309,15 @@ def run_solve1d(cfg: ConfigView, out: Path, fmt: str, tol_override) -> dict:
             "y_analytic_distance_c": norm_c(mono.y.values - exact),
         },
     }
-    write_json(out / "summary.json", summary)
-    return summary
 
 
-def run_solve3d(cfg: ConfigView, out: Path, fmt: str, tol_override) -> dict:
+def run_solve3d(cfg: ConfigView, out: Path, fmt: str, seed: int, tol: float | None) -> dict:
     sec = cfg.section("flow")
     kwargs = dict(
         L=sec.real("L"), N=sec.integer("N"), rho=sec.real("rho"), nu=sec.real("nu"),
         p0=sec.real("p0"), p1=sec.real("p1"),
         hole_lo=sec.integer("hole_lo"), hole_hi=sec.integer("hole_hi"),
-        tol=tol_override if tol_override is not None else sec.real("tol", 1e-2),
+        tol=tol if tol is not None else sec.real("tol", 1e-2),
         max_iters=sec.integer("max_iters", 200000),
         sigma_v=sec.real("sigma_v", None),
         sigma_p=sec.real("sigma_p", None),
@@ -386,7 +381,7 @@ def run_solve3d(cfg: ConfigView, out: Path, fmt: str, tol_override) -> dict:
     central_region_a = {
         label: sharpness_metrics(fld.vx, central)[0] for label, fld in fields.items()
     }
-    summary = {
+    return {
         "experiment": "solve3d",
         "flow": {k: getattr(flow, k) for k in
                  ("L", "N", "rho", "nu", "p0", "p1", "hole_lo", "hole_hi",
@@ -416,11 +411,9 @@ def run_solve3d(cfg: ConfigView, out: Path, fmt: str, tol_override) -> dict:
             "monotonized": max_step_change([v for _, v in prof_mono]),
         },
     }
-    write_json(out / "summary.json", summary)
-    return summary
 
 
-def run_metrics(cfg: ConfigView, out: Path, fmt: str, seed: int) -> dict:
+def run_metrics(cfg: ConfigView, out: Path, fmt: str, seed: int, tol: float | None) -> dict:
     sec = cfg.section("metrics")
     trials = sec.integer("trials", 200)
     max_n = sec.integer("max_n", 5)
@@ -458,7 +451,7 @@ def run_metrics(cfg: ConfigView, out: Path, fmt: str, seed: int) -> dict:
     write_table(out / f"metrics_trials.{fmt}",
                 ["trial", "n", "count", "brute_count", "sharpness_a", "sharpness_b", "match"],
                 rows, fmt)
-    summary = {
+    return {
         "experiment": "metrics",
         "seed": seed,
         "trials": trials,
@@ -467,22 +460,15 @@ def run_metrics(cfg: ConfigView, out: Path, fmt: str, seed: int) -> dict:
         "lipschitz_worst_ratio": worst,
         "passed": mismatches == 0 and lipschitz_ok,
     }
-    write_json(out / "summary.json", summary)
-    return summary
 
 
 def _field_rows(fld) -> list[tuple]:
     """(i, j, k, vx, vy, vz, p) records in flat-index order."""
-    from .grid import unflatten_index
-
-    n_cells = fld.mesh.cell_count
     N = fld.mesh.N
-    vx, vy, vz, p = fld.vx.values, fld.vy.values, fld.vz.values, fld.p.values
-    rows = []
-    for idx in range(n_cells):
-        i, j, k = unflatten_index(idx, N)
-        rows.append((i, j, k, float(vx[idx]), float(vy[idx]), float(vz[idx]), float(p[idx])))
-    return rows
+    flat = np.arange(fld.mesh.cell_count)
+    columns = (flat % N, flat // N % N, flat // (N * N),
+               fld.vx.values, fld.vy.values, fld.vz.values, fld.p.values)
+    return list(zip(*(col.tolist() for col in columns)))
 
 
 def _brute_extrema(u: MeshFunction) -> list[tuple[int, int, int]]:
@@ -511,7 +497,7 @@ def _brute_sharpness(u: MeshFunction, cells) -> tuple[float, float]:
     return a, b
 
 
-def run_order(cfg: ConfigView, out: Path, fmt: str) -> dict:
+def run_order(cfg: ConfigView, out: Path, fmt: str, seed: int, tol: float | None) -> dict:
     sec = cfg.section("problem")
     c, mesh, bc = _coefficients(sec)
     study = cfg.section("study")
@@ -524,17 +510,15 @@ def run_order(cfg: ConfigView, out: Path, fmt: str) -> dict:
     ]
     write_table(out / f"order.{fmt}",
                 ["n", "h", "error_base", "error_monotonized"], rows, fmt)
-    summary = {
+    return {
         "experiment": "order",
         "coefficients": asdict(c),
         "base": est_base.to_dict(),
         "monotonized": est_mono.to_dict(),
     }
-    write_json(out / "summary.json", summary)
-    return summary
 
 
-def run_scan_det(cfg: ConfigView, out: Path, fmt: str) -> dict:
+def run_scan_det(cfg: ConfigView, out: Path, fmt: str, seed: int, tol: float | None) -> dict:
     sec = cfg.section("problem")
     c, mesh, bc = _coefficients(sec)
     scan = cfg.section("scan")
@@ -546,18 +530,16 @@ def run_scan_det(cfg: ConfigView, out: Path, fmt: str) -> dict:
     ]
     write_table(out / f"determinant_scan.{fmt}",
                 ["h", "n", "indicator_base", "indicator_monotonized", "flagged"], rows, fmt)
-    summary = {
+    return {
         "experiment": "scan-det",
         "coefficients": asdict(c),
         "near_tol": near_tol,
         "rows": [r.to_dict() for r in rows_obj],
         "flagged_steps": [r.h for r in rows_obj if r.flagged],
     }
-    write_json(out / "summary.json", summary)
-    return summary
 
 
-def run_timestep(cfg: ConfigView, out: Path, fmt: str, tol_override=None) -> dict:
+def run_timestep(cfg: ConfigView, out: Path, fmt: str, seed: int, tol: float | None) -> dict:
     sec = cfg.section("problem")
     c, mesh, bc = _coefficients(sec)
     st = cfg.section("stepping")
@@ -567,7 +549,7 @@ def run_timestep(cfg: ConfigView, out: Path, fmt: str, tol_override=None) -> dic
         inner_tol=st.real("inner_tol", 1e-12),
         max_inner=st.integer("max_inner", 200),
     )
-    steady_tol = tol_override if tol_override is not None else st.real("steady_tol", 1e-12)
+    steady_tol = tol if tol is not None else st.real("steady_tol", 1e-12)
     max_steps = st.integer("max_steps", 10000)
     record_every = st.integer("record_every", 1)
     snapshot_every = st.integer("snapshot_every", 0)
@@ -584,8 +566,7 @@ def run_timestep(cfg: ConfigView, out: Path, fmt: str, tol_override=None) -> dic
     # Cross-form agreement of the two step rearrangements on this problem.
     # The rearranged form's inner loop contracts only for
     # tau * ||M^{-1} A|| < 1, so probe with a step inside that bound.
-    smooth_mat = StencilOperator1D(StencilKind.SMOOTH, mesh).matrix()
-    amplified = np.linalg.solve(smooth_mat, aux_op.matrix)
+    amplified = np.linalg.solve(smoothing(mesh.n).dense(), aux_op.a.dense())
     safe_tau = 0.25 / max(np.linalg.norm(amplified, np.inf), 1.0)
     probe_tau = min(ts_cfg.tau, safe_tau)
     agreements = {}
@@ -605,7 +586,7 @@ def run_timestep(cfg: ConfigView, out: Path, fmt: str, tol_override=None) -> dic
             for i in range(mesh.n)
         ]
         write_table(out / f"snapshots.{fmt}", ["t", "x", "v", "y"], snap_rows, fmt)
-    summary = {
+    return {
         "experiment": "timestep",
         "coefficients": asdict(c),
         "tau": ts_cfg.tau,
@@ -618,8 +599,17 @@ def run_timestep(cfg: ConfigView, out: Path, fmt: str, tol_override=None) -> dic
         "within_10x_tol": bool(dist <= 10.0 * steady_tol) if result.converged else None,
         "form_agreement": agreements,
     }
-    write_json(out / "summary.json", summary)
-    return summary
+
+
+#: Experiment kind -> runner; each returns the payload of summary.json.
+EXPERIMENTS = {
+    "solve1d": run_solve1d,
+    "solve3d": run_solve3d,
+    "metrics": run_metrics,
+    "order": run_order,
+    "scan-det": run_scan_det,
+    "timestep": run_timestep,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -696,18 +686,8 @@ def _run(args) -> int:
         raise ValidationError(f"unknown experiment kind {kind!r}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    if kind == "solve1d":
-        summary = run_solve1d(cfg, out, args.format, args.tol)
-    elif kind == "solve3d":
-        summary = run_solve3d(cfg, out, args.format, args.tol)
-    elif kind == "metrics":
-        summary = run_metrics(cfg, out, args.format, args.seed)
-    elif kind == "order":
-        summary = run_order(cfg, out, args.format)
-    elif kind == "scan-det":
-        summary = run_scan_det(cfg, out, args.format)
-    else:
-        summary = run_timestep(cfg, out, args.format, args.tol)
+    summary = EXPERIMENTS[kind](cfg, out, args.format, args.seed, args.tol)
+    write_json(out / "summary.json", summary)
     print(f"{kind}: wrote {out / 'summary.json'}")
     return 0
 

@@ -1,7 +1,8 @@
 """Difference-derivative stencils and the smoothing operators, 1D and 3D.
 
-1D operators act on interior node values with the two Dirichlet end values
-supplied as known data; every row is the 3-point stencil
+1D operators are Tridiagonal values: constant 3-point stencils acting on
+interior node values, with the two Dirichlet end values supplied as known
+data. The three stencils are
 
     first derivative   (-1, 0, +1) / (2h)
     second derivative  ( 1, -2, 1) / h^2
@@ -23,7 +24,6 @@ or the smoother (it zeroes the former and is asymmetric for the latter).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from enum import Enum
 
 import numpy as np
 import scipy.linalg
@@ -52,94 +52,80 @@ class IterationFailureError(SolverError):
 # ---------------------------------------------------------------------------
 
 
-class StencilKind(Enum):
-    FIRST_DERIVATIVE = "first_derivative"
-    SECOND_DERIVATIVE = "second_derivative"
-    SMOOTH = "smooth"
-    IDENTITY = "identity"
-
-
-#: Unscaled 3-point rows (left, center, right); the scale carrying h lives in
-#: StencilOperator1D.scale.
-_ROWS = {
-    StencilKind.FIRST_DERIVATIVE: (-0.5, 0.0, 0.5),
-    StencilKind.SECOND_DERIVATIVE: (1.0, -2.0, 1.0),
-    StencilKind.SMOOTH: (0.25, 0.5, 0.25),
-    StencilKind.IDENTITY: (0.0, 1.0, 0.0),
-}
-
-
 @dataclass(frozen=True)
-class StencilOperator1D:
-    """A 3-point operator on interior nodes; boundary rows consume the
-    Dirichlet end values as known affine contributions, not unknowns."""
+class Tridiagonal:
+    """Constant 3-point operator on n interior nodes.
 
-    kind: StencilKind
-    mesh: Mesh1D
+    Row i is lower*u_{i-1} + diag*u_i + upper*u_{i+1}. The first and last
+    rows reach past the interior to the two Dirichlet end values, which are
+    known data: apply() reads them, dense() and solve() drop their columns,
+    and offset() is their affine contribution.
+    """
 
-    @property
-    def scale(self) -> float:
-        h = self.mesh.h
-        if self.kind is StencilKind.FIRST_DERIVATIVE:
-            return 1.0 / h
-        if self.kind is StencilKind.SECOND_DERIVATIVE:
-            return 1.0 / h**2
-        return 1.0
+    lower: float
+    diag: float
+    upper: float
+    n: int
 
-    def row(self) -> tuple[float, float, float]:
-        lo, c, hi = _ROWS[self.kind]
-        s = self.scale
-        return (lo * s, c * s, hi * s)
+    def apply(self, u: np.ndarray, bc: BoundaryData1D) -> np.ndarray:
+        ext = np.concatenate(([bc.u0], u, [bc.u_np1]))
+        return self.lower * ext[:-2] + self.diag * ext[1:-1] + self.upper * ext[2:]
 
-    def matrix(self) -> np.ndarray:
-        """Dense interior matrix (n x n); boundary columns are dropped."""
-        lo, c, hi = self.row()
-        n = self.mesh.n
-        m = np.zeros((n, n))
-        idx = np.arange(n)
-        m[idx, idx] = c
-        m[idx[1:], idx[:-1]] = lo
-        m[idx[:-1], idx[1:]] = hi
-        return m
-
-    def boundary_offset(self, bc: BoundaryData1D) -> np.ndarray:
-        """Affine contribution of the end values: nonzero in rows 1 and n."""
-        lo, _, hi = self.row()
-        n = self.mesh.n
-        off = np.zeros(n)
-        off[0] = lo * bc.u0
-        off[-1] = hi * bc.u_np1
+    def offset(self, bc: BoundaryData1D) -> np.ndarray:
+        """End-value terms of rows 1 and n; at n = 1 that row gets both."""
+        off = np.zeros(self.n)
+        off[0] += self.lower * bc.u0
+        off[-1] += self.upper * bc.u_np1
         return off
 
-    def apply(self, u: MeshFunction, bc: BoundaryData1D) -> MeshFunction:
-        lo, c, hi = self.row()
-        ext = np.concatenate(([bc.u0], u.values, [bc.u_np1]))
-        out = lo * ext[:-2] + c * ext[1:-1] + hi * ext[2:]
-        return u.with_values(out)
+    def dense(self) -> np.ndarray:
+        m = np.zeros((self.n, self.n))
+        idx = np.arange(self.n)
+        m[idx, idx] = self.diag
+        m[idx[1:], idx[:-1]] = self.lower
+        m[idx[:-1], idx[1:]] = self.upper
+        return m
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """x with dense() @ x = rhs (rhs may hold several columns); raises
+        numpy's LinAlgError on a singular matrix."""
+        ab = np.zeros((3, self.n))
+        ab[0, 1:] = self.upper
+        ab[1, :] = self.diag
+        ab[2, :-1] = self.lower
+        return scipy.linalg.solve_banded((1, 1), ab, rhs)
+
+
+def first_difference(mesh: Mesh1D) -> Tridiagonal:
+    """(-1, 0, +1) / 2h."""
+    s = 1.0 / mesh.h
+    return Tridiagonal(-0.5 * s, 0.0 * s, 0.5 * s, mesh.n)
+
+
+def second_difference(mesh: Mesh1D) -> Tridiagonal:
+    """(1, -2, 1) / h^2."""
+    s = 1.0 / mesh.h**2
+    return Tridiagonal(1.0 * s, -2.0 * s, 1.0 * s, mesh.n)
+
+
+def smoothing(n: int) -> Tridiagonal:
+    """(1/4, 1/2, 1/4)."""
+    return Tridiagonal(0.25, 0.5, 0.25, n)
 
 
 def first_derivative_1d(u: MeshFunction, bc: BoundaryData1D) -> MeshFunction:
     """(u_{i+1} - u_{i-1}) / 2h at every interior node."""
-    return StencilOperator1D(StencilKind.FIRST_DERIVATIVE, u.mesh).apply(u, bc)
+    return u.with_values(first_difference(u.mesh).apply(u.values, bc))
 
 
 def second_derivative_1d(u: MeshFunction, bc: BoundaryData1D) -> MeshFunction:
     """(u_{i+1} - 2u_i + u_{i-1}) / h^2 at every interior node."""
-    return StencilOperator1D(StencilKind.SECOND_DERIVATIVE, u.mesh).apply(u, bc)
+    return u.with_values(second_difference(u.mesh).apply(u.values, bc))
 
 
 def smooth_1d(u: MeshFunction, bc: BoundaryData1D) -> MeshFunction:
     """(u_{i+1} + 2u_i + u_{i-1}) / 4 at every interior node."""
-    return StencilOperator1D(StencilKind.SMOOTH, u.mesh).apply(u, bc)
-
-
-def smooth_bands_1d(n: int) -> np.ndarray:
-    """The (1/4, 1/2, 1/4) tridiagonal in solve_banded's (3, n) layout."""
-    ab = np.zeros((3, n))
-    ab[0, 1:] = 0.25
-    ab[1, :] = 0.5
-    ab[2, :-1] = 0.25
-    return ab
+    return u.with_values(smoothing(u.mesh.n).apply(u.values, bc))
 
 
 def solve_smooth_1d(b: MeshFunction, bc: BoundaryData1D) -> MeshFunction:
@@ -148,12 +134,9 @@ def solve_smooth_1d(b: MeshFunction, bc: BoundaryData1D) -> MeshFunction:
     The interior matrix has eigenvalues 1/2 + cos(theta)/2 > 0, so a singular
     factorization indicates a bug rather than a legitimate math case.
     """
-    n = b.mesh.n
-    rhs = b.values.astype(float).copy()
-    rhs[0] -= 0.25 * bc.u0
-    rhs[-1] -= 0.25 * bc.u_np1
+    m = smoothing(b.mesh.n)
     try:
-        a = scipy.linalg.solve_banded((1, 1), smooth_bands_1d(n), rhs)
+        a = m.solve(b.values - m.offset(bc))
     except np.linalg.LinAlgError as exc:  # pragma: no cover - indicates a bug
         raise SingularOperatorError(f"smoothing solve failed: {exc}") from exc
     return b.with_values(a)
@@ -418,19 +401,16 @@ def solve_smooth_3d(
 def operator_norm_c(op) -> float:
     """Max-norm induced operator norm: max over rows of sum |coefficients|.
 
-    Accepts a StencilOperator1D or a (Mesh3D, GhostSpec3D) pair describing
-    the 3D smoothing operator. Rows are taken over unknowns only; ghost
-    values fixed by a "value" rule are affine data, so their coefficient
-    leaves the row.
+    Accepts a Tridiagonal or a (Mesh3D, GhostSpec3D) pair describing the 3D
+    smoothing operator. Rows are taken over unknowns only; end values and
+    ghost values fixed by a "value" rule are affine data, so their
+    coefficient leaves the row.
     """
-    if isinstance(op, StencilOperator1D):
-        lo, c, hi = op.row()
-        interior = abs(lo) + abs(c) + abs(hi)
-        left = abs(c) + abs(hi)
-        right = abs(lo) + abs(c)
-        if op.mesh.n == 1:
-            return abs(c)
-        return max(interior if op.mesh.n > 2 else 0.0, left, right)
+    if isinstance(op, Tridiagonal):
+        lo, c, hi = abs(op.lower), abs(op.diag), abs(op.upper)
+        if op.n == 1:
+            return c
+        return max(lo + c + hi if op.n > 2 else 0.0, c + hi, lo + c)
 
     mesh, spec = op
     return _smooth_3d_norm(mesh, spec)
@@ -459,22 +439,23 @@ __all__ = [
     "MIRROR_ALL",
     "SingularOperatorError",
     "SolverError",
-    "StencilKind",
-    "StencilOperator1D",
+    "Tridiagonal",
     "difference_pad",
     "divergence_3d",
     "divergence_pads",
     "first_derivative_1d",
+    "first_difference",
     "gradient_3d",
     "laplacian_3d",
     "laplacian_pad",
     "operator_norm_c",
     "pad_grid",
     "second_derivative_1d",
+    "second_difference",
     "smooth_1d",
     "smooth_3d",
-    "smooth_bands_1d",
     "smooth_pad",
+    "smoothing",
     "solve_smooth_1d",
     "solve_smooth_3d",
 ]

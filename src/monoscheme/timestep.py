@@ -27,9 +27,11 @@ import numpy as np
 from .grid import BoundaryData1D, Mesh1D, MeshFunction, norm_c
 from .stencils import (
     SolverError,
-    StencilKind,
-    StencilOperator1D,
+    Tridiagonal,
+    first_difference,
+    second_difference,
     smooth_1d,
+    smoothing,
     solve_smooth_1d,
 )
 
@@ -64,21 +66,22 @@ class TimeStepConfig:
             raise ValueError(f"relax must lie in (0, 1], got {self.relax}")
 
 
+_ZERO_BC = BoundaryData1D(0.0, 0.0)
+
+
 @dataclass(frozen=True)
 class LinearMeshOperator:
     """Affine operator F(u) = A u + offset on interior node values."""
 
-    mesh: Mesh1D
-    matrix: np.ndarray
+    a: Tridiagonal
     offset: np.ndarray
 
     def __call__(self, u: np.ndarray) -> np.ndarray:
-        return self.matrix @ u + self.offset
+        return self.a.apply(u, _ZERO_BC) + self.offset
 
     @classmethod
     def zero(cls, mesh: Mesh1D) -> "LinearMeshOperator":
-        n = mesh.n
-        return cls(mesh, np.zeros((n, n)), np.zeros(n))
+        return cls(Tridiagonal(0.0, 0.0, 0.0, mesh.n), np.zeros(mesh.n))
 
     @classmethod
     def from_coefficients(
@@ -90,24 +93,21 @@ class LinearMeshOperator:
     ) -> "LinearMeshOperator":
         """Assemble k0 + k1 u + k2 D1 u + k3 D2 u (or with Mu in the k1 term)."""
         k0, k1, k2, k3 = coeffs
-        d1 = StencilOperator1D(StencilKind.FIRST_DERIVATIVE, mesh)
-        d2 = StencilOperator1D(StencilKind.SECOND_DERIVATIVE, mesh)
-        m_op = StencilOperator1D(StencilKind.SMOOTH, mesh)
-        n = mesh.n
-        zeroth = m_op.matrix() if smoothed else np.eye(n)
-        zeroth_off = m_op.boundary_offset(bc) if smoothed else np.zeros(n)
-        a = k1 * zeroth + k2 * d1.matrix() + k3 * d2.matrix()
-        off = (
-            k0 * np.ones(n)
-            + k1 * zeroth_off
-            + k2 * d1.boundary_offset(bc)
-            + k3 * d2.boundary_offset(bc)
+        zeroth = smoothing(mesh.n) if smoothed else Tridiagonal(0.0, 1.0, 0.0, mesh.n)
+        d1, d2 = first_difference(mesh), second_difference(mesh)
+        a = Tridiagonal(
+            k1 * zeroth.lower + k2 * d1.lower + k3 * d2.lower,
+            k1 * zeroth.diag + k2 * d1.diag + k3 * d2.diag,
+            k1 * zeroth.upper + k2 * d1.upper + k3 * d2.upper,
+            mesh.n,
         )
-        return cls(mesh, a, off)
-
-
-def _smooth_matrix(mesh: Mesh1D) -> np.ndarray:
-    return StencilOperator1D(StencilKind.SMOOTH, mesh).matrix()
+        off = (
+            k0 * np.ones(mesh.n)
+            + k1 * zeroth.offset(bc)
+            + k2 * d1.offset(bc)
+            + k3 * d2.offset(bc)
+        )
+        return cls(a, off)
 
 
 def step_base(u_n: MeshFunction, op: LinearMeshOperator, cfg: TimeStepConfig) -> MeshFunction:
@@ -123,8 +123,8 @@ def step_base(u_n: MeshFunction, op: LinearMeshOperator, cfg: TimeStepConfig) ->
         if not np.all(np.isfinite(out)):
             raise StepFailureError("explicit step produced non-finite values", float("inf"))
         return u_n.with_values(out)
-    n = len(u)
-    lhs = np.eye(n) - cfg.tau * cfg.sigma * op.matrix
+    # Dense on purpose, as in step_monotonized.
+    lhs = np.eye(len(u)) - cfg.tau * cfg.sigma * op.a.dense()
     rhs = u + cfg.tau * cfg.sigma * op.offset + cfg.tau * (1.0 - cfg.sigma) * op(u)
     try:
         u_next = np.linalg.solve(lhs, rhs)
@@ -152,8 +152,9 @@ def step_monotonized(
             raise StepFailureError("explicit step produced non-finite values", float("inf"))
         v_next = solve_smooth_1d(v_n.with_values(y_next), bc)
         return v_next, v_n.with_values(y_next)
-    m_mat = _smooth_matrix(v_n.mesh)
-    lhs = m_mat - cfg.tau * cfg.sigma * aux_op.matrix
+    # Dense on purpose: banded forms round differently and shift run_to_steady's stop.
+    m_mat = smoothing(len(v)).dense()
+    lhs = m_mat - cfg.tau * cfg.sigma * aux_op.a.dense()
     rhs = (
         m_mat @ v
         + cfg.tau * cfg.sigma * aux_op.offset
@@ -180,10 +181,9 @@ def step_monotonized_alt(
     contract within max_inner raises with the last update size.
     """
     v = v_n.values
-    zero_bc = BoundaryData1D(0.0, 0.0)
 
     def minv_increment(w: np.ndarray) -> np.ndarray:
-        return solve_smooth_1d(v_n.with_values(w), zero_bc).values
+        return solve_smooth_1d(v_n.with_values(w), _ZERO_BC).values
 
     f_n = aux_op(v)
     if cfg.sigma == 0.0:

@@ -40,8 +40,6 @@ from monoscheme.metrics import (
 from monoscheme.ns3d import FlowConfig, solve_steady
 from monoscheme.stencils import (
     MIRROR_ALL,
-    StencilKind,
-    StencilOperator1D,
     first_derivative_1d,
     operator_norm_c,
     second_derivative_1d,
@@ -49,6 +47,7 @@ from monoscheme.stencils import (
     smooth_3d,
     solve_smooth_1d,
     solve_smooth_3d,
+    smoothing,
 )
 from monoscheme.timestep import (
     LinearMeshOperator,
@@ -178,8 +177,8 @@ def test_acceptance_5_form_equivalences():
     aux = LinearMeshOperator.from_coefficients(
         (FIG1.k0, FIG1.k1, FIG1.k2, FIG1.k3), FIG1_MESH, FIG1_BC, smoothed=True
     )
-    smooth_mat = StencilOperator1D(StencilKind.SMOOTH, FIG1_MESH).matrix()
-    safe_tau = 0.25 / np.linalg.norm(np.linalg.solve(smooth_mat, aux.matrix), np.inf)
+    smooth_mat = smoothing(FIG1_MESH.n).dense()
+    safe_tau = 0.25 / np.linalg.norm(np.linalg.solve(smooth_mat, aux.a.dense()), np.inf)
     rng = np.random.default_rng(20240814)
     v0 = MeshFunction(FIG1_MESH, rng.standard_normal(FIG1_MESH.n))
     step_gaps = []
@@ -301,7 +300,7 @@ def test_acceptance_7_metrics_oracles():
 def test_acceptance_8_operator_suite():
     mesh1 = Mesh1D(0.0, 1.0, 12)
     mesh3 = make_mesh_3d(1.0, 5)
-    norm_1d = operator_norm_c(StencilOperator1D(StencilKind.SMOOTH, mesh1))
+    norm_1d = operator_norm_c(smoothing(mesh1.n))
     norm_3d = operator_norm_c((mesh3, MIRROR_ALL))
 
     bc = BoundaryData1D(3.0, 3.0)

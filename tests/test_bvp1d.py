@@ -14,7 +14,7 @@ from monoscheme.bvp1d import (
     solve_monotonized_inverse,
 )
 from monoscheme.metrics import max_step_change, oscillates_point_to_point
-from monoscheme.stencils import StencilKind, StencilOperator1D
+from monoscheme.stencils import first_difference, second_difference, smoothing
 
 BC_05 = BoundaryData1D(0.5, 0.5)
 OSCILLATORY = SchemeCoefficients(k0=10.0, k1=-5.0, k2=30.0, k3=-1.0)
@@ -123,9 +123,9 @@ class TestSolveMonotonized:
         mono = solve_monotonized(c, mesh, BC_05)
         diff = base.u.values - mono.v.values
         h = mesh.h
-        d1 = StencilOperator1D(StencilKind.FIRST_DERIVATIVE, mesh).matrix() * h
-        d2 = StencilOperator1D(StencilKind.SECOND_DERIVATIVE, mesh).matrix() * h**2
-        m_mat = StencilOperator1D(StencilKind.SMOOTH, mesh).matrix()
+        d1 = first_difference(mesh).dense() * h
+        d2 = second_difference(mesh).dense() * h**2
+        m_mat = smoothing(mesh.n).dense()
         lhs = (h**2 * c.k1 * np.eye(mesh.n) + h * c.k2 * d1 + c.k3 * d2) @ diff
         m_aff = np.zeros(mesh.n)
         m_aff[0], m_aff[-1] = 0.25 * BC_05.u0, 0.25 * BC_05.u_np1
@@ -140,6 +140,20 @@ class TestInverseRoute:
         inverse = solve_monotonized_inverse(OSCILLATORY, mesh, BC_05)
         assert norm_c(inverse.y.values - direct.y.values) <= 1e-10
         assert norm_c(inverse.v.values - direct.v.values) <= 1e-10
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("c, bc", [
+        (OSCILLATORY, BC_05),
+        (SchemeCoefficients(1.0, -1.0, 0.0, 1.0), BoundaryData1D(1.0, 3.0)),
+    ])
+    def test_agrees_with_direct_route_on_few_nodes(self, n, c, bc):
+        # With n <= 2 the first and last rows meet the same (or a
+        # neighboring) node, so both end values must reach the system.
+        mesh = Mesh1D(0.0, 1.0, n)
+        direct = solve_monotonized(c, mesh, bc)
+        inverse = solve_monotonized_inverse(c, mesh, bc)
+        assert norm_c(inverse.y.values - direct.y.values) <= 1e-10
+        assert inverse.residual_c_norm <= 1e-10
 
     def test_k1_zero_reduces_to_smoothed_base(self):
         c = SchemeCoefficients(1.0, 0.0, 2.0, 1.0)

@@ -3,10 +3,13 @@ import json
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from monoscheme.cli import ComparableReport, compare_reports, load_config, main
+from monoscheme.cli import ComparableReport, _field_rows, compare_reports, load_config, main
+from monoscheme.grid import MeshFunction, make_mesh_3d, unflatten_index
 from monoscheme.metrics import MonotonicityReport
+from monoscheme.ns3d import FlowField
 
 
 BUNDLED = ("fig1.cfg", "fig2.cfg", "fig2_n10.cfg", "order1d.cfg", "scan.cfg", "timestep1d.cfg")
@@ -134,6 +137,19 @@ class TestOtherExperiments:
         assert snaps[0] == "t,x,v,y"
         assert len(snaps) == 1 + summary["steps"] * 9
 
+    def test_timestep_single_node_settles_on_stationary(self, tmp_path):
+        # At n=1 both end values feed the one interior row.
+        cfg = tmp_path / "ts_n1.cfg"
+        cfg.write_text(
+            "[experiment]\nkind = timestep\n[problem]\nk0 = 1\nk1 = -1\nk2 = 0\nk3 = 1\n"
+            "n = 1\nu_left = 1\nu_right = 3\n[stepping]\ntau = 0.05\nsigma = 1\n"
+        )
+        out = tmp_path / "ts1"
+        assert run_cli("run", str(cfg), "--out", str(out)) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["converged"]
+        assert summary["within_10x_tol"] is True
+
     def test_metrics_run_seeded(self, tmp_path):
         cfg = tmp_path / "metrics.cfg"
         cfg.write_text("[experiment]\nkind = metrics\n[metrics]\ntrials = 40\nmax_n = 5\n")
@@ -175,6 +191,22 @@ class TestOtherExperiments:
         assert run_cli("run", str(cfg), "--out", str(again)) == 0
         for name in ("summary.json", "field_base.csv", "centerline.csv"):
             assert filecmp.cmp(out / name, again / name, shallow=False)
+
+
+def test_field_rows_match_per_cell_loop():
+    N = 4
+    mesh = make_mesh_3d(1.0, N)
+    rng = np.random.default_rng(3)
+    fld = FlowField(*(MeshFunction(mesh, rng.standard_normal(N**3)) for _ in range(4)))
+    expected = [
+        (*unflatten_index(p, N), float(fld.vx.values[p]), float(fld.vy.values[p]),
+         float(fld.vz.values[p]), float(fld.p.values[p]))
+        for p in range(N**3)
+    ]
+    rows = _field_rows(fld)
+    assert rows == expected
+    assert all(type(x) is int for x in rows[-1][:3])
+    assert all(type(x) is float for x in rows[-1][3:])
 
 
 class TestSolverFailureExit:

@@ -1,9 +1,11 @@
 """Golden outputs: sha256 of every file `monoscheme run` writes.
 
-The hashes pin the bundled fig2_n10 flow cell, a seeded `metrics` run and
-the fig1 solve written as json-lines. A refactor must keep them; a change
-that moves them on purpose updates them and says why. They were checked to
-be identical under 1 and 2 BLAS threads.
+The hashes pin the bundled fig2_n10 flow cell, a seeded `metrics` run, the
+fig1 solve written as csv and as json-lines, and the bundled order1d and
+timestep1d configs. A refactor must keep them; a change that moves them on
+purpose updates them and says why. They were checked to be identical under
+1 and 2 BLAS threads. scan.cfg is left out: its SVD indicators change bits
+with the BLAS thread count.
 """
 
 import hashlib
@@ -37,6 +39,22 @@ GOLDEN = {
         "solution1d.jsonl": "7a2411ddecf133a08416d185b374b6b833c31851932a7df441294bedd061a313",
         "summary.json": "298142a487f7b57fd887aea692336473e39ddd79c5333a58ae3d32748d6573a5",
     },
+    "fig1": {
+        "report_auxiliary.json": "1e47de176835266099929a402f8c102b4a4f727318463966f1cbffb6ec9f5032",
+        "report_base.json": "519656efc57c6ea6db3af77b8070da1bf3bd7bee3ab2d41a733b5b46e86a5e41",
+        "report_monotonized.json": "e035746b6bf66719d41cf852b5946a394408ad05cad4f416b72c5fada5715d0b",
+        "solution1d.csv": "c6fa395e90fd456bb8c4c492fdaa45e163fb92003781577892f4d6cca9300fb5",
+        "summary.json": "298142a487f7b57fd887aea692336473e39ddd79c5333a58ae3d32748d6573a5",
+    },
+    "order1d": {
+        "order.csv": "c989af02ea4493608aa451ae233d238c427178f51291920a7e3ad88eb7f77349",
+        "summary.json": "4699cd83d87102b562dbb7f6f7b1f3874d4b65bcef8d1003e1826752745692cc",
+    },
+    "timestep1d": {
+        "snapshots.csv": "9069c15ed4726586430ff8be4e565b7e4926be637fe675a385fedd850bd95dcc",
+        "summary.json": "de55dffaeb15a35c53ba6ac2221984f0ec8d20997dc556132b5136aec07421b5",
+        "trajectory.csv": "feb6e526913bc1dffc94efa264200d6e0fabbb34ea7d5d7ef81e63b99b962f4d",
+    },
 }
 
 
@@ -53,7 +71,7 @@ def test_run_outputs_match_golden_hashes(name, tmp_path):
     elif name == "fig1_jsonl":
         argv = ["run", "fig1.cfg", "--format", "jsonl"]
     else:
-        argv = ["run", "fig2_n10.cfg"]
+        argv = ["run", f"{name}.cfg"]
     out = tmp_path / "out"
     assert main(argv + ["--out", str(out)]) == 0
     assert _hashes(out) == GOLDEN[name]

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from monoscheme.grid import Mesh3D, MeshFunction, norm_c
 from monoscheme.metrics import (
@@ -85,6 +86,17 @@ class TestMaxStepChange:
             v = u + RNG.standard_normal(n) * RNG.uniform(0.001, 2.0)
             gap = abs(max_step_change(u) - max_step_change(v))
             assert gap <= 2.0 * norm_c(u - v) + 1e-12
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(data=st.data(), n=st.integers(2, 40), size=st.sampled_from((1e-9, 1e-3, 1.0, 1e3)))
+    def test_lipschitz_bound_property(self, data, n, size):
+        values = st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n).map(np.asarray)
+        u = data.draw(values)
+        v = u + size * data.draw(values)
+        gap = abs(max_step_change(u) - max_step_change(v))
+        # Slack for the rounding of each step difference and of u - v.
+        slack = 4 * np.finfo(float).eps * (norm_c(u) + norm_c(v))
+        assert gap <= 2.0 * norm_c(u - v) + slack
 
     def test_smoothing_reduces_alternation(self):
         # Constant-amplitude alternation around a level: smoothing flattens

@@ -12,8 +12,7 @@ from monoscheme.stencils import (
     GhostSpec3D,
     IterationFailureError,
     MIRROR_ALL,
-    StencilKind,
-    StencilOperator1D,
+    Tridiagonal,
     divergence_3d,
     first_derivative_1d,
     gradient_3d,
@@ -21,8 +20,10 @@ from monoscheme.stencils import (
     operator_norm_c,
     pad_grid,
     second_derivative_1d,
+    second_difference,
     smooth_1d,
     smooth_3d,
+    smoothing,
     solve_smooth_1d,
     solve_smooth_3d,
 )
@@ -324,11 +325,11 @@ class TestDenseCrossCheck:
 class TestOperatorNorms:
     def test_smooth_1d_norm_is_one(self):
         mesh = Mesh1D(0.0, 1.0, 10)
-        assert operator_norm_c(StencilOperator1D(StencilKind.SMOOTH, mesh)) == 1.0
+        assert operator_norm_c(smoothing(mesh.n)) == 1.0
 
     def test_second_derivative_norm(self):
         mesh = Mesh1D(0.0, 1.1, 10)  # h = 0.1
-        norm = operator_norm_c(StencilOperator1D(StencilKind.SECOND_DERIVATIVE, mesh))
+        norm = operator_norm_c(second_difference(mesh))
         assert norm == pytest.approx(400.0)
 
     def test_smooth_3d_norm_is_one(self):
@@ -442,3 +443,56 @@ class TestStencilProperties:
         u = MeshFunction.from_grid(mesh, amp * (-1.0) ** (i + j + k))
         out = smooth_3d(u).as_grid()[1:-1, 1:-1, 1:-1]
         assert np.max(np.abs(out)) <= 4 * np.finfo(float).eps * abs(amp)
+
+
+EPS = np.finfo(float).eps
+
+
+@st.composite
+def tridiagonals(draw, n=st.integers(1, 40), band=st.floats(-1e3, 1e3)):
+    return Tridiagonal(draw(band), draw(band), draw(band), draw(n))
+
+
+@st.composite
+def dominant_tridiagonals(draw):
+    """Strictly diagonally dominant: |diag| >= 1.5 (|lower| + |upper|) + 1."""
+    lower, upper = draw(st.floats(-10.0, 10.0)), draw(st.floats(-10.0, 10.0))
+    ratio = draw(st.floats(1.5, 10.0))
+    diag = (ratio * (abs(lower) + abs(upper)) + 1.0) * draw(st.sampled_from((-1.0, 1.0)))
+    return Tridiagonal(lower, diag, upper, draw(st.integers(1, 40)))
+
+
+def node_values(n):
+    return st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n).map(np.asarray)
+
+
+class TestTridiagonalProperties:
+    @PROPERTY
+    @given(data=st.data(), t=tridiagonals(), ends=st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)))
+    def test_apply_is_dense_plus_offset(self, data, t, ends):
+        u = data.draw(node_values(t.n))
+        bc = BoundaryData1D(*ends)
+        ext = np.abs(np.concatenate(([bc.u0], u, [bc.u_np1])))
+        scale = abs(t.lower) * ext[:-2] + abs(t.diag) * ext[1:-1] + abs(t.upper) * ext[2:]
+        dev = np.abs(t.apply(u, bc) - (t.dense() @ u + t.offset(bc)))
+        assert np.all(dev <= 4 * EPS * scale)
+
+    @PROPERTY
+    @given(data=st.data(), t=dominant_tridiagonals())
+    def test_solve_inverts_apply(self, data, t):
+        u = data.draw(node_values(t.n))
+        x = t.solve(t.apply(u, BoundaryData1D(0.0, 0.0)))
+        assert norm_c(x - u) <= 16 * EPS * norm_c(u)
+
+    @PROPERTY
+    @given(t=tridiagonals())
+    def test_operator_norm_is_dense_row_sum(self, t):
+        expected = np.abs(t.dense()).sum(axis=1).max()
+        assert operator_norm_c(t) == pytest.approx(expected, rel=4 * EPS, abs=0.0)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_offset_keeps_both_end_values(self, n):
+        off = Tridiagonal(2.0, 5.0, 3.0, n).offset(BoundaryData1D(7.0, 11.0))
+        assert off[0] == (14.0 + 33.0 if n == 1 else 14.0)
+        assert off[-1] == (14.0 + 33.0 if n == 1 else 33.0)
+        assert np.all(off[1:-1] == 0.0)

@@ -3,7 +3,7 @@ import pytest
 
 from monoscheme.grid import BoundaryData1D, Mesh1D, MeshFunction, norm_c
 from monoscheme.bvp1d import SchemeCoefficients, solve_monotonized
-from monoscheme.stencils import StencilKind, StencilOperator1D, smooth_1d
+from monoscheme.stencils import Tridiagonal, smooth_1d, smoothing
 from monoscheme.timestep import (
     LinearMeshOperator,
     StepFailureError,
@@ -27,8 +27,7 @@ def aux_operator():
 
 def safe_tau():
     # the rearranged form's fixed point contracts only below 1/||M^{-1}A||
-    smooth_mat = StencilOperator1D(StencilKind.SMOOTH, MESH).matrix()
-    amplified = np.linalg.solve(smooth_mat, aux_operator().matrix)
+    amplified = np.linalg.solve(smoothing(MESH.n).dense(), aux_operator().a.dense())
     return 0.25 / np.linalg.norm(amplified, np.inf)
 
 
@@ -50,26 +49,26 @@ class TestStepBase:
         assert np.allclose(out.values, V0.values, atol=1e-14)
 
     def test_explicit_linear_decay(self):
-        decay = LinearMeshOperator(MESH, -np.eye(9), np.zeros(9))
+        decay = LinearMeshOperator(Tridiagonal(0.0, -1.0, 0.0, 9), np.zeros(9))
         cfg = TimeStepConfig(tau=0.25, sigma=0.0)
         out = step_base(V0, decay, cfg)
         assert np.allclose(out.values, V0.values * 0.75)
 
     def test_implicit_linear_decay(self):
-        decay = LinearMeshOperator(MESH, -np.eye(9), np.zeros(9))
+        decay = LinearMeshOperator(Tridiagonal(0.0, -1.0, 0.0, 9), np.zeros(9))
         cfg = TimeStepConfig(tau=0.25, sigma=1.0)
         out = step_base(V0, decay, cfg)
         assert np.allclose(out.values, V0.values / 1.25)
 
     def test_sigma_half_defining_relation(self):
-        decay = LinearMeshOperator(MESH, -np.eye(9), np.zeros(9))
+        decay = LinearMeshOperator(Tridiagonal(0.0, -1.0, 0.0, 9), np.zeros(9))
         cfg = TimeStepConfig(tau=1e-3, sigma=0.5)
         out = step_base(V0, decay, cfg)
         res = (out.values - V0.values) / cfg.tau - 0.5 * decay(out.values) - 0.5 * decay(V0.values)
         assert norm_c(res) < 1e-10
 
     def test_step_map_affine_in_sigma(self):
-        decay = LinearMeshOperator(MESH, -np.eye(9), np.zeros(9))
+        decay = LinearMeshOperator(Tridiagonal(0.0, -1.0, 0.0, 9), np.zeros(9))
         outs = {}
         for sigma in (0.0, 0.5, 1.0):
             cfg = TimeStepConfig(tau=0.1, sigma=sigma)
@@ -81,7 +80,7 @@ class TestStepBase:
         assert norm_c(res) < 1e-12
 
     def test_explicit_blowup_raises(self):
-        growth = LinearMeshOperator(MESH, np.eye(9) * 1e200, np.zeros(9))
+        growth = LinearMeshOperator(Tridiagonal(0.0, 1e200, 0.0, 9), np.zeros(9))
         cfg = TimeStepConfig(tau=1e200, sigma=0.0)
         with pytest.raises(StepFailureError):
             step_base(step_base(V0, growth, cfg), growth, cfg)
