@@ -41,19 +41,42 @@ from .stencils import (
     SolverError,
     difference_pad,
     divergence_pads,
+    ghost_plan,
+    interior,
     laplacian_pad,
-    pad_grid,
     smooth_3d,
     smooth_pad,
 )
 
 
 class FlowDivergenceError(SolverError):
-    """The pseudo-time sweep produced non-finite values."""
+    """The pseudo-time sweep produced non-finite values.
 
-    def __init__(self, message: str, iteration: int):
-        super().__init__(message)
+    Carries the sweep that did, the C-norms of the momentum residual and of
+    div v after the last sweep that was finite (None if there was none),
+    and the config's two stability margins (FlowConfig.stability_margins).
+    """
+
+    def __init__(
+        self,
+        cfg: FlowConfig,
+        iteration: int,
+        momentum_residual_c: float | None,
+        divergence_c: float | None,
+    ):
         self.iteration = iteration
+        self.momentum_residual_c = momentum_residual_c
+        self.divergence_c = divergence_c
+        self.diffusion_margin, self.coupling_margin = cfg.stability_margins()
+        last = ("no finite sweep before it" if momentum_residual_c is None else
+                f"last finite momentum residual {momentum_residual_c:.3e}, "
+                f"divergence {divergence_c:.3e}")
+        super().__init__(
+            f"sweep diverged at iteration {iteration} ({last}); stability margins "
+            f"sigma_v*6nu/h^2 = {self.diffusion_margin:.3g}, "
+            f"|sigma_p|*sigma_v/(rho h^2) = {self.coupling_margin:.3g}, "
+            "a stable sweep needs both below about 1"
+        )
 
 
 @dataclass(frozen=True)
@@ -109,6 +132,13 @@ class FlowConfig:
     @property
     def mesh(self) -> Mesh3D:
         return Mesh3D(L=self.L, N=self.N)
+
+    def stability_margins(self) -> tuple[float, float]:
+        """sigma_v*6nu/h^2 (diffusion) and |sigma_p|*sigma_v/(rho h^2)
+        (pressure coupling); the explicit sweep needs both below about 1."""
+        h2 = (self.L / self.N) ** 2
+        return (self.sigma_v * 6.0 * self.nu / h2,
+                abs(self.sigma_p) * self.sigma_v / (self.rho * h2))
 
     @property
     def hole_center_row(self) -> int:
@@ -201,19 +231,97 @@ def init_field(cfg: FlowConfig) -> FlowField:
     )
 
 
-def _residual_grids(v_grids, p_grid, cfg: FlowConfig, policy: BoundaryPolicy3D, monotonized: bool):
-    """Momentum residual grids R_x, R_y, R_z; one ghost padding per field."""
-    h = cfg.L / cfg.N
-    v_pads = [pad_grid(v_grids[a], policy.velocity(a)) for a in range(3)]
-    p_pad = pad_grid(p_grid, policy.p)
-    w = [smooth_pad(pad) for pad in v_pads] if monotonized else v_grids
-    out = []
-    for comp, pad in enumerate(v_pads):
-        advect = (w[0] * difference_pad(pad, 0, h) + w[1] * difference_pad(pad, 1, h)
-                  + w[2] * difference_pad(pad, 2, h))
-        out.append(-advect - difference_pad(p_pad, comp, h) / cfg.rho
-                   + cfg.nu * laplacian_pad(pad, h))
-    return out
+class _Workspace:
+    """Padded fields and scratch arrays for sweeping one flow cell.
+
+    v_pads hold the current velocities with their ghosts and v_next the pads
+    the next sweep writes; the two swap after every sweep. Ghost plans are
+    compiled once, so fixed ghosts are written at allocation and only the
+    ghosts that follow the cells are refilled. diag[a] = d(v_a)/dx_a of the
+    current velocities: the divergence computes it and the next sweep's
+    advection reuses it. Every stencil runs through the stencils kernels in
+    their floating-point order, so a sweep here equals one on fresh pad_grid
+    pads bit for bit.
+    """
+
+    def __init__(self, field: FlowField, cfg: FlowConfig, monotonized: bool):
+        N = cfg.N
+        policy = flow_boundary_policy(cfg)
+        self.cfg = cfg
+        self.h = cfg.L / N
+        self.monotonized = monotonized
+        self.v_plans = [ghost_plan(policy.velocity(a), N) for a in range(3)]
+        self.p_plan = ghost_plan(policy.p, N)
+        self.v_pads = [plan.new_pad() for plan in self.v_plans]
+        self.v_next = [plan.new_pad() for plan in self.v_plans]
+        self.p_pad = self.p_plan.new_pad()
+        for plan, pad, grid in zip((*self.v_plans, self.p_plan), (*self.v_pads, self.p_pad),
+                                   (field.vx, field.vy, field.vz, field.p)):
+            interior(pad)[...] = grid.as_grid()
+            plan.refill(pad)
+        shape = (N, N, N)
+        self.diag = [difference_pad(pad, a, self.h) for a, pad in enumerate(self.v_pads)]
+        self.smoothed = [np.empty(shape) for _ in range(3)] if monotonized else None
+        self.r, self.term, self.div = (np.empty(shape) for _ in range(3))
+
+    def advecting(self) -> list[np.ndarray]:
+        """The advecting velocity w: Mv of the current velocities for the
+        monotonized scheme (smoothed into self.smoothed), else v itself."""
+        if not self.monotonized:
+            return [interior(pad) for pad in self.v_pads]
+        for pad, out in zip(self.v_pads, self.smoothed):
+            smooth_pad(pad, out=out)
+        return self.smoothed
+
+    def residual(self, comp: int, w: list[np.ndarray]) -> np.ndarray:
+        """R = -(w.grad)v - grad(p)/rho + nu Lap v for one velocity
+        component, written into self.r."""
+        cfg, h, pad = self.cfg, self.h, self.v_pads[comp]
+        r, term = self.r, self.term
+        for axis in range(3):
+            d = self.diag[comp] if axis == comp else difference_pad(pad, axis, h, out=term)
+            if axis == 0:
+                np.multiply(w[axis], d, out=r)
+            else:
+                np.multiply(w[axis], d, out=term)
+                r += term
+        np.negative(r, out=r)
+        difference_pad(self.p_pad, comp, h, out=term)
+        term /= cfg.rho
+        r -= term
+        laplacian_pad(pad, h, out=term)
+        term *= cfg.nu
+        r += term
+        return r
+
+    def sweep(self) -> tuple[float, float]:
+        """One Jacobi sweep in place; returns the C-norms of R and of div v."""
+        cfg, term = self.cfg, self.term
+        # Overflow here is how an unstable parameter choice announces itself;
+        # the callers check the results for finiteness, so silence the warnings.
+        with np.errstate(over="ignore", invalid="ignore"):
+            w = self.advecting()
+            norms = []
+            for comp in range(3):
+                r = self.residual(comp, w)
+                norms.append(float(np.abs(r, out=term).max()))
+                np.multiply(cfg.sigma_v, r, out=term)
+                np.add(interior(self.v_pads[comp]), term, out=interior(self.v_next[comp]))
+            for plan, pad in zip(self.v_plans, self.v_next):
+                plan.refill(pad)
+            self.v_pads, self.v_next = self.v_next, self.v_pads
+            div = divergence_pads(self.v_pads, self.h, out=self.div, terms=self.diag)
+            np.multiply(cfg.sigma_p, div, out=term)
+            p = interior(self.p_pad)
+            p += term
+            self.p_plan.refill(self.p_pad)
+            return max(norms), float(np.abs(div, out=term).max())
+
+    def field(self) -> FlowField:
+        """A copy of the current state."""
+        mesh = self.cfg.mesh
+        grids = [interior(pad) for pad in (*self.v_pads, self.p_pad)]
+        return FlowField(*(MeshFunction.from_grid(mesh, g.copy()) for g in grids))
 
 
 def momentum_residual(
@@ -226,15 +334,11 @@ def momentum_residual(
     """
     if advecting not in ("raw", "monotonized"):
         raise ValueError(f"unknown advecting mode {advecting!r}")
-    grids = _residual_grids(
-        [field.velocity(a).as_grid() for a in range(3)],
-        field.p.as_grid(),
-        cfg,
-        flow_boundary_policy(cfg),
-        advecting == "monotonized",
+    ws = _Workspace(field, cfg, advecting == "monotonized")
+    w = ws.advecting()
+    return tuple(
+        MeshFunction.from_grid(field.mesh, ws.residual(comp, w).copy()) for comp in range(3)
     )
-    mesh = field.mesh
-    return tuple(MeshFunction.from_grid(mesh, g) for g in grids)
 
 
 def iterate(field: FlowField, cfg: FlowConfig, variant: str = "base") -> FlowField:
@@ -242,38 +346,12 @@ def iterate(field: FlowField, cfg: FlowConfig, variant: str = "base") -> FlowFie
     from the freshly updated velocities."""
     if variant not in ("base", "monotonized"):
         raise ValueError(f"unknown variant {variant!r}")
-    policy = flow_boundary_policy(cfg)
-    grids, p_grid, _, _ = _sweep(
-        [field.velocity(a).as_grid() for a in range(3)],
-        field.p.as_grid(),
-        cfg,
-        policy,
-        variant == "monotonized",
-    )
-    mesh = field.mesh
-    new = FlowField(
-        vx=MeshFunction.from_grid(mesh, grids[0]),
-        vy=MeshFunction.from_grid(mesh, grids[1]),
-        vz=MeshFunction.from_grid(mesh, grids[2]),
-        p=MeshFunction.from_grid(mesh, p_grid),
-    )
-    if not all(np.isfinite(g).all() for g in (*grids, p_grid)):
-        raise FlowDivergenceError("sweep produced non-finite values", 1)
+    ws = _Workspace(field, cfg, variant == "monotonized")
+    ws.sweep()
+    new = ws.field()
+    if not all(np.isfinite(f.values).all() for f in (new.vx, new.vy, new.vz, new.p)):
+        raise FlowDivergenceError(cfg, 1, None, None)
     return new
-
-
-def _sweep(v_grids, p_grid, cfg: FlowConfig, policy: BoundaryPolicy3D, monotonized: bool):
-    # Overflow here is how an unstable parameter choice announces itself; the
-    # caller checks the norms for finiteness, so silence the warnings.
-    h = cfg.L / cfg.N
-    with np.errstate(over="ignore", invalid="ignore"):
-        residuals = _residual_grids(v_grids, p_grid, cfg, policy, monotonized)
-        new_v = [v_grids[a] + cfg.sigma_v * residuals[a] for a in range(3)]
-        div = divergence_pads([pad_grid(new_v[a], policy.velocity(a)) for a in range(3)], h)
-        new_p = p_grid + cfg.sigma_p * div
-        mom_norm = max(float(np.max(np.abs(r))) for r in residuals)
-        div_norm = float(np.max(np.abs(div)))
-    return new_v, new_p, mom_norm, div_norm
 
 
 def solve_steady(cfg: FlowConfig, variant: str = "base") -> SolutionReport:
@@ -283,31 +361,21 @@ def solve_steady(cfg: FlowConfig, variant: str = "base") -> SolutionReport:
         raise ValueError(f"unknown variant {variant!r}")
     policy = flow_boundary_policy(cfg)
     monotonized = variant == "monotonized"
-    field = init_field(cfg)
-    v_grids = [field.velocity(a).as_grid().copy() for a in range(3)]
-    p_grid = field.p.as_grid().copy()
+    ws = _Workspace(init_field(cfg), cfg, monotonized)
     mom_norm = div_norm = float("inf")
+    finite_norms = (None, None)
     converged = False
     iterations = 0
     for iterations in range(1, cfg.max_iters + 1):
-        v_grids, p_grid, mom_norm, div_norm = _sweep(
-            v_grids, p_grid, cfg, policy, monotonized
-        )
+        mom_norm, div_norm = ws.sweep()
         update_norm = cfg.sigma_v * mom_norm
         if not (np.isfinite(update_norm) and np.isfinite(div_norm)):
-            raise FlowDivergenceError(
-                f"sweep diverged at iteration {iterations}", iterations
-            )
+            raise FlowDivergenceError(cfg, iterations, *finite_norms)
+        finite_norms = (mom_norm, div_norm)
         if update_norm <= cfg.tol and div_norm <= cfg.tol:
             converged = True
             break
-    mesh = cfg.mesh
-    out = FlowField(
-        vx=MeshFunction.from_grid(mesh, v_grids[0]),
-        vy=MeshFunction.from_grid(mesh, v_grids[1]),
-        vz=MeshFunction.from_grid(mesh, v_grids[2]),
-        p=MeshFunction.from_grid(mesh, p_grid),
-    )
+    out = ws.field()
     y = None
     if monotonized:
         y = FlowField(

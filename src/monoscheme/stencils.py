@@ -23,6 +23,7 @@ or the smoother (it zeroes the former and is asymmetric for the latter).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -167,13 +168,18 @@ class FaceRule:
 
     The patch covers transverse cell indices lo..hi (inclusive) in both
     tangential directions; outside it the base rule applies. This realizes
-    pressure holes in otherwise-walled faces.
+    pressure holes in otherwise-walled faces. A set patch needs
+    0 <= lo <= hi; GhostPlan checks hi against the mesh size.
     """
 
     base: FaceGhost
     patch: FaceGhost | None = None
     patch_lo: int = 0
     patch_hi: int = -1
+
+    def __post_init__(self):
+        if self.patch is not None and not 0 <= self.patch_lo <= self.patch_hi:
+            raise ValueError(f"patch range {self.patch_lo}..{self.patch_hi} is not 0 <= lo <= hi")
 
 
 @dataclass(frozen=True)
@@ -218,46 +224,82 @@ class BoundaryPolicy3D:
         return (self.vx, self.vy, self.vz)[axis]
 
 
-def _fill_face(pad: np.ndarray, face: str, rule: FaceRule) -> None:
-    """Write one ghost layer of the padded (N+2)^3 array in place."""
-    n = pad.shape[0] - 2
+class GhostPlan:
+    """A GhostSpec3D compiled for one mesh size N.
+
+    new_pad() allocates an (N+2)^3 array with every ghost that holds a fixed
+    value already written; refill(pad) recomputes the others (mirror and
+    extrapolation rules, and any rule that overrides one of them) from the
+    pad's cells. Faces run in FACES order, each base rule before its patch,
+    so a pad refilled in place equals pad_grid of its cells bit for bit.
+    """
+
+    def __init__(self, spec: GhostSpec3D, N: int):
+        fixed, refill = [], []
+        for face, rule in zip(FACES, spec.rules()):
+            steps = [(rule.base, _face_slices(face, N, 0, N - 1))]
+            if rule.patch is not None:
+                if rule.patch_hi >= N:
+                    raise ValueError(
+                        f"{face} patch {rule.patch_lo}..{rule.patch_hi} outside cells 0..{N - 1}"
+                    )
+                steps.append((rule.patch, _face_slices(face, N, rule.patch_lo, rule.patch_hi)))
+            # A value written after a refilled rule on the same face must be
+            # rewritten with it.
+            refilled = False
+            for ghost, slices in steps:
+                refilled = refilled or ghost.kind != "value"
+                (refill if refilled else fixed).append((ghost, slices))
+        self.N = N
+        self._fixed = tuple(fixed)
+        self._refill = tuple(refill)
+
+    def new_pad(self) -> np.ndarray:
+        """Zero (N+2)^3 array with the fixed ghosts written. Ghost edges and
+        corners stay zero; axis stencils never read them."""
+        pad = np.zeros((self.N + 2,) * 3)
+        for ghost, (layer, _, _) in self._fixed:
+            pad[layer] = ghost.value
+        return pad
+
+    def refill(self, pad: np.ndarray) -> None:
+        """Rewrite, in place, the ghosts that depend on the pad's cells."""
+        for ghost, (layer, edge, inner) in self._refill:
+            if ghost.kind == "value":
+                pad[layer] = ghost.value
+            elif ghost.kind == "mirror":
+                pad[layer] = pad[edge]
+            else:
+                out = pad[layer]
+                np.multiply(2.0, pad[edge], out=out)
+                out -= pad[inner]
+
+
+def _face_slices(face: str, N: int, lo: int, hi: int) -> tuple[tuple, tuple, tuple]:
+    """Index tuples of a face's ghost layer, its edge cells and the cells one
+    row in, over tangential cells lo..hi (inclusive) of the (N+2)^3 pad."""
     axis = "xyz".index(face[0])
-    lo_side = face.endswith("lo")
+    depths = (0, 1, 2) if face.endswith("lo") else (N + 1, N, N - 1)
+    tangential = slice(lo + 1, hi + 2)
+    return tuple(
+        tuple(depth if a == axis else tangential for a in range(3)) for depth in depths
+    )
 
-    def layer(depth: int) -> np.ndarray:
-        # depth 0 is the ghost layer itself, 1 the edge cells, 2 one row in.
-        idx = depth if lo_side else pad.shape[axis] - 1 - depth
-        sl = [slice(1, -1)] * 3
-        sl[axis] = idx
-        return pad[tuple(sl)]
 
-    def ghost_for(g: FaceGhost) -> np.ndarray:
-        if g.kind == "value":
-            return np.full((n, n), g.value)
-        if g.kind == "mirror":
-            return layer(1)
-        return 2.0 * layer(1) - layer(2)
-
-    ghost = ghost_for(rule.base)
-    if rule.patch is not None:
-        lo, hi = rule.patch_lo, rule.patch_hi
-        patch_ghost = ghost_for(rule.patch)
-        ghost = ghost.copy()
-        ghost[lo : hi + 1, lo : hi + 1] = patch_ghost[lo : hi + 1, lo : hi + 1]
-    sl = [slice(1, -1)] * 3
-    sl[axis] = 0 if lo_side else pad.shape[axis] - 1
-    pad[tuple(sl)] = ghost
+@functools.lru_cache(maxsize=64)
+def ghost_plan(spec: GhostSpec3D, N: int) -> GhostPlan:
+    """The plan of `spec` on an N^3 mesh, compiled once per (spec, N)."""
+    return GhostPlan(spec, N)
 
 
 def pad_grid(grid: np.ndarray, spec: GhostSpec3D) -> np.ndarray:
     """(N+2)^3 array from an (N,N,N) one: cells plus one ghost layer per the
     spec. Ghost edges and corners are left at zero; axis stencils never read
     them."""
-    N = grid.shape[0]
-    pad = np.zeros((N + 2, N + 2, N + 2))
-    pad[1:-1, 1:-1, 1:-1] = grid
-    for face, rule in zip(FACES, spec.rules()):
-        _fill_face(pad, face, rule)
+    plan = ghost_plan(spec, grid.shape[0])
+    pad = plan.new_pad()
+    pad[_CORE] = grid
+    plan.refill(pad)
     return pad
 
 
@@ -265,43 +307,64 @@ def pad_grid(grid: np.ndarray, spec: GhostSpec3D) -> np.ndarray:
 # 3D padded-array kernels
 # ---------------------------------------------------------------------------
 #
-# Each kernel reads (N+2)^3 arrays from pad_grid and returns the (N, N, N)
-# values at the cells. The public operators below and the flow solver share
-# them, so both evaluate every stencil in the same floating-point order.
+# Each kernel reads (N+2)^3 arrays from pad_grid or a GhostPlan and returns
+# the (N, N, N) values at the cells, written into `out` when one is given.
+# The public operators below and the flow solver share them, so both
+# evaluate every stencil in the same floating-point order.
 
 _CORE = (slice(1, -1),) * 3
 _PLUS = tuple(_CORE[:a] + (slice(2, None),) + _CORE[a + 1 :] for a in range(3))
 _MINUS = tuple(_CORE[:a] + (slice(None, -2),) + _CORE[a + 1 :] for a in range(3))
 
 
-def difference_pad(pad: np.ndarray, axis: int, h: float) -> np.ndarray:
+def interior(pad: np.ndarray) -> np.ndarray:
+    """The (N, N, N) view of a pad's cells."""
+    return pad[_CORE]
+
+
+def difference_pad(
+    pad: np.ndarray, axis: int, h: float, out: np.ndarray | None = None
+) -> np.ndarray:
     """Central first difference (u_+ - u_-) / 2h along one axis."""
-    return (pad[_PLUS[axis]] - pad[_MINUS[axis]]) / (2.0 * h)
+    out = np.subtract(pad[_PLUS[axis]], pad[_MINUS[axis]], out=out)
+    out /= 2.0 * h
+    return out
 
 
-def laplacian_pad(pad: np.ndarray, h: float) -> np.ndarray:
+def laplacian_pad(pad: np.ndarray, h: float, out: np.ndarray | None = None) -> np.ndarray:
     """Seven-point Laplacian: -6u plus the neighbor pairs axis by axis, / h^2."""
-    lap = -6.0 * pad[_CORE]
+    lap = np.multiply(-6.0, pad[_CORE], out=out)
     for axis in range(3):
         lap += pad[_PLUS[axis]]
         lap += pad[_MINUS[axis]]
-    return lap / (h * h)
+    lap /= h * h
+    return lap
 
 
-def smooth_pad(pad: np.ndarray) -> np.ndarray:
+def smooth_pad(pad: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Seven-point average u/2 + (sum of six axis neighbors)/12."""
     core = pad[_CORE]
-    nbr = np.zeros_like(core)
+    # The neighbor sum starts from +0.0, which fixes the sign of a zero sum.
+    nbr = np.empty(core.shape) if out is None else out
+    nbr.fill(0.0)
     for axis in range(3):
         nbr += pad[_PLUS[axis]]
         nbr += pad[_MINUS[axis]]
-    return 0.5 * core + nbr / 12.0
+    nbr /= 12.0
+    nbr += 0.5 * core
+    return nbr
 
 
-def divergence_pads(pads: list[np.ndarray], h: float) -> np.ndarray:
-    """d(vx)/dx + d(vy)/dy + d(vz)/dz from the three padded components."""
-    return (difference_pad(pads[0], 0, h) + difference_pad(pads[1], 1, h)
-            + difference_pad(pads[2], 2, h))
+def divergence_pads(
+    pads: list[np.ndarray], h: float, out: np.ndarray | None = None, terms: list | None = None
+) -> np.ndarray:
+    """d(vx)/dx + d(vy)/dy + d(vz)/dz from the three padded components. The
+    three terms are written into `terms` when it is given."""
+    d = [difference_pad(pad, a, h, None if terms is None else terms[a])
+         for a, pad in enumerate(pads)]
+    out = np.add(d[0], d[1], out=out)
+    out += d[2]
+    return out
 
 
 def gradient_3d(u: MeshFunction, axis: int, spec: GhostSpec3D) -> MeshFunction:
@@ -434,6 +497,7 @@ __all__ = [
     "BoundaryPolicy3D",
     "FaceGhost",
     "FaceRule",
+    "GhostPlan",
     "GhostSpec3D",
     "IterationFailureError",
     "MIRROR_ALL",
@@ -445,7 +509,9 @@ __all__ = [
     "divergence_pads",
     "first_derivative_1d",
     "first_difference",
+    "ghost_plan",
     "gradient_3d",
+    "interior",
     "laplacian_3d",
     "laplacian_pad",
     "operator_norm_c",

@@ -210,7 +210,7 @@ def test_field_rows_match_per_cell_loop():
 
 
 class TestSolverFailureExit:
-    def test_unstable_flow_parameters_exit_4(self, tmp_path):
+    def test_unstable_flow_parameters_exit_4(self, tmp_path, capsys):
         cfg = tmp_path / "blowup.cfg"
         cfg.write_text(
             "[experiment]\nkind = solve3d\n[flow]\nL = 1/30\nN = 6\nrho = 1\n"
@@ -219,6 +219,11 @@ class TestSolverFailureExit:
             "[metrics]\ncentral_lo = 1\ncentral_hi = 4\n"
         )
         assert run_cli("run", str(cfg), "--out", str(tmp_path / "o")) == 4
+        err = capsys.readouterr().err
+        # h = 1/180, so sigma_v*6nu/h^2 = 6.2e-6 * 6 * 1.002 * 180^2 = 1.2077
+        assert err.startswith("error: solver: sweep diverged at iteration ")
+        assert "sigma_v*6nu/h^2 = 1.21" in err
+        assert err.count("\n") == 1
 
 
 class TestOptionalFlowKeys:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from monoscheme.ns3d import (
     momentum_residual,
     solve_steady,
 )
+from monoscheme.stencils import difference_pad, laplacian_pad, pad_grid, smooth_pad
 
 # Small, fast configuration used throughout; the pressure drop matches the
 # bundled flow-cell configs (1e6 in the mm/s/mg unit system).
@@ -23,6 +26,62 @@ SMALL = dict(L=1 / 30, N=6, rho=1.0, nu=1.002, p0=1e6, p1=0.0, hole_lo=2, hole_h
 def small_config(**over):
     kwargs = {**SMALL, **over}
     return FlowConfig(**kwargs)
+
+
+def reference_residuals(v_grids, p_grid, cfg, monotonized):
+    """Momentum residual grids from fresh pad_grid pads of every field."""
+    h = cfg.L / cfg.N
+    policy = flow_boundary_policy(cfg)
+    v_pads = [pad_grid(v_grids[a], policy.velocity(a)) for a in range(3)]
+    p_pad = pad_grid(p_grid, policy.p)
+    w = [smooth_pad(pad) for pad in v_pads] if monotonized else v_grids
+    out = []
+    for comp, pad in enumerate(v_pads):
+        advect = (w[0] * difference_pad(pad, 0, h) + w[1] * difference_pad(pad, 1, h)
+                  + w[2] * difference_pad(pad, 2, h))
+        out.append(-advect - difference_pad(p_pad, comp, h) / cfg.rho
+                   + cfg.nu * laplacian_pad(pad, h))
+    return out
+
+
+def reference_sweep(v_grids, p_grid, cfg, monotonized):
+    """One Jacobi sweep on new grids and new pads: the oracle for ns3d's
+    in-place sweep. Returns the new grids and the C-norms of R and div v."""
+    h = cfg.L / cfg.N
+    policy = flow_boundary_policy(cfg)
+    with np.errstate(over="ignore", invalid="ignore"):
+        residuals = reference_residuals(v_grids, p_grid, cfg, monotonized)
+        new_v = [v_grids[a] + cfg.sigma_v * residuals[a] for a in range(3)]
+        pads = [pad_grid(new_v[a], policy.velocity(a)) for a in range(3)]
+        div = (difference_pad(pads[0], 0, h) + difference_pad(pads[1], 1, h)
+               + difference_pad(pads[2], 2, h))
+        new_p = p_grid + cfg.sigma_p * div
+        mom_norm = max(float(np.max(np.abs(r))) for r in residuals)
+        div_norm = float(np.max(np.abs(div)))
+    return new_v, new_p, mom_norm, div_norm
+
+
+def reference_state(cfg, sweeps, monotonized):
+    field = init_field(cfg)
+    v = [field.velocity(a).as_grid() for a in range(3)]
+    p = field.p.as_grid()
+    norms = None
+    for _ in range(sweeps):
+        v, p, *norms = reference_sweep(v, p, cfg, monotonized)
+    return v, p, norms
+
+
+def as_field(cfg, v, p):
+    mesh = cfg.mesh
+    return FlowField(*(MeshFunction.from_grid(mesh, g) for g in (*v, p)))
+
+
+ORACLE_CONFIGS = {
+    "defaults": small_config(),
+    # sigma_v at 0.9 of the diffusion limit, |sigma_p| at 0.6 of the coupling one
+    "own_sigmas": small_config(sigma_v=0.15 * (SMALL["L"] / SMALL["N"]) ** 2 / SMALL["nu"],
+                               sigma_p=-4.0),
+}
 
 
 class TestFlowConfig:
@@ -131,6 +190,33 @@ class TestIterate:
         assert np.allclose(gx[1:-1, 1:-1, 1:-1], expected)
 
 
+class TestSweepMatchesReference:
+    @pytest.mark.parametrize("variant", ["base", "monotonized"])
+    @pytest.mark.parametrize("name", sorted(ORACLE_CONFIGS))
+    def test_fifty_sweeps_bitwise(self, name, variant):
+        cfg = replace(ORACLE_CONFIGS[name], tol=1e-300, max_iters=50)
+        rep = solve_steady(cfg, variant)
+        v, p, (mom_norm, div_norm) = reference_state(cfg, 50, variant == "monotonized")
+        assert rep.iterations == 50 and not rep.converged
+        assert np.array_equal(rep.field.concatenated(), as_field(cfg, v, p).concatenated())
+        assert rep.momentum_residual_c == mom_norm
+        assert rep.divergence_c == div_norm
+
+    @pytest.mark.parametrize("variant", ["base", "monotonized"])
+    @pytest.mark.parametrize("name", sorted(ORACLE_CONFIGS))
+    def test_iterate_and_residual_bitwise(self, name, variant):
+        cfg = ORACLE_CONFIGS[name]
+        monotonized = variant == "monotonized"
+        v, p, _ = reference_state(cfg, 7, monotonized)
+        field = as_field(cfg, v, p)
+        new_v, new_p, _, _ = reference_sweep(v, p, cfg, monotonized)
+        assert np.array_equal(iterate(field, cfg, variant).concatenated(),
+                              as_field(cfg, new_v, new_p).concatenated())
+        got = momentum_residual(field, cfg, "monotonized" if monotonized else "raw")
+        for r, expected in zip(got, reference_residuals(v, p, cfg, monotonized)):
+            assert np.array_equal(r.as_grid(), expected)
+
+
 class TestSolveSteady:
     def test_no_forcing_converges_immediately(self):
         cfg = small_config(p0=1.0, p1=1.0)
@@ -169,8 +255,30 @@ class TestSolveSteady:
     def test_unstable_parameters_raise_divergence(self):
         h = SMALL["L"] / SMALL["N"]
         cfg = small_config(sigma_v=2.0 * h * h / SMALL["nu"], max_iters=5000)
-        with pytest.raises(FlowDivergenceError):
+        with pytest.raises(FlowDivergenceError) as info:
             solve_steady(cfg)
+        err = info.value
+        assert err.iteration > 1
+        assert np.isfinite(err.momentum_residual_c) and np.isfinite(err.divergence_c)
+        # sigma_v = 2 h^2/nu against the limit h^2/(6 nu); the default sigma_p
+        # gives 2.5 nu * sigma_v / h^2
+        assert err.diffusion_margin == pytest.approx(12.0)
+        assert err.coupling_margin == pytest.approx(5.0)
+        assert cfg.stability_margins() == (err.diffusion_margin, err.coupling_margin)
+        assert "sigma_v*6nu/h^2 = 12" in str(err)
+        assert f"divergence {err.divergence_c:.3e}" in str(err)
+        # the last finite norms are those of the sweep before the blow-up
+        rep = solve_steady(replace(cfg, max_iters=err.iteration - 1))
+        assert (rep.momentum_residual_c, rep.divergence_c) == (err.momentum_residual_c,
+                                                                err.divergence_c)
+
+    def test_first_sweep_overflow_has_no_finite_norms(self):
+        cfg = small_config(sigma_v=1e300)
+        with pytest.raises(FlowDivergenceError) as info:
+            iterate(init_field(cfg), cfg)
+        assert info.value.iteration == 1
+        assert info.value.momentum_residual_c is None and info.value.divergence_c is None
+        assert "no finite sweep before it" in str(info.value)
 
     def test_deterministic_reruns(self):
         cfg = small_config(tol=1e-3, max_iters=20000)

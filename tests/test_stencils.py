@@ -15,7 +15,9 @@ from monoscheme.stencils import (
     Tridiagonal,
     divergence_3d,
     first_derivative_1d,
+    ghost_plan,
     gradient_3d,
+    interior,
     laplacian_3d,
     operator_norm_c,
     pad_grid,
@@ -408,6 +410,23 @@ class TestDerivatives3D:
         assert g[0, 0, 0] == pytest.approx(expected)
 
 
+class TestPatchRanges:
+    def test_negative_patch_start_rejected(self):
+        with pytest.raises(ValueError, match="patch range"):
+            FaceRule(FaceGhost("value", 0.0), FaceGhost("mirror"), patch_lo=-1, patch_hi=2)
+
+    def test_reversed_patch_range_rejected(self):
+        with pytest.raises(ValueError, match="patch range"):
+            FaceRule(FaceGhost("value", 0.0), FaceGhost("mirror"), patch_lo=3, patch_hi=2)
+
+    def test_patch_beyond_mesh_rejected(self):
+        rule = FaceRule(FaceGhost("value", 0.0), FaceGhost("mirror"), patch_lo=1, patch_hi=4)
+        spec = GhostSpec3D(rule, *(FaceRule(FaceGhost("mirror")) for _ in FACES[1:]))
+        assert pad_grid(np.ones((5, 5, 5)), spec)[0, 5, 5] == 1.0
+        with pytest.raises(ValueError, match="outside cells 0..3"):
+            pad_grid(np.ones((4, 4, 4)), spec)
+
+
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True)
 
 
@@ -416,9 +435,18 @@ class TestStencilProperties:
     @given(data=st.data(), N=st.integers(2, 5))
     def test_pad_grid_matches_per_cell_ghosts(self, data, N):
         spec = data.draw(ghost_specs(N))
-        grid = np.asarray(data.draw(st.lists(
-            st.floats(-100.0, 100.0), min_size=N**3, max_size=N**3))).reshape(N, N, N)
-        assert np.array_equal(pad_grid(grid, spec), brute_pad(grid, spec))
+        plan = ghost_plan(spec, N)
+        reused = plan.new_pad()
+        # The second interior shows that a refill overwrites every ghost the
+        # first one left behind.
+        for _ in range(2):
+            grid = np.asarray(data.draw(st.lists(
+                st.floats(-100.0, 100.0), min_size=N**3, max_size=N**3))).reshape(N, N, N)
+            interior(reused)[...] = grid
+            plan.refill(reused)
+            expected = brute_pad(grid, spec)
+            assert np.array_equal(pad_grid(grid, spec), expected)
+            assert np.array_equal(reused, expected)
 
     @PROPERTY
     @given(data=st.data(), N=st.integers(2, 4))
