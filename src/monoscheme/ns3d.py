@@ -18,15 +18,20 @@ monotonized one. Pressure is a dependent variable and is never smoothed. On
 convergence the monotonized variant reports y = Mv alongside v; the balance
 relations of the scheme hold for y.
 
-Stability of the explicit sweep requires roughly sigma_v <= h^2/(6 nu) for
-diffusion and |sigma_p| <= rho h^2 / sigma_v for the pseudo-compressibility
-coupling. The shipped defaults sigma_v = 0.1 h^2/nu and sigma_p = -2.5 rho nu
-sit inside both margins (chosen by a stability scan at N=10) and can be
-overridden per run.
+Stability of the explicit sweep needs roughly sigma_v <= h^2/(6 nu) for
+diffusion, |sigma_p| <= rho h^2 / sigma_v for the pseudo-compressibility
+coupling, and sigma_v |w|^2 / (2 nu) <= 1 for central advection under
+forward Euler, at the flow's peak speed |w|. Only the first two are margins
+of the config; the third depends on the flow, so the first two alone do not
+make a sweep stable (the fig2 cell at nu = 0.5 has margins 0.6 and 0.25 and
+diverges). The shipped defaults sigma_v = 0.1 h^2/nu and sigma_p = -2.5 rho nu
+sit inside the first two margins (chosen by a stability scan at N=10) and can
+be overridden per run.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -44,6 +49,7 @@ from .stencils import (
     ghost_plan,
     interior,
     laplacian_pad,
+    pad_range,
     smooth_3d,
     smooth_pad,
 )
@@ -74,8 +80,9 @@ class FlowDivergenceError(SolverError):
         super().__init__(
             f"sweep diverged at iteration {iteration} ({last}); stability margins "
             f"sigma_v*6nu/h^2 = {self.diffusion_margin:.3g}, "
-            f"|sigma_p|*sigma_v/(rho h^2) = {self.coupling_margin:.3g}, "
-            "a stable sweep needs both below about 1"
+            f"|sigma_p|*sigma_v/(rho h^2) = {self.coupling_margin:.3g}, which must stay "
+            "below about 1 but are not enough: the advection condition "
+            "sigma_v*|w|^2/(2nu) <= 1 at the flow's peak speed |w| must hold too"
         )
 
 
@@ -135,7 +142,9 @@ class FlowConfig:
 
     def stability_margins(self) -> tuple[float, float]:
         """sigma_v*6nu/h^2 (diffusion) and |sigma_p|*sigma_v/(rho h^2)
-        (pressure coupling); the explicit sweep needs both below about 1."""
+        (pressure coupling). The explicit sweep needs both below about 1, and
+        also the advection condition sigma_v*|w|^2/(2nu) <= 1, which depends
+        on the flow's speed |w| and so is not a margin of the config."""
         h2 = (self.L / self.N) ** 2
         return (self.sigma_v * 6.0 * self.nu / h2,
                 abs(self.sigma_p) * self.sigma_v / (self.rho * h2))
@@ -235,13 +244,18 @@ class _Workspace:
     """Padded fields and scratch arrays for sweeping one flow cell.
 
     v_pads hold the current velocities with their ghosts and v_next the pads
-    the next sweep writes; the two swap after every sweep. Ghost plans are
-    compiled once, so fixed ghosts are written at allocation and only the
-    ghosts that follow the cells are refilled. diag[a] = d(v_a)/dx_a of the
-    current velocities: the divergence computes it and the next sweep's
-    advection reuses it. Every stencil runs through the stencils kernels in
-    their floating-point order, so a sweep here equals one on fresh pad_grid
-    pads bit for bit.
+    the next sweep writes; the two swap after every sweep, and v_next is
+    allocated by the first sweep. Ghost plans are compiled once, so fixed
+    ghosts are written at allocation and only the ghosts that follow the
+    cells are refilled. Scratch arrays are range vectors over the pads'
+    PadRange. diag[a] = d(v_a)/dx_a of the current velocities: the
+    divergence computes it and the next sweep's advection reuses it. Every
+    stencil runs through the stencils kernels in their floating-point order,
+    so a sweep here equals one on fresh pad_grid pads bit for bit.
+
+    The residual and the divergence are zeroed at the range's ghost
+    positions before they are measured or added into a pad, so an update
+    leaves every ghost and edge of the pad as it was.
     """
 
     def __init__(self, field: FlowField, cfg: FlowConfig, monotonized: bool):
@@ -250,25 +264,30 @@ class _Workspace:
         self.cfg = cfg
         self.h = cfg.L / N
         self.monotonized = monotonized
+        self.range = rng = pad_range(N)
         self.v_plans = [ghost_plan(policy.velocity(a), N) for a in range(3)]
         self.p_plan = ghost_plan(policy.p, N)
         self.v_pads = [plan.new_pad() for plan in self.v_plans]
-        self.v_next = [plan.new_pad() for plan in self.v_plans]
         self.p_pad = self.p_plan.new_pad()
         for plan, pad, grid in zip((*self.v_plans, self.p_plan), (*self.v_pads, self.p_pad),
                                    (field.vx, field.vy, field.vz, field.p)):
             interior(pad)[...] = grid.as_grid()
             plan.refill(pad)
-        shape = (N, N, N)
         self.diag = [difference_pad(pad, a, self.h) for a, pad in enumerate(self.v_pads)]
-        self.smoothed = [np.empty(shape) for _ in range(3)] if monotonized else None
-        self.r, self.term, self.div = (np.empty(shape) for _ in range(3))
+        self.smoothed = [np.empty(rng.size) for _ in range(3)] if monotonized else None
+        self.r, self.term, self.div = (np.empty(rng.size) for _ in range(3))
+
+    @functools.cached_property
+    def v_next(self) -> list[np.ndarray]:
+        """The pads the next sweep writes; momentum_residual never needs them."""
+        return [plan.new_pad() for plan in self.v_plans]
 
     def advecting(self) -> list[np.ndarray]:
-        """The advecting velocity w: Mv of the current velocities for the
-        monotonized scheme (smoothed into self.smoothed), else v itself."""
+        """The advecting velocity w over the range: Mv of the current
+        velocities for the monotonized scheme (smoothed into self.smoothed),
+        else v itself."""
         if not self.monotonized:
-            return [interior(pad) for pad in self.v_pads]
+            return [self.range.of(pad) for pad in self.v_pads]
         for pad, out in zip(self.v_pads, self.smoothed):
             smooth_pad(pad, out=out)
         return self.smoothed
@@ -296,7 +315,7 @@ class _Workspace:
 
     def sweep(self) -> tuple[float, float]:
         """One Jacobi sweep in place; returns the C-norms of R and of div v."""
-        cfg, term = self.cfg, self.term
+        cfg, term, rng = self.cfg, self.term, self.range
         # Overflow here is how an unstable parameter choice announces itself;
         # the callers check the results for finiteness, so silence the warnings.
         with np.errstate(over="ignore", invalid="ignore"):
@@ -304,15 +323,17 @@ class _Workspace:
             norms = []
             for comp in range(3):
                 r = self.residual(comp, w)
+                r[rng.ghosts] = 0.0
                 norms.append(float(np.abs(r, out=term).max()))
                 np.multiply(cfg.sigma_v, r, out=term)
-                np.add(interior(self.v_pads[comp]), term, out=interior(self.v_next[comp]))
+                np.add(rng.of(self.v_pads[comp]), term, out=rng.of(self.v_next[comp]))
             for plan, pad in zip(self.v_plans, self.v_next):
                 plan.refill(pad)
             self.v_pads, self.v_next = self.v_next, self.v_pads
             div = divergence_pads(self.v_pads, self.h, out=self.div, terms=self.diag)
+            div[rng.ghosts] = 0.0
             np.multiply(cfg.sigma_p, div, out=term)
-            p = interior(self.p_pad)
+            p = rng.of(self.p_pad)
             p += term
             self.p_plan.refill(self.p_pad)
             return max(norms), float(np.abs(div, out=term).max())
@@ -337,7 +358,8 @@ def momentum_residual(
     ws = _Workspace(field, cfg, advecting == "monotonized")
     w = ws.advecting()
     return tuple(
-        MeshFunction.from_grid(field.mesh, ws.residual(comp, w).copy()) for comp in range(3)
+        MeshFunction.from_grid(field.mesh, ws.range.cells(ws.residual(comp, w)).copy())
+        for comp in range(3)
     )
 
 

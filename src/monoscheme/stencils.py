@@ -256,7 +256,7 @@ class GhostPlan:
 
     def new_pad(self) -> np.ndarray:
         """Zero (N+2)^3 array with the fixed ghosts written. Ghost edges and
-        corners stay zero; axis stencils never read them."""
+        corners stay zero; no cell's axis stencil reads them."""
         pad = np.zeros((self.N + 2,) * 3)
         for ghost, (layer, _, _) in self._fixed:
             pad[layer] = ghost.value
@@ -294,8 +294,8 @@ def ghost_plan(spec: GhostSpec3D, N: int) -> GhostPlan:
 
 def pad_grid(grid: np.ndarray, spec: GhostSpec3D) -> np.ndarray:
     """(N+2)^3 array from an (N,N,N) one: cells plus one ghost layer per the
-    spec. Ghost edges and corners are left at zero; axis stencils never read
-    them."""
+    spec. Ghost edges and corners are left at zero; no cell's axis stencil
+    reads them."""
     plan = ghost_plan(spec, grid.shape[0])
     pad = plan.new_pad()
     pad[_CORE] = grid
@@ -307,14 +307,58 @@ def pad_grid(grid: np.ndarray, spec: GhostSpec3D) -> np.ndarray:
 # 3D padded-array kernels
 # ---------------------------------------------------------------------------
 #
-# Each kernel reads (N+2)^3 arrays from pad_grid or a GhostPlan and returns
-# the (N, N, N) values at the cells, written into `out` when one is given.
-# The public operators below and the flow solver share them, so both
-# evaluate every stencil in the same floating-point order.
+# Each kernel reads (N+2)^3 arrays from pad_grid or a GhostPlan as flat
+# vectors and returns a range vector (see PadRange), written into `out` when
+# one is given. The public operators below and the flow solver share them,
+# so both evaluate every stencil in the same floating-point order.
 
 _CORE = (slice(1, -1),) * 3
-_PLUS = tuple(_CORE[:a] + (slice(2, None),) + _CORE[a + 1 :] for a in range(3))
-_MINUS = tuple(_CORE[:a] + (slice(None, -2),) + _CORE[a + 1 :] for a in range(3))
+
+
+class PadRange:
+    """The flat range of an (N+2)^3 pad that the 3D kernels run on.
+
+    With S = N+2, the pad's position (i, j, k) is flat index i*S^2 + j*S + k,
+    so the axis neighbors of a position are the shifts by +-S^2, +-S and +-1.
+    The range [lo, hi) runs from the first cell (1, 1, 1) to one past the
+    last (N, N, N), and a kernel evaluates its stencil over all of it with
+    whole-range operations, whose vectors are contiguous. A vector over the
+    range is a range vector. Besides the cells the range holds the y and z
+    ghost faces and the y-z ghost edges of each interior x-plane; the values
+    a kernel computes there are thrown away. `ghosts` indexes those
+    positions in a range vector.
+    """
+
+    def __init__(self, N: int):
+        S = N + 2
+        self.N = N
+        self.lo = S * S + S + 1
+        self.hi = N * S * S + N * S + N + 1
+        self.size = self.hi - self.lo
+        self.core = slice(self.lo, self.hi)
+        self._shifts = (S * S, S, 1)
+        self.plus = tuple(slice(self.lo + s, self.hi + s) for s in self._shifts)
+        self.minus = tuple(slice(self.lo - s, self.hi - s) for s in self._shifts)
+        # Over the x-planes 1..N of the pad, the range starts at (1, 1, 1).
+        not_cell = np.ones((N, S, S), dtype=bool)
+        not_cell[:, 1:-1, 1:-1] = False
+        self.ghosts = np.flatnonzero(not_cell.reshape(-1)[S + 1 : S + 1 + self.size])
+        self.ghosts.flags.writeable = False
+
+    def of(self, pad: np.ndarray) -> np.ndarray:
+        """The range of a pad, as a view when the pad is contiguous."""
+        return pad.reshape(-1)[self.core]
+
+    def cells(self, vec: np.ndarray) -> np.ndarray:
+        """The (N, N, N) view of a range vector's cells; no copy."""
+        strides = tuple(vec.itemsize * s for s in self._shifts)
+        return np.ndarray((self.N,) * 3, vec.dtype, vec, 0, strides)
+
+
+@functools.lru_cache(maxsize=64)
+def pad_range(N: int) -> PadRange:
+    """The kernels' range in an (N+2)^3 pad, computed once per N."""
+    return PadRange(N)
 
 
 def interior(pad: np.ndarray) -> np.ndarray:
@@ -326,32 +370,34 @@ def difference_pad(
     pad: np.ndarray, axis: int, h: float, out: np.ndarray | None = None
 ) -> np.ndarray:
     """Central first difference (u_+ - u_-) / 2h along one axis."""
-    out = np.subtract(pad[_PLUS[axis]], pad[_MINUS[axis]], out=out)
+    rng, flat = pad_range(pad.shape[0] - 2), pad.reshape(-1)
+    out = np.subtract(flat[rng.plus[axis]], flat[rng.minus[axis]], out=out)
     out /= 2.0 * h
     return out
 
 
 def laplacian_pad(pad: np.ndarray, h: float, out: np.ndarray | None = None) -> np.ndarray:
     """Seven-point Laplacian: -6u plus the neighbor pairs axis by axis, / h^2."""
-    lap = np.multiply(-6.0, pad[_CORE], out=out)
+    rng, flat = pad_range(pad.shape[0] - 2), pad.reshape(-1)
+    lap = np.multiply(-6.0, flat[rng.core], out=out)
     for axis in range(3):
-        lap += pad[_PLUS[axis]]
-        lap += pad[_MINUS[axis]]
+        lap += flat[rng.plus[axis]]
+        lap += flat[rng.minus[axis]]
     lap /= h * h
     return lap
 
 
 def smooth_pad(pad: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Seven-point average u/2 + (sum of six axis neighbors)/12."""
-    core = pad[_CORE]
+    rng, flat = pad_range(pad.shape[0] - 2), pad.reshape(-1)
     # The neighbor sum starts from +0.0, which fixes the sign of a zero sum.
-    nbr = np.empty(core.shape) if out is None else out
+    nbr = np.empty(rng.size) if out is None else out
     nbr.fill(0.0)
     for axis in range(3):
-        nbr += pad[_PLUS[axis]]
-        nbr += pad[_MINUS[axis]]
+        nbr += flat[rng.plus[axis]]
+        nbr += flat[rng.minus[axis]]
     nbr /= 12.0
-    nbr += 0.5 * core
+    nbr += 0.5 * flat[rng.core]
     return nbr
 
 
@@ -367,6 +413,11 @@ def divergence_pads(
     return out
 
 
+def _from_range(mesh: Mesh3D, vec: np.ndarray) -> MeshFunction:
+    """The mesh function of a range vector's cells."""
+    return MeshFunction.from_grid(mesh, pad_range(mesh.N).cells(vec))
+
+
 def gradient_3d(u: MeshFunction, axis: int, spec: GhostSpec3D) -> MeshFunction:
     """Central difference along one axis with ghost-resolved neighbors.
 
@@ -374,13 +425,13 @@ def gradient_3d(u: MeshFunction, axis: int, spec: GhostSpec3D) -> MeshFunction:
     first-order difference at that face's cells.
     """
     pad = pad_grid(u.as_grid(), spec)
-    return MeshFunction.from_grid(u.mesh, difference_pad(pad, axis, u.mesh.h))
+    return _from_range(u.mesh, difference_pad(pad, axis, u.mesh.h))
 
 
 def laplacian_3d(u: MeshFunction, spec: GhostSpec3D) -> MeshFunction:
     """Sum of the three second central differences."""
     pad = pad_grid(u.as_grid(), spec)
-    return MeshFunction.from_grid(u.mesh, laplacian_pad(pad, u.mesh.h))
+    return _from_range(u.mesh, laplacian_pad(pad, u.mesh.h))
 
 
 def divergence_3d(
@@ -388,7 +439,7 @@ def divergence_3d(
 ) -> MeshFunction:
     """d(vx)/dx + d(vy)/dy + d(vz)/dz with each component's own ghost spec."""
     pads = [pad_grid(v.as_grid(), policy.velocity(a)) for a, v in enumerate((vx, vy, vz))]
-    return MeshFunction.from_grid(vx.mesh, divergence_pads(pads, vx.mesh.h))
+    return _from_range(vx.mesh, divergence_pads(pads, vx.mesh.h))
 
 
 def smooth_3d(u: MeshFunction, spec: GhostSpec3D = MIRROR_ALL) -> MeshFunction:
@@ -397,7 +448,7 @@ def smooth_3d(u: MeshFunction, spec: GhostSpec3D = MIRROR_ALL) -> MeshFunction:
     Neighbors beyond the mesh are supplied by the ghost spec; the default
     mirror-everywhere spec preserves constants on the whole mesh.
     """
-    return MeshFunction.from_grid(u.mesh, smooth_pad(pad_grid(u.as_grid(), spec)))
+    return _from_range(u.mesh, smooth_pad(pad_grid(u.as_grid(), spec)))
 
 
 def solve_smooth_3d(
@@ -490,7 +541,7 @@ def _smooth_3d_norm(mesh: Mesh3D, spec: GhostSpec3D) -> float:
 
     ones = np.ones((mesh.N,) * 3)
     spec = GhostSpec3D(*map(unknowns_only, spec.rules()))
-    return float(smooth_pad(pad_grid(ones, spec)).max())
+    return float(pad_range(mesh.N).cells(smooth_pad(pad_grid(ones, spec))).max())
 
 
 __all__ = [
@@ -501,6 +552,7 @@ __all__ = [
     "GhostSpec3D",
     "IterationFailureError",
     "MIRROR_ALL",
+    "PadRange",
     "SingularOperatorError",
     "SolverError",
     "Tridiagonal",
@@ -516,6 +568,7 @@ __all__ = [
     "laplacian_pad",
     "operator_norm_c",
     "pad_grid",
+    "pad_range",
     "second_derivative_1d",
     "second_difference",
     "smooth_1d",

@@ -225,6 +225,18 @@ class TestSolverFailureExit:
         assert "sigma_v*6nu/h^2 = 1.21" in err
         assert err.count("\n") == 1
 
+    def test_advection_instability_exit_4(self, tmp_path, capsys):
+        # fig2 at nu = 0.5 keeps both config margins below 1 and still
+        # diverges; the one error line names the advection condition.
+        text = load_config_text("fig2.cfg").replace("nu = 1.002", "nu = 0.5")
+        cfg = tmp_path / "fig2_nu05.cfg"
+        cfg.write_text(text)
+        assert run_cli("run", str(cfg), "--out", str(tmp_path / "o")) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: solver: sweep diverged at iteration 107 ")
+        assert "sigma_v*|w|^2/(2nu) <= 1" in err
+        assert err.count("\n") == 1
+
 
 class TestOptionalFlowKeys:
     """sigma_v/sigma_p are optional; when given they must be finite numbers."""

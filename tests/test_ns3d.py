@@ -9,6 +9,7 @@ from monoscheme.ns3d import (
     FlowConfig,
     FlowDivergenceError,
     FlowField,
+    _Workspace,
     centerline_profile,
     flow_boundary_policy,
     init_field,
@@ -16,7 +17,7 @@ from monoscheme.ns3d import (
     momentum_residual,
     solve_steady,
 )
-from monoscheme.stencils import difference_pad, laplacian_pad, pad_grid, smooth_pad
+from monoscheme.stencils import pad_grid
 
 # Small, fast configuration used throughout; the pressure drop matches the
 # bundled flow-cell configs (1e6 in the mm/s/mg unit system).
@@ -28,19 +29,58 @@ def small_config(**over):
     return FlowConfig(**kwargs)
 
 
+# The oracle's stencils: plain 3D-slice expressions over (N+2)^3 pads, in the
+# floating-point order of the kernels in monoscheme.stencils, so that a sweep
+# can be checked bit for bit without calling the kernels it checks.
+CORE = (slice(1, -1),) * 3
+PLUS = tuple(CORE[:a] + (slice(2, None),) + CORE[a + 1:] for a in range(3))
+MINUS = tuple(CORE[:a] + (slice(None, -2),) + CORE[a + 1:] for a in range(3))
+
+
+def slice_difference(pad, axis, h):
+    out = np.subtract(pad[PLUS[axis]], pad[MINUS[axis]])
+    out /= 2.0 * h
+    return out
+
+
+def slice_laplacian(pad, h):
+    lap = np.multiply(-6.0, pad[CORE])
+    for axis in range(3):
+        lap += pad[PLUS[axis]]
+        lap += pad[MINUS[axis]]
+    lap /= h * h
+    return lap
+
+
+def slice_smooth(pad):
+    nbr = np.zeros(pad[CORE].shape)
+    for axis in range(3):
+        nbr += pad[PLUS[axis]]
+        nbr += pad[MINUS[axis]]
+    nbr /= 12.0
+    nbr += 0.5 * pad[CORE]
+    return nbr
+
+
+def same_bits(a, b):
+    """Equal shapes and equal float64 bit patterns (sign of zero included)."""
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 def reference_residuals(v_grids, p_grid, cfg, monotonized):
     """Momentum residual grids from fresh pad_grid pads of every field."""
     h = cfg.L / cfg.N
     policy = flow_boundary_policy(cfg)
     v_pads = [pad_grid(v_grids[a], policy.velocity(a)) for a in range(3)]
     p_pad = pad_grid(p_grid, policy.p)
-    w = [smooth_pad(pad) for pad in v_pads] if monotonized else v_grids
+    w = [slice_smooth(pad) for pad in v_pads] if monotonized else v_grids
     out = []
     for comp, pad in enumerate(v_pads):
-        advect = (w[0] * difference_pad(pad, 0, h) + w[1] * difference_pad(pad, 1, h)
-                  + w[2] * difference_pad(pad, 2, h))
-        out.append(-advect - difference_pad(p_pad, comp, h) / cfg.rho
-                   + cfg.nu * laplacian_pad(pad, h))
+        advect = (w[0] * slice_difference(pad, 0, h) + w[1] * slice_difference(pad, 1, h)
+                  + w[2] * slice_difference(pad, 2, h))
+        out.append(-advect - slice_difference(p_pad, comp, h) / cfg.rho
+                   + cfg.nu * slice_laplacian(pad, h))
     return out
 
 
@@ -53,8 +93,8 @@ def reference_sweep(v_grids, p_grid, cfg, monotonized):
         residuals = reference_residuals(v_grids, p_grid, cfg, monotonized)
         new_v = [v_grids[a] + cfg.sigma_v * residuals[a] for a in range(3)]
         pads = [pad_grid(new_v[a], policy.velocity(a)) for a in range(3)]
-        div = (difference_pad(pads[0], 0, h) + difference_pad(pads[1], 1, h)
-               + difference_pad(pads[2], 2, h))
+        div = (slice_difference(pads[0], 0, h) + slice_difference(pads[1], 1, h)
+               + slice_difference(pads[2], 2, h))
         new_p = p_grid + cfg.sigma_p * div
         mom_norm = max(float(np.max(np.abs(r))) for r in residuals)
         div_norm = float(np.max(np.abs(div)))
@@ -195,12 +235,22 @@ class TestSweepMatchesReference:
     @pytest.mark.parametrize("name", sorted(ORACLE_CONFIGS))
     def test_fifty_sweeps_bitwise(self, name, variant):
         cfg = replace(ORACLE_CONFIGS[name], tol=1e-300, max_iters=50)
+        monotonized = variant == "monotonized"
         rep = solve_steady(cfg, variant)
-        v, p, (mom_norm, div_norm) = reference_state(cfg, 50, variant == "monotonized")
+        v, p, (mom_norm, div_norm) = reference_state(cfg, 50, monotonized)
         assert rep.iterations == 50 and not rep.converged
-        assert np.array_equal(rep.field.concatenated(), as_field(cfg, v, p).concatenated())
+        assert same_bits(rep.field.concatenated(), as_field(cfg, v, p).concatenated())
         assert rep.momentum_residual_c == mom_norm
         assert rep.divergence_c == div_norm
+        # The workspace's whole pads, ghost layers and edges included, equal
+        # fresh pads of the reference grids.
+        ws = _Workspace(init_field(cfg), cfg, monotonized)
+        for _ in range(50):
+            ws.sweep()
+        policy = flow_boundary_policy(cfg)
+        for a in range(3):
+            assert same_bits(ws.v_pads[a], pad_grid(v[a], policy.velocity(a)))
+        assert same_bits(ws.p_pad, pad_grid(p, policy.p))
 
     @pytest.mark.parametrize("variant", ["base", "monotonized"])
     @pytest.mark.parametrize("name", sorted(ORACLE_CONFIGS))
@@ -210,11 +260,11 @@ class TestSweepMatchesReference:
         v, p, _ = reference_state(cfg, 7, monotonized)
         field = as_field(cfg, v, p)
         new_v, new_p, _, _ = reference_sweep(v, p, cfg, monotonized)
-        assert np.array_equal(iterate(field, cfg, variant).concatenated(),
-                              as_field(cfg, new_v, new_p).concatenated())
+        assert same_bits(iterate(field, cfg, variant).concatenated(),
+                         as_field(cfg, new_v, new_p).concatenated())
         got = momentum_residual(field, cfg, "monotonized" if monotonized else "raw")
         for r, expected in zip(got, reference_residuals(v, p, cfg, monotonized)):
-            assert np.array_equal(r.as_grid(), expected)
+            assert same_bits(r.as_grid(), expected)
 
 
 class TestSolveSteady:
@@ -271,6 +321,19 @@ class TestSolveSteady:
         rep = solve_steady(replace(cfg, max_iters=err.iteration - 1))
         assert (rep.momentum_residual_c, rep.divergence_c) == (err.momentum_residual_c,
                                                                 err.divergence_c)
+
+    def test_advection_instability_names_the_advection_condition(self):
+        # The fig2 cell at nu = 0.5: both config margins sit below 1, but the
+        # flow outgrows the advection bound sigma_v*|w|^2/(2nu) <= 1.
+        cfg = FlowConfig(L=1 / 30, N=20, rho=1.0, nu=0.5, p0=1e6, p1=0.0,
+                         hole_lo=5, hole_hi=14, tol=1e-5, max_iters=30000)
+        with pytest.raises(FlowDivergenceError) as info:
+            solve_steady(cfg)
+        err = info.value
+        assert err.iteration == 107
+        assert (err.diffusion_margin, err.coupling_margin) == pytest.approx((0.6, 0.25))
+        assert "advection condition sigma_v*|w|^2/(2nu) <= 1" in str(err)
+        assert "are not enough" in str(err)
 
     def test_first_sweep_overflow_has_no_finite_norms(self):
         cfg = small_config(sigma_v=1e300)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from monoscheme.grid import BoundaryData1D, Mesh1D, MeshFunction, make_mesh_3d, norm_c, sample
 from monoscheme.stencils import (
@@ -13,23 +13,29 @@ from monoscheme.stencils import (
     IterationFailureError,
     MIRROR_ALL,
     Tridiagonal,
+    difference_pad,
     divergence_3d,
+    divergence_pads,
     first_derivative_1d,
     ghost_plan,
     gradient_3d,
     interior,
     laplacian_3d,
+    laplacian_pad,
     operator_norm_c,
     pad_grid,
+    pad_range,
     second_derivative_1d,
     second_difference,
     smooth_1d,
     smooth_3d,
+    smooth_pad,
     smoothing,
     solve_smooth_1d,
     solve_smooth_3d,
 )
 from monoscheme.ns3d import BoundaryPolicy3D
+from test_ns3d import same_bits, slice_difference, slice_laplacian, slice_smooth
 
 
 def _mesh_fn(mesh, values):
@@ -471,6 +477,68 @@ class TestStencilProperties:
         u = MeshFunction.from_grid(mesh, amp * (-1.0) ** (i + j + k))
         out = smooth_3d(u).as_grid()[1:-1, 1:-1, 1:-1]
         assert np.max(np.abs(out)) <= 4 * np.finfo(float).eps * abs(amp)
+
+
+def nan_edged(pad):
+    """A copy of the pad with NaN at every ghost edge and corner: each
+    position with two or more coordinates in the ghost layer."""
+    out = pad.copy()
+    i, j, k = np.indices(pad.shape)
+    last = pad.shape[0] - 1
+    ghost = [(c == 0) | (c == last) for c in (i, j, k)]
+    out[sum(g.astype(int) for g in ghost) >= 2] = np.nan
+    return out
+
+
+class TestFlatKernels:
+    """The kernels run on one flat range of the pad; their cells must equal
+    the 3D-slice expressions, and no cell may read a ghost edge or corner."""
+
+    @PROPERTY
+    @given(N=st.integers(1, 12), seed=st.integers(0, 2**32 - 1),
+           scale=st.floats(1e-3, 1e3), h=st.floats(1e-3, 1.0))
+    @example(N=1, seed=0, scale=1.0, h=0.5)  # the range is a single cell
+    def test_cells_equal_slice_expressions(self, N, seed, scale, h):
+        rng = np.random.default_rng(seed)
+        pads = [scale * rng.standard_normal((N + 2,) * 3) for _ in range(3)]
+        view = pad_range(N)
+        size = view.size
+        expected = {
+            "difference": [slice_difference(pads[0], a, h) for a in range(3)],
+            "laplacian": [slice_laplacian(pads[0], h)],
+            "smooth": [slice_smooth(pads[0])],
+            "divergence": [slice_difference(pads[0], 0, h) + slice_difference(pads[1], 1, h)
+                           + slice_difference(pads[2], 2, h)],
+        }
+        for given_pads in (pads, [nan_edged(p) for p in pads]):
+            u = given_pads[0]
+            for out in (None, np.full(size, np.inf)):
+                # `out` is shared, so each result is checked before the next.
+                got = [("difference", lambda a: difference_pad(u, a, h, out=out)),
+                       ("laplacian", lambda a: laplacian_pad(u, h, out=out)),
+                       ("smooth", lambda a: smooth_pad(u, out=out)),
+                       ("divergence", lambda a: divergence_pads(given_pads, h, out=out))]
+                for name, kernel in got:
+                    for a, ref in enumerate(expected[name]):
+                        vec = kernel(a)
+                        assert vec.shape == (size,) and (out is None or vec is out)
+                        assert same_bits(view.cells(vec), ref), name
+
+    @pytest.mark.parametrize("N", [1, 2, 5])
+    def test_range_geometry(self, N):
+        view = pad_range(N)
+        S = N + 2
+        assert (view.lo, view.hi) == (S * S + S + 1, N * S * S + N * S + N + 1)
+        assert pad_range(N) is view
+        # Numbering the pad's positions shows where each range slot sits.
+        pad = np.arange(float(S**3)).reshape(S, S, S)
+        vec = view.of(pad)
+        assert np.array_equal(view.cells(vec), interior(pad))
+        assert np.shares_memory(view.cells(vec), pad)
+        i, j, k = np.unravel_index(vec[view.ghosts].astype(int), pad.shape)
+        assert np.all((1 <= i) & (i <= N))
+        assert np.all((j == 0) | (j == S - 1) | (k == 0) | (k == S - 1))
+        assert len(view.ghosts) + N**3 == view.size
 
 
 EPS = np.finfo(float).eps
