@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -199,19 +199,6 @@ class DeterminantScanRow:
     indicator_base: float
     indicator_monotonized: float
     flagged: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "h": self.h,
-            "n": self.n,
-            "indicator_base": self.indicator_base,
-            "indicator_monotonized": self.indicator_monotonized,
-            "flagged": self.flagged,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "DeterminantScanRow":
-        return cls(**d)
 
 
 def _singularity_indicator(a: Tridiagonal) -> float:
@@ -428,27 +415,6 @@ class OrderEstimate:
     order: float
     degenerate: bool
     non_convergent: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "ns": list(self.ns),
-            "hs": list(self.hs),
-            "errors": list(self.errors),
-            "order": self.order,
-            "degenerate": self.degenerate,
-            "non_convergent": self.non_convergent,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "OrderEstimate":
-        return cls(
-            ns=tuple(d["ns"]),
-            hs=tuple(d["hs"]),
-            errors=tuple(d["errors"]),
-            order=d["order"],
-            degenerate=d["degenerate"],
-            non_convergent=d["non_convergent"],
-        )
 
 
 def convergence_order(

@@ -12,6 +12,7 @@ resolve by name when no such file exists on disk.
 
 Every run writes plot-ready tables (csv or json-lines), one comparable
 report JSON per solution variant, and a machine-readable summary.json.
+Runners return their outputs as a `RunOutput`; `_run` alone writes them.
 Identical configs produce bitwise-identical outputs.
 
 Exit codes: 0 success, 2 config parse error, 3 validation error,
@@ -24,7 +25,7 @@ import argparse
 import configparser
 import json
 import sys
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
@@ -200,28 +201,26 @@ class ComparableReport:
     reference_distance_c: float | None = None
     central: MonotonicityReport | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "experiment": self.experiment,
-            "label": self.label,
-            "report": self.report.to_dict(),
-            "reference_distance_c": self.reference_distance_c,
-            "central": self.central.to_dict() if self.central else None,
-        }
-
     @classmethod
     def from_dict(cls, d: dict) -> "ComparableReport":
+        """Inverse of `asdict`, for reports read back from JSON."""
         return cls(
             experiment=d["experiment"],
             label=d["label"],
-            report=MonotonicityReport.from_dict(d["report"]),
+            report=MonotonicityReport(**d["report"]),
             reference_distance_c=d.get("reference_distance_c"),
-            central=MonotonicityReport.from_dict(d["central"]) if d.get("central") else None,
+            central=MonotonicityReport(**d["central"]) if d.get("central") else None,
         )
 
 
-def _write_report(out: Path, rep: ComparableReport) -> None:
-    write_json(out / f"report_{rep.label}.json", rep.to_dict())
+@dataclass(frozen=True)
+class RunOutput:
+    """What a runner returns: the payload of summary.json, tables by file stem
+    as (header, rows), and comparable reports by label."""
+
+    summary: dict
+    tables: dict[str, tuple[list[str], list[tuple]]]
+    reports: dict[str, ComparableReport] = field(default_factory=dict)
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +237,7 @@ def _coefficients(sec: SectionView) -> tuple[SchemeCoefficients, Mesh1D, Boundar
     return c, mesh, bc
 
 
-def run_solve1d(cfg: ConfigView, out: Path, fmt: str, seed: int, tol: float | None) -> dict:
+def run_solve1d(cfg: ConfigView, seed: int, tol: float | None) -> RunOutput:
     sec = cfg.section("problem")
     c, mesh, bc = _coefficients(sec)
     dense_points = sec.integer("dense_points", 100)
@@ -266,28 +265,18 @@ def run_solve1d(cfg: ConfigView, out: Path, fmt: str, seed: int, tol: float | No
     damping = check_damping_bound(u_full, v_full, smooth_full)
 
     reports = {
-        "base": ComparableReport(
-            "solve1d", "base", report_1d(u_full), norm_c(base.u.values - ref)
-        ),
-        "auxiliary": ComparableReport(
-            "solve1d", "auxiliary", report_1d(v_full), norm_c(mono.v.values - ref)
-        ),
-        "monotonized": ComparableReport(
-            "solve1d", "monotonized", report_1d(y_full), norm_c(mono.y.values - ref)
-        ),
+        label: ComparableReport("solve1d", label, report_1d(full), norm_c(values - ref))
+        for label, full, values in (("base", u_full, base.u.values),
+                                    ("auxiliary", v_full, mono.v.values),
+                                    ("monotonized", y_full, mono.y.values))
     }
-    for rep in reports.values():
-        _write_report(out, rep)
-
     rows = [
         (float(xs[i]), float(base.u.values[i]), float(mono.v.values[i]),
          float(mono.y.values[i]), float(ref[i]), float(exact[i]))
         for i in range(mesh.n)
     ]
-    write_table(out / f"solution1d.{fmt}",
-                ["x", "u", "v", "y", "reference_dense", "reference_analytic"], rows, fmt)
-
-    return {
+    header = ["x", "u", "v", "y", "reference_dense", "reference_analytic"]
+    summary = {
         "experiment": "solve1d",
         "coefficients": asdict(c),
         "mesh": {"a": mesh.a, "b": mesh.b, "n": mesh.n, "h": mesh.h},
@@ -299,8 +288,7 @@ def run_solve1d(cfg: ConfigView, out: Path, fmt: str, seed: int, tol: float | No
         },
         "route_agreement_c": norm_c(inv.y.values - mono.y.values),
         "closeness_u_v_relative": norm_c(base.u.values - mono.v.values) / norm_c(base.u.values),
-        "damping_check": damping.to_dict(),
-        "reports": {k: r.to_dict() for k, r in reports.items()},
+        "damping_check": asdict(damping),
         "reference": {
             "dense_points": dense_points,
             "u_distance_c": norm_c(base.u.values - ref),
@@ -309,9 +297,10 @@ def run_solve1d(cfg: ConfigView, out: Path, fmt: str, seed: int, tol: float | No
             "y_analytic_distance_c": norm_c(mono.y.values - exact),
         },
     }
+    return RunOutput(summary, {"solution1d": (header, rows)}, reports)
 
 
-def run_solve3d(cfg: ConfigView, out: Path, fmt: str, seed: int, tol: float | None) -> dict:
+def run_solve3d(cfg: ConfigView, seed: int, tol: float | None) -> RunOutput:
     sec = cfg.section("flow")
     kwargs = dict(
         L=sec.real("L"), N=sec.integer("N"), rho=sec.real("rho"), nu=sec.real("nu"),
@@ -329,6 +318,9 @@ def run_solve3d(cfg: ConfigView, out: Path, fmt: str, seed: int, tol: float | No
 
     msec = cfg.section("metrics")
     c_lo, c_hi = msec.integer("central_lo"), msec.integer("central_hi")
+    if c_lo > c_hi or max(c_lo, 1) > min(c_hi, flow.N - 2):
+        raise ValidationError(f"central_lo..central_hi = {c_lo}..{c_hi} holds no cell with "
+                              f"all six neighbors; such cells are 1..{flow.N - 2}")
     central = ((c_lo, c_hi),) * 3
 
     base = solve_steady(flow, "base")
@@ -336,23 +328,23 @@ def run_solve3d(cfg: ConfigView, out: Path, fmt: str, seed: int, tol: float | No
 
     fields = {"base": base.field, "auxiliary": mono.field, "monotonized": mono.y}
     reports: dict[str, ComparableReport] = {}
+    # The monotonized answer is the velocity triple (pressure stays the
+    # dependent variable in both schemes), so velocity-basis counts and the
+    # always-defined region-basis central sharpness carry the comparison.
+    vel_counts = {}
     for label, fld in fields.items():
-        per_var = {
-            var: report_3d(getattr(fld, var)).to_dict() for var in ("vx", "vy", "vz", "p")
-        }
-        total = sum(d["extremum_count"] for d in per_var.values())
+        per_var = [report_3d(getattr(fld, var)) for var in ("vx", "vy", "vz", "p")]
         combined = MonotonicityReport(
-            f_value=max(d["f_value"] for d in per_var.values()),
-            extremum_count=total,
-            sharpness_a=max(d["sharpness_a"] for d in per_var.values()),
-            sharpness_b=max(d["sharpness_b"] for d in per_var.values()),
-            region=per_var["vx"]["region"],
-            oscillates=None,
+            f_value=max(r.f_value for r in per_var),
+            extremum_count=sum(r.extremum_count for r in per_var),
+            sharpness_a=max(r.sharpness_a for r in per_var),
+            sharpness_b=max(r.sharpness_b for r in per_var),
+            region=per_var[0].region,
         )
-        central_vx = report_3d(getattr(fld, "vx"), central)
-        rep = ComparableReport("solve3d", label, combined, None, central_vx)
-        reports[label] = rep
-        _write_report(out, rep)
+        reports[label] = ComparableReport(
+            "solve3d", label, combined, None, report_3d(fld.vx, central)
+        )
+        vel_counts[label] = sum(r.extremum_count for r in per_var[:3])
 
     prof_base = centerline_profile(base.field, flow, "vx")
     prof_aux = centerline_profile(mono.field, flow, "vx")
@@ -361,41 +353,25 @@ def run_solve3d(cfg: ConfigView, out: Path, fmt: str, seed: int, tol: float | No
         (prof_base[i][0], prof_base[i][1], prof_aux[i][1], prof_mono[i][1])
         for i in range(len(prof_base))
     ]
-    write_table(out / f"centerline.{fmt}",
-                ["x", "vx_base", "vx_auxiliary", "vx_monotonized"], rows, fmt)
-
+    tables = {"centerline": (["x", "vx_base", "vx_auxiliary", "vx_monotonized"], rows)}
     for label, fld in fields.items():
-        write_table(out / f"field_{label}.{fmt}",
-                    ["i", "j", "k", "vx", "vy", "vz", "p"],
-                    _field_rows(fld), fmt)
+        tables[f"field_{label}"] = (["i", "j", "k", "vx", "vy", "vz", "p"], _field_rows(fld))
 
     count_u = reports["base"].report.extremum_count
     count_y = reports["monotonized"].report.extremum_count
-    # The monotonized answer is the velocity triple (pressure stays the
-    # dependent variable in both schemes), so velocity-basis counts and the
-    # always-defined region-basis central sharpness carry the comparison.
-    vel_counts = {
-        label: sum(count_extrema_3d(getattr(fld, v)) for v in ("vx", "vy", "vz"))
-        for label, fld in fields.items()
-    }
     central_region_a = {
         label: sharpness_metrics(fld.vx, central)[0] for label, fld in fields.items()
     }
-    return {
+    summary = {
         "experiment": "solve3d",
-        "flow": {k: getattr(flow, k) for k in
-                 ("L", "N", "rho", "nu", "p0", "p1", "hole_lo", "hole_hi",
-                  "sigma_v", "sigma_p", "tol", "max_iters")},
+        "flow": asdict(flow),
         "central_region": [c_lo, c_hi],
         "runs": {
-            "base": {"converged": base.converged, "iterations": base.iterations,
-                     "momentum_residual_c": base.momentum_residual_c,
-                     "divergence_c": base.divergence_c},
-            "monotonized": {"converged": mono.converged, "iterations": mono.iterations,
-                            "momentum_residual_c": mono.momentum_residual_c,
-                            "divergence_c": mono.divergence_c},
+            label: {"converged": r.converged, "iterations": r.iterations,
+                    "momentum_residual_c": r.momentum_residual_c,
+                    "divergence_c": r.divergence_c}
+            for label, r in (("base", base), ("monotonized", mono))
         },
-        "reports": {k: r.to_dict() for k, r in reports.items()},
         "velocity_extremum_counts": vel_counts,
         "velocity_extremum_ratio_y_over_u": (
             vel_counts["monotonized"] / vel_counts["base"] if vel_counts["base"] else None
@@ -411,12 +387,17 @@ def run_solve3d(cfg: ConfigView, out: Path, fmt: str, seed: int, tol: float | No
             "monotonized": max_step_change([v for _, v in prof_mono]),
         },
     }
+    return RunOutput(summary, tables, reports)
 
 
-def run_metrics(cfg: ConfigView, out: Path, fmt: str, seed: int, tol: float | None) -> dict:
+def run_metrics(cfg: ConfigView, seed: int, tol: float | None) -> RunOutput:
     sec = cfg.section("metrics")
     trials = sec.integer("trials", 200)
     max_n = sec.integer("max_n", 5)
+    if trials < 1:
+        raise ValidationError(f"trials must be at least 1, got {trials}")
+    if max_n < 3:
+        raise ValidationError(f"max_n must be at least 3, got {max_n}")
     rng = np.random.default_rng(seed)
 
     rows = []
@@ -448,10 +429,8 @@ def run_metrics(cfg: ConfigView, out: Path, fmt: str, seed: int, tol: float | No
             worst = max(worst, gap / bound)
         lipschitz_ok = lipschitz_ok and gap <= bound + 1e-12
 
-    write_table(out / f"metrics_trials.{fmt}",
-                ["trial", "n", "count", "brute_count", "sharpness_a", "sharpness_b", "match"],
-                rows, fmt)
-    return {
+    header = ["trial", "n", "count", "brute_count", "sharpness_a", "sharpness_b", "match"]
+    summary = {
         "experiment": "metrics",
         "seed": seed,
         "trials": trials,
@@ -460,6 +439,7 @@ def run_metrics(cfg: ConfigView, out: Path, fmt: str, seed: int, tol: float | No
         "lipschitz_worst_ratio": worst,
         "passed": mismatches == 0 and lipschitz_ok,
     }
+    return RunOutput(summary, {"metrics_trials": (header, rows)})
 
 
 def _field_rows(fld) -> list[tuple]:
@@ -497,7 +477,7 @@ def _brute_sharpness(u: MeshFunction, cells) -> tuple[float, float]:
     return a, b
 
 
-def run_order(cfg: ConfigView, out: Path, fmt: str, seed: int, tol: float | None) -> dict:
+def run_order(cfg: ConfigView, seed: int, tol: float | None) -> RunOutput:
     sec = cfg.section("problem")
     c, mesh, bc = _coefficients(sec)
     study = cfg.section("study")
@@ -508,17 +488,16 @@ def run_order(cfg: ConfigView, out: Path, fmt: str, seed: int, tol: float | None
         (ns[i], est_base.hs[i], est_base.errors[i], est_mono.errors[i])
         for i in range(len(ns))
     ]
-    write_table(out / f"order.{fmt}",
-                ["n", "h", "error_base", "error_monotonized"], rows, fmt)
-    return {
+    summary = {
         "experiment": "order",
         "coefficients": asdict(c),
-        "base": est_base.to_dict(),
-        "monotonized": est_mono.to_dict(),
+        "base": asdict(est_base),
+        "monotonized": asdict(est_mono),
     }
+    return RunOutput(summary, {"order": (["n", "h", "error_base", "error_monotonized"], rows)})
 
 
-def run_scan_det(cfg: ConfigView, out: Path, fmt: str, seed: int, tol: float | None) -> dict:
+def run_scan_det(cfg: ConfigView, seed: int, tol: float | None) -> RunOutput:
     sec = cfg.section("problem")
     c, mesh, bc = _coefficients(sec)
     scan = cfg.section("scan")
@@ -528,18 +507,18 @@ def run_scan_det(cfg: ConfigView, out: Path, fmt: str, seed: int, tol: float | N
     rows = [
         (r.h, r.n, r.indicator_base, r.indicator_monotonized, r.flagged) for r in rows_obj
     ]
-    write_table(out / f"determinant_scan.{fmt}",
-                ["h", "n", "indicator_base", "indicator_monotonized", "flagged"], rows, fmt)
-    return {
+    header = ["h", "n", "indicator_base", "indicator_monotonized", "flagged"]
+    summary = {
         "experiment": "scan-det",
         "coefficients": asdict(c),
         "near_tol": near_tol,
-        "rows": [r.to_dict() for r in rows_obj],
+        "rows": [asdict(r) for r in rows_obj],
         "flagged_steps": [r.h for r in rows_obj if r.flagged],
     }
+    return RunOutput(summary, {"determinant_scan": (header, rows)})
 
 
-def run_timestep(cfg: ConfigView, out: Path, fmt: str, seed: int, tol: float | None) -> dict:
+def run_timestep(cfg: ConfigView, seed: int, tol: float | None) -> RunOutput:
     sec = cfg.section("problem")
     c, mesh, bc = _coefficients(sec)
     st = cfg.section("stepping")
@@ -576,8 +555,7 @@ def run_timestep(cfg: ConfigView, out: Path, fmt: str, seed: int, tol: float | N
         v2, y2 = step_monotonized_alt(v0, aux_op, bc, pc)
         agreements[f"sigma_{sigma:g}"] = norm_c(v1.values - v2.values)
 
-    write_table(out / f"trajectory.{fmt}",
-                ["t", "update_c_norm"], [(t, u) for t, u in result.history], fmt)
+    tables = {"trajectory": (["t", "update_c_norm"], [(t, u) for t, u in result.history])}
     if result.snapshots:
         xs = mesh.interior_x()
         snap_rows = [
@@ -585,8 +563,8 @@ def run_timestep(cfg: ConfigView, out: Path, fmt: str, seed: int, tol: float | N
             for t, v, y in result.snapshots
             for i in range(mesh.n)
         ]
-        write_table(out / f"snapshots.{fmt}", ["t", "x", "v", "y"], snap_rows, fmt)
-    return {
+        tables["snapshots"] = (["t", "x", "v", "y"], snap_rows)
+    summary = {
         "experiment": "timestep",
         "coefficients": asdict(c),
         "tau": ts_cfg.tau,
@@ -599,9 +577,10 @@ def run_timestep(cfg: ConfigView, out: Path, fmt: str, seed: int, tol: float | N
         "within_10x_tol": bool(dist <= 10.0 * steady_tol) if result.converged else None,
         "form_agreement": agreements,
     }
+    return RunOutput(summary, tables)
 
 
-#: Experiment kind -> runner; each returns the payload of summary.json.
+#: Experiment kind -> runner (cfg, seed, tol) -> RunOutput.
 EXPERIMENTS = {
     "solve1d": run_solve1d,
     "solve3d": run_solve3d,
@@ -686,7 +665,14 @@ def _run(args) -> int:
         raise ValidationError(f"unknown experiment kind {kind!r}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    summary = EXPERIMENTS[kind](cfg, out, args.format, args.seed, args.tol)
+    result = EXPERIMENTS[kind](cfg, args.seed, args.tol)
+    summary = dict(result.summary)
+    if result.reports:
+        summary["reports"] = {label: asdict(r) for label, r in result.reports.items()}
+        for label, payload in summary["reports"].items():
+            write_json(out / f"report_{label}.json", payload)
+    for stem, (header, rows) in result.tables.items():
+        write_table(out / f"{stem}.{args.format}", header, rows, args.format)
     write_json(out / "summary.json", summary)
     print(f"{kind}: wrote {out / 'summary.json'}")
     return 0

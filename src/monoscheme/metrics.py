@@ -267,23 +267,6 @@ class DampingCheck:
     def passed(self) -> bool:
         return self.premises_hold and self.inside
 
-    def to_dict(self) -> dict:
-        return {
-            "delta": self.delta,
-            "k": self.k,
-            "epsilon": self.epsilon,
-            "k1": self.k1,
-            "lo": self.lo,
-            "hi": self.hi,
-            "premises_hold": self.premises_hold,
-            "inside": self.inside,
-            "failed_premise": self.failed_premise,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "DampingCheck":
-        return cls(**d)
-
 
 def check_damping_bound(
     u: np.ndarray,
@@ -347,20 +330,6 @@ class MonotonicityReport:
     region: str
     oscillates: bool | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "f_value": self.f_value,
-            "extremum_count": self.extremum_count,
-            "sharpness_a": self.sharpness_a,
-            "sharpness_b": self.sharpness_b,
-            "region": self.region,
-            "oscillates": self.oscillates,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "MonotonicityReport":
-        return cls(**d)
-
 
 def report_1d(full_sequence: Sequence[float]) -> MonotonicityReport:
     """Monotonicity report for a full 1D node sequence (boundary included).
@@ -399,7 +368,6 @@ def report_1d(full_sequence: Sequence[float]) -> MonotonicityReport:
 def report_3d(u: MeshFunction, region: Region3D | None = None) -> MonotonicityReport:
     """Monotonicity report for a 3D mesh function over a region."""
     region = _region_or_interior(u, region)
-    count = count_extrema_3d(u, region)
     cells = extremum_cells(u, region)
     if cells:
         a, b = sharpness_metrics(u, cells)
@@ -412,7 +380,7 @@ def report_3d(u: MeshFunction, region: Region3D | None = None) -> MonotonicityRe
     f_val = max((float(s.max()) for s in steps if s.size), default=0.0)
     return MonotonicityReport(
         f_value=f_val,
-        extremum_count=count,
+        extremum_count=len(cells),
         sharpness_a=a,
         sharpness_b=b,
         region=f"cells [{i0}..{i1}]x[{j0}..{j1}]x[{k0}..{k1}]",

@@ -37,7 +37,7 @@ from typing import Optional
 
 import numpy as np
 
-from .grid import Mesh3D, MeshFunction, norm_c
+from .grid import Mesh3D, MeshFunction
 from .stencils import (
     BoundaryPolicy3D,
     FaceGhost,
@@ -194,10 +194,6 @@ class SolutionReport:
     divergence_c: float
     converged: bool
     y: FlowField | None = None
-
-    def answer(self) -> FlowField:
-        """The field the scheme stands behind: y for monotonized, else field."""
-        return self.y if self.y is not None else self.field
 
 
 def flow_boundary_policy(cfg: FlowConfig) -> BoundaryPolicy3D:

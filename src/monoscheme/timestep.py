@@ -53,7 +53,6 @@ class TimeStepConfig:
     sigma: float = 0.5
     inner_tol: float = 1e-12
     max_inner: int = 200
-    relax: float = 1.0
 
     def __post_init__(self):
         if self.tau <= 0:
@@ -62,8 +61,6 @@ class TimeStepConfig:
             raise ValueError(f"sigma must lie in [0, 1], got {self.sigma}")
         if self.inner_tol <= 0 or self.max_inner < 1:
             raise ValueError("inner_tol must be positive and max_inner >= 1")
-        if not 0.0 < self.relax <= 1.0:
-            raise ValueError(f"relax must lie in (0, 1], got {self.relax}")
 
 
 _ZERO_BC = BoundaryData1D(0.0, 0.0)
@@ -177,7 +174,7 @@ def step_monotonized_alt(
     """Same step in the rearranged form v^{n+1} = v^n + tau M^{-1}[weighted F].
 
     The inverse smoothing acts on an increment, so its solve carries zero
-    boundary data. sigma > 0 runs a (relaxed) fixed-point loop; failure to
+    boundary data. sigma > 0 runs a fixed-point loop; failure to
     contract within max_inner raises with the last update size.
     """
     v = v_n.values
@@ -204,9 +201,8 @@ def step_monotonized_alt(
                 float("inf"),
             )
         target = v + cfg.tau * minv_increment(weighted)
-        new = (1.0 - cfg.relax) * guess + cfg.relax * target
-        update = norm_c(new - guess)
-        guess = new
+        update = norm_c(target - guess)
+        guess = target
         if update <= cfg.inner_tol:
             vf = v_n.with_values(guess)
             return vf, smooth_1d(vf, bc)
@@ -244,6 +240,12 @@ def run_to_steady(
     snapshot_every > 0 additionally records the full (v, y) state every that
     many steps.
     """
+    if max_steps < 1:
+        raise ValueError(f"max_steps must be at least 1, got {max_steps}")
+    if record_every < 1:
+        raise ValueError(f"record_every must be at least 1, got {record_every}")
+    if snapshot_every < 0:
+        raise ValueError(f"snapshot_every must be at least 0, got {snapshot_every}")
     v = v0
     y = smooth_1d(v0, bc)
     history: list[tuple[float, float]] = []

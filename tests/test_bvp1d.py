@@ -1,3 +1,5 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -276,7 +278,7 @@ class TestConvergenceOrder:
     def test_roundtrip_dict(self):
         c = SchemeCoefficients(1.0, -1.0, 1.0, 1.0)
         est = convergence_order(c, BoundaryData1D(0.0, 1.0), "base", (10, 20, 40))
-        assert OrderEstimate.from_dict(est.to_dict()) == est
+        assert OrderEstimate(**asdict(est)) == est
 
     def test_rejects_bad_sequences(self):
         c = SchemeCoefficients(1.0, -1.0, 1.0, 1.0)

@@ -1,18 +1,28 @@
 import filecmp
 import json
+import re
+from dataclasses import asdict
 from importlib import resources
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-from monoscheme.cli import ComparableReport, _field_rows, compare_reports, load_config, main
+from monoscheme import cli
+from monoscheme.cli import (
+    EXPERIMENTS, ComparableReport, _field_rows, compare_reports, load_config, main,
+)
 from monoscheme.grid import MeshFunction, make_mesh_3d, unflatten_index
 from monoscheme.metrics import MonotonicityReport
 from monoscheme.ns3d import FlowField
 
 
 BUNDLED = ("fig1.cfg", "fig2.cfg", "fig2_n10.cfg", "order1d.cfg", "scan.cfg", "timestep1d.cfg")
+
+TINY_3D = (
+    "[experiment]\nkind = solve3d\n[flow]\nL = 1/30\nN = 6\nrho = 1\n"
+    "nu = 1.002\np0 = 1e6\np1 = 0\nhole_lo = 2\nhole_hi = 3\n"
+    "tol = 1e-3\nmax_iters = 20000\n[metrics]\ncentral_lo = 1\ncentral_hi = 4\n"
+)
 
 
 def run_cli(*argv):
@@ -21,6 +31,30 @@ def run_cli(*argv):
 
 def load_config_text(name):
     return resources.files("monoscheme").joinpath("configs", name).read_text()
+
+
+def edited_config(tmp_path, name, **values):
+    """A copy of bundled config `name` with the given keys set to new values."""
+    text = load_config_text(name)
+    for key, value in values.items():
+        text, count = re.subn(rf"^{key} = .*$", f"{key} = {value}", text, flags=re.M)
+        assert count == 1
+    cfg = tmp_path / f"edited_{name}"
+    cfg.write_text(text)
+    return cfg
+
+
+def assert_reports_roundtrip(out):
+    """Every report entry of summary.json re-parses to itself and equals the
+    report_<label>.json file of the same run."""
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["reports"]
+    for label, payload in summary["reports"].items():
+        rep = ComparableReport.from_dict(payload)
+        assert rep.label == label
+        assert isinstance(rep.report, MonotonicityReport)
+        assert asdict(rep) == payload
+        assert json.loads((out / f"report_{label}.json").read_text()) == payload
 
 
 class TestConfigLoading:
@@ -76,12 +110,7 @@ class TestSolve1dRun:
         assert len(lines) == 10  # header + 9 interior nodes
 
     def test_summary_reports_roundtrip(self, outdir):
-        summary = json.loads((outdir / "summary.json").read_text())
-        for label, payload in summary["reports"].items():
-            rep = ComparableReport.from_dict(payload)
-            assert rep.label == label
-            assert rep.to_dict() == payload
-            assert isinstance(rep.report, MonotonicityReport)
+        assert_reports_roundtrip(outdir)
 
     def test_monotonized_improves_f_and_reference_distance(self, outdir):
         summary = json.loads((outdir / "summary.json").read_text())
@@ -171,11 +200,7 @@ class TestOtherExperiments:
 
     def test_solve3d_small_run(self, tmp_path):
         cfg = tmp_path / "tiny3d.cfg"
-        cfg.write_text(
-            "[experiment]\nkind = solve3d\n[flow]\nL = 1/30\nN = 6\nrho = 1\n"
-            "nu = 1.002\np0 = 1e6\np1 = 0\nhole_lo = 2\nhole_hi = 3\n"
-            "tol = 1e-3\nmax_iters = 20000\n[metrics]\ncentral_lo = 1\ncentral_hi = 4\n"
-        )
+        cfg.write_text(TINY_3D)
         out = tmp_path / "f3"
         assert run_cli("run", str(cfg), "--out", str(out)) == 0
         summary = json.loads((out / "summary.json").read_text())
@@ -264,8 +289,8 @@ class TestCompareErrors:
         a = ComparableReport("solve1d", "base", MonotonicityReport(1, 0, 0, 0, "r"))
         b = ComparableReport("solve3d", "base", MonotonicityReport(1, 0, 0, 0, "r"))
         pa, pb = tmp_path / "a.json", tmp_path / "b.json"
-        pa.write_text(json.dumps(a.to_dict()))
-        pb.write_text(json.dumps(b.to_dict()))
+        pa.write_text(json.dumps(asdict(a)))
+        pb.write_text(json.dumps(asdict(b)))
         assert run_cli("compare", str(pa), str(pb)) == 3
 
     def test_unreadable_report(self, tmp_path):
@@ -276,7 +301,89 @@ class TestCompareErrors:
     def test_comparison_written_to_out(self, tmp_path):
         a = ComparableReport("solve1d", "base", MonotonicityReport(1.0, 2, 0.5, 0.1, "r"))
         pa = tmp_path / "a.json"
-        pa.write_text(json.dumps(a.to_dict()))
+        pa.write_text(json.dumps(asdict(a)))
         out = tmp_path / "cmpout"
         assert run_cli("compare", str(pa), str(pa), "--out", str(out)) == 0
         assert (out / "comparison.json").exists()
+
+
+def test_fig2_n10_reports_roundtrip(tmp_path):
+    out = tmp_path / "fig2_n10"
+    assert run_cli("run", "fig2_n10.cfg", "--out", str(out)) == 0
+    assert_reports_roundtrip(out)
+
+
+# One small config per experiment kind: a bundled name or the config's text.
+RUNNER_CONFIGS = {
+    "solve1d": "fig1.cfg",
+    "solve3d": TINY_3D,
+    "metrics": "[experiment]\nkind = metrics\n[metrics]\ntrials = 5\nmax_n = 4\n",
+    "order": "order1d.cfg",
+    "scan-det": re.sub(r"^h_values = .*$", "h_values = 1/4 1/8 1/16",
+                       load_config_text("scan.cfg"), flags=re.M),
+    "timestep": "timestep1d.cfg",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(EXPERIMENTS))
+def test_runner_writes_nothing_and_returns_every_output(kind, tmp_path, monkeypatch):
+    assert set(RUNNER_CONFIGS) == set(EXPERIMENTS)
+    config = RUNNER_CONFIGS[kind]
+    if not config.endswith(".cfg"):
+        (tmp_path / "small.cfg").write_text(config)
+        config = str(tmp_path / "small.cfg")
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+
+    def refuse(path, *args):
+        raise AssertionError(f"runner wrote {path}")
+
+    with monkeypatch.context() as m:
+        m.setattr(cli, "write_table", refuse)
+        m.setattr(cli, "write_json", refuse)
+        result = EXPERIMENTS[kind](load_config(config), 7, None)
+    assert list(cwd.iterdir()) == []
+
+    out = tmp_path / "out"
+    assert run_cli("run", config, "--out", str(out), "--seed", "7") == 0
+    expected = ({f"{stem}.csv" for stem in result.tables}
+                | {f"report_{label}.json" for label in result.reports} | {"summary.json"})
+    assert {p.name for p in out.iterdir()} == expected
+
+
+class TestExperimentKeyValidation:
+    """Out-of-range experiment keys exit 3 with one line naming the key."""
+
+    @staticmethod
+    def assert_validation_error(capsys, cfg, out, key):
+        assert run_cli("run", str(cfg), "--out", str(out)) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: validation: ")
+        assert key in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("key, value", [
+        ("max_steps", "0"), ("record_every", "0"), ("snapshot_every", "-1"),
+    ])
+    def test_timestep_stepping_keys(self, tmp_path, capsys, key, value):
+        cfg = edited_config(tmp_path, "timestep1d.cfg", **{key: value})
+        self.assert_validation_error(capsys, cfg, tmp_path / "o", key)
+        assert not (tmp_path / "o" / "summary.json").exists()
+
+    @pytest.mark.parametrize("key, value", [("trials", "-5"), ("trials", "0"), ("max_n", "2")])
+    def test_metrics_keys(self, tmp_path, capsys, key, value):
+        cfg = tmp_path / "metrics.cfg"
+        cfg.write_text(f"[experiment]\nkind = metrics\n[metrics]\n{key} = {value}\n")
+        self.assert_validation_error(capsys, cfg, tmp_path / "o", key)
+        assert not (tmp_path / "o" / "summary.json").exists()
+
+    @pytest.mark.parametrize("lo, hi", [(30, 7), (5, 3), (0, 0), (9, 12)])
+    def test_empty_central_region_rejected_before_solving(
+        self, tmp_path, capsys, monkeypatch, lo, hi
+    ):
+        solves = []
+        monkeypatch.setattr(cli, "solve_steady", lambda *args: solves.append(args))
+        cfg = edited_config(tmp_path, "fig2_n10.cfg", central_lo=lo, central_hi=hi)
+        self.assert_validation_error(capsys, cfg, tmp_path / "o", "central_lo..central_hi")
+        assert solves == []

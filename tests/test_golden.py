@@ -1,8 +1,8 @@
 """Golden outputs: sha256 of every file `monoscheme run` writes.
 
 The hashes pin the bundled fig2_n10 flow cell, a seeded `metrics` run, the
-fig1 solve written as csv and as json-lines, and the bundled order1d and
-timestep1d configs. A refactor must keep them; a change that moves them on
+fig1 solve written as csv and as json-lines, the bundled order1d and
+timestep1d configs, and `compare` of fig1's base and monotonized reports. A refactor must keep them; a change that moves them on
 purpose updates them and says why. They were checked to be identical under
 1 and 2 BLAS threads. scan.cfg is left out: its SVD indicators change bits
 with the BLAS thread count.
@@ -75,3 +75,15 @@ def test_run_outputs_match_golden_hashes(name, tmp_path):
     out = tmp_path / "out"
     assert main(argv + ["--out", str(out)]) == 0
     assert _hashes(out) == GOLDEN[name]
+
+
+COMPARE_FIG1 = "e9b14cf9bff6748296359a4f78093370730ccbfb8b6d571f622e44344934b1ce"
+
+
+def test_compare_output_matches_golden_hash(tmp_path):
+    run = tmp_path / "fig1"
+    assert main(["run", "fig1.cfg", "--out", str(run)]) == 0
+    out = tmp_path / "cmp"
+    assert main(["compare", str(run / "report_base.json"),
+                 str(run / "report_monotonized.json"), "--out", str(out)]) == 0
+    assert _hashes(out) == {"comparison.json": COMPARE_FIG1}

@@ -1,3 +1,5 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -270,7 +272,7 @@ class TestCheckDampingBound:
         chk = check_damping_bound(u, u + 1e-3, _smooth_full)
         from monoscheme.metrics import DampingCheck
 
-        assert DampingCheck.from_dict(chk.to_dict()) == chk
+        assert DampingCheck(**asdict(chk)) == chk
 
 
 class TestReports:
@@ -286,6 +288,6 @@ class TestReports:
         rep = report_3d(u)
         from monoscheme.metrics import MonotonicityReport
 
-        assert MonotonicityReport.from_dict(rep.to_dict()) == rep
+        assert MonotonicityReport(**asdict(rep)) == rep
         assert rep.sharpness_b <= rep.sharpness_a
         assert rep.extremum_count >= 0

@@ -37,8 +37,6 @@ class TestConfig:
             TimeStepConfig(tau=0.0)
         with pytest.raises(ValueError):
             TimeStepConfig(tau=0.1, sigma=1.5)
-        with pytest.raises(ValueError):
-            TimeStepConfig(tau=0.1, relax=0.0)
 
 
 class TestStepBase:
@@ -174,3 +172,11 @@ class TestSteadyState:
         out = run_to_steady(v_init, aux, BC, cfg, steady_tol=1e-15, max_steps=3)
         assert not out.converged
         assert out.steps == 3
+
+    @pytest.mark.parametrize("key, value", [
+        ("max_steps", 0), ("max_steps", -2), ("record_every", 0), ("snapshot_every", -1),
+    ])
+    def test_rejects_stepping_counts_out_of_range(self, key, value):
+        v_init = MeshFunction(MESH, np.full(9, 0.5))
+        with pytest.raises(ValueError, match=f"^{key} must be at least"):
+            run_to_steady(v_init, aux_operator(), BC, TimeStepConfig(tau=1.0), **{key: value})
