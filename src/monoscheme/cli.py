@@ -241,6 +241,8 @@ def run_solve1d(cfg: ConfigView, seed: int, tol: float | None) -> RunOutput:
     sec = cfg.section("problem")
     c, mesh, bc = _coefficients(sec)
     dense_points = sec.integer("dense_points", 100)
+    if dense_points < 3:
+        raise ValidationError(f"dense_points must be at least 3, got {dense_points}")
 
     base = solve_base(c, mesh, bc)
     mono = solve_monotonized(c, mesh, bc)
@@ -502,6 +504,8 @@ def run_scan_det(cfg: ConfigView, seed: int, tol: float | None) -> RunOutput:
     c, mesh, bc = _coefficients(sec)
     scan = cfg.section("scan")
     h_values = scan.reals("h_values")
+    if not h_values:
+        raise ValidationError("h_values must list at least one mesh step")
     near_tol = scan.real("near_tol", 1e-10)
     rows_obj = determinant_scan(c, h_values, bc, (mesh.a, mesh.b), near_tol)
     rows = [

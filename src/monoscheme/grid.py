@@ -157,12 +157,25 @@ class BoundaryData1D:
 
 
 def sample(mesh: Mesh, f: Callable[..., float]) -> MeshFunction:
-    """Evaluate a pointwise function at every interior node (1D) or cell center (3D)."""
+    """Evaluate a pointwise function at every interior node (1D) or cell center (3D).
+
+    In 3D, f is first called once on the broadcastable center arrays
+    x[:, None, None], y[None, :, None], z[None, None, :]; a callable that
+    accepts arrays must therefore be elementwise. One that raises TypeError
+    or ValueError on arrays, as math.sin does, is called once per cell.
+    """
     if isinstance(mesh, Mesh1D):
         vals = np.array([f(x) for x in mesh.interior_x()], dtype=float)
         return MeshFunction(mesh, vals)
     N = mesh.N
     centers = mesh.axis_centers()
+    try:
+        grid = f(centers[:, None, None], centers[None, :, None], centers[None, None, :])
+        grid = np.broadcast_to(np.asarray(grid, dtype=float), (N, N, N))
+    except (TypeError, ValueError):
+        pass
+    else:
+        return MeshFunction.from_grid(mesh, grid)
     vals = np.empty(N**3, dtype=float)
     for k in range(N):
         for j in range(N):

@@ -55,11 +55,12 @@ class TimeStepConfig:
     max_inner: int = 200
 
     def __post_init__(self):
-        if self.tau <= 0:
-            raise ValueError(f"tau must be positive, got {self.tau}")
+        # Each condition below is false for NaN, so NaN is rejected; "x <= 0" would pass it.
+        if not 0.0 < self.tau < np.inf:
+            raise ValueError(f"tau must be positive and finite, got {self.tau}")
         if not 0.0 <= self.sigma <= 1.0:
             raise ValueError(f"sigma must lie in [0, 1], got {self.sigma}")
-        if self.inner_tol <= 0 or self.max_inner < 1:
+        if not self.inner_tol > 0 or self.max_inner < 1:
             raise ValueError("inner_tol must be positive and max_inner >= 1")
 
 

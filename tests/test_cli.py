@@ -1,8 +1,12 @@
 import filecmp
 import json
+import os
 import re
+import subprocess
+import sys
 from dataclasses import asdict
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +18,7 @@ from monoscheme.cli import (
 from monoscheme.grid import MeshFunction, make_mesh_3d, unflatten_index
 from monoscheme.metrics import MonotonicityReport
 from monoscheme.ns3d import FlowField
+from test_golden import GOLDEN, METRICS_CFG, _hashes
 
 
 BUNDLED = ("fig1.cfg", "fig2.cfg", "fig2_n10.cfg", "order1d.cfg", "scan.cfg", "timestep1d.cfg")
@@ -365,9 +370,26 @@ class TestExperimentKeyValidation:
 
     @pytest.mark.parametrize("key, value", [
         ("max_steps", "0"), ("record_every", "0"), ("snapshot_every", "-1"),
+        ("tau", "nan"), ("tau", "inf"),
     ])
     def test_timestep_stepping_keys(self, tmp_path, capsys, key, value):
         cfg = edited_config(tmp_path, "timestep1d.cfg", **{key: value})
+        self.assert_validation_error(capsys, cfg, tmp_path / "o", key)
+        assert not (tmp_path / "o" / "summary.json").exists()
+
+    def test_nan_inner_tol(self, tmp_path, capsys):
+        # timestep1d.cfg leaves inner_tol at its default; [stepping] is its last section.
+        cfg = edited_config(tmp_path, "timestep1d.cfg")
+        cfg.write_text(cfg.read_text() + "inner_tol = nan\n")
+        self.assert_validation_error(capsys, cfg, tmp_path / "o", "inner_tol")
+        assert not (tmp_path / "o" / "summary.json").exists()
+
+    @pytest.mark.parametrize("name, key, value", [
+        ("scan.cfg", "h_values", ""),
+        *[("fig1.cfg", "dense_points", v) for v in (2, 1, 0, -3)],
+    ])
+    def test_1d_keys(self, tmp_path, capsys, name, key, value):
+        cfg = edited_config(tmp_path, name, **{key: value})
         self.assert_validation_error(capsys, cfg, tmp_path / "o", key)
         assert not (tmp_path / "o" / "summary.json").exists()
 
@@ -387,3 +409,31 @@ class TestExperimentKeyValidation:
         cfg = edited_config(tmp_path, "fig2_n10.cfg", central_lo=lo, central_hi=hi)
         self.assert_validation_error(capsys, cfg, tmp_path / "o", "central_lo..central_hi")
         assert solves == []
+
+
+def test_3d_and_metrics_routes_run_without_scipy(tmp_path):
+    """scipy serves only the 1D banded solves. With an importable stub that
+    raises ImportError first on the path, the CLI imports, leaves scipy
+    unloaded, and the fig2_n10 and seeded metrics runs give golden files."""
+    stub = tmp_path / "noscipy" / "scipy"
+    stub.mkdir(parents=True)
+    (stub / "__init__.py").write_text('raise ImportError("scipy is blocked here")\n')
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(stub.parent), str(src)]))
+
+    def python(*args):
+        proc = subprocess.run([sys.executable, *args], env=env, cwd=tmp_path,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    loaded = python("-c", "import sys, monoscheme.cli; print('scipy' in sys.modules)")
+    assert loaded.strip() == "False"
+
+    metrics_cfg = tmp_path / "metrics.cfg"
+    metrics_cfg.write_text(METRICS_CFG)
+    for name, argv in [("fig2_n10", ["fig2_n10.cfg"]),
+                       ("metrics_seed7", [str(metrics_cfg), "--seed", "7"])]:
+        out = tmp_path / name
+        python("-m", "monoscheme.cli", "run", *argv, "--out", str(out))
+        assert _hashes(out) == GOLDEN[name]

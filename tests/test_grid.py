@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -124,6 +126,39 @@ class TestSample:
         mesh = make_mesh_3d(1.0, 2)
         mf = sample(mesh, lambda x, y, z: x)
         assert set(np.round(mf.values, 12)) == {0.25, 0.75}
+
+    @staticmethod
+    def per_cell(mesh, f):
+        """The values of f called once per cell, in MeshFunction order."""
+        c = mesh.axis_centers()
+        N = mesh.N
+        return np.array([f(c[i], c[j], c[k]) for k in range(N) for j in range(N) for i in range(N)])
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("N", [3, 10])
+    def test_array_call_is_bitwise_the_per_cell_loop(self, seed, N):
+        a, b, c = np.random.default_rng(seed).uniform(1.0, 3.0, 3)
+
+        def f(x, y, z):
+            return np.sin(a * x) * np.cos(b * y) + c * z * z
+
+        mesh = make_mesh_3d(1.0, N)
+        assert sample(mesh, f).values.tobytes() == self.per_cell(mesh, f).tobytes()
+
+    def test_scalar_only_callable_runs_per_cell(self):
+        mesh = make_mesh_3d(1.0, 4)
+
+        def f(x, y, z):
+            return math.sin(x) * math.cos(y) + (1.0 if z > 0.5 else 0.0)
+
+        assert np.array_equal(sample(mesh, f).values, self.per_cell(mesh, f))
+
+    def test_constant_and_single_axis_results_broadcast(self):
+        mesh = make_mesh_3d(1.0, 3)
+        assert np.all(sample(mesh, lambda x, y, z: 2.5).values == 2.5)
+        grid = sample(mesh, lambda x, y, z: z).as_grid()
+        assert np.array_equal(grid[0, 0, :], mesh.axis_centers())
+        assert np.all(grid == grid[:1, :1, :])
 
 
 class TestBoundaryData:

@@ -37,6 +37,11 @@ class TestConfig:
             TimeStepConfig(tau=0.0)
         with pytest.raises(ValueError):
             TimeStepConfig(tau=0.1, sigma=1.5)
+        for tau in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="tau"):
+                TimeStepConfig(tau=tau)
+        with pytest.raises(ValueError, match="inner_tol"):
+            TimeStepConfig(tau=0.1, inner_tol=float("nan"))
 
 
 class TestStepBase:
