@@ -202,12 +202,49 @@ class DeterminantScanRow:
 
 
 def _singularity_indicator(a: Tridiagonal) -> float:
-    """Smallest over largest singular value; 0 marks an exactly singular matrix."""
-    svals = np.linalg.svd(a.dense(), compute_uv=False)
-    top = float(svals[0])
-    if top == 0.0:
+    """Smallest over largest singular value; 0 marks an exactly singular matrix.
+
+    The singular values come from the band, never from an n x n array
+    (Golub & Kahan, 1965): the eigenvalues of the symmetric 2n x 2n matrix
+    [[0, A], [A^T, 0]] are +-sigma_i. Numbering x_i as 2i and y_j as 2j+1
+    makes that matrix a band of half-width 3, so sigma_max is eigenvalue
+    2n-1 and sigma_min the smaller |lambda| of eigenvalues n-1 and n. Each
+    comes from one selected-index banded eigensolve, O(n^2) where a dense
+    SVD is O(n^3); two such calls cost less than one call for the index
+    range n-1..2n-1, or one for all eigenvalues.
+
+    The eigenvalues of A^T A are not used: they give the singular values
+    with the condition number squared, so sigma_min would carry an error of
+    about sqrt(eps)*||A||, about 1e-8, and matrices that are exactly
+    singular would stop falling below the scan's near_tol.
+    """
+    # Imported here for the reason given in Tridiagonal.solve.
+    from scipy.linalg import eigvals_banded
+
+    n = a.n
+    ab = np.zeros((4, 2 * n))  # lower band storage: ab[k, j] = B[j + k, j]
+    ab[1, 0::2] = a.diag  # B[y_i, x_i] = A[i, i]
+    ab[1, 1:-1:2] = a.lower  # B[x_{i+1}, y_i] = A[i+1, i]
+    ab[3, 0:-2:2] = a.upper  # B[y_{i+1}, x_i] = A[i, i+1]
+    largest = float(np.abs(ab).max())
+    if largest == 0.0:
         return 0.0
-    return float(svals[-1]) / top
+    # The ratio does not depend on A's scale. Scaling by a power of two is
+    # exact and brings the largest entry into [1/2, 1), where LAPACK does not
+    # rescale: its rescaling of a subnormal norm fails and returns garbage.
+    np.ldexp(ab, -math.frexp(largest)[1], out=ab)
+    try:
+        top = eigvals_banded(ab, lower=True, select="i", select_range=(2 * n - 1, 2 * n - 1))[0]
+        mid = eigvals_banded(ab, lower=True, select="i", select_range=(n - 1, n))
+    except np.linalg.LinAlgError:
+        # Selecting by index bisects, and that can stop short on bands whose
+        # entries lie some 1e-40 or more apart. The full spectrum (QR sweeps)
+        # does not; it costs about as much as three index calls.
+        spectrum = eigvals_banded(ab, lower=True)
+        top, mid = spectrum[-1], spectrum[n - 1 : n + 1]
+    # The two index calls bisect separately, so at sigma_min = sigma_max the
+    # quotient can exceed 1 by a rounding step.
+    return min(1.0, float(np.abs(mid).min() / top))
 
 
 def determinant_scan(
@@ -222,13 +259,16 @@ def determinant_scan(
     Each requested h is snapped to the nearest admissible step of the domain
     (h = (b-a)/(n+1) with integer n >= 1). A row is flagged when the
     auxiliary matrix is near-singular while the base one is not;
-    near-singularity is data here, not a failure.
+    near-singularity is data here, not a failure. Every h must be positive
+    and finite; ValueError is raised before any matrix is built otherwise.
     """
+    for h_req in h_values:
+        # False for NaN as well as for h <= 0 and h = inf.
+        if not 0.0 < h_req < math.inf:
+            raise ValueError(f"mesh steps must be positive and finite, got {h_req}")
     a, b = domain
     rows = []
     for h_req in h_values:
-        if h_req <= 0:
-            raise ValueError(f"mesh steps must be positive, got {h_req}")
         n = max(1, round((b - a) / h_req) - 1)
         mesh = Mesh1D(a, b, n)
         ind_base = _singularity_indicator(_base_bands(c, mesh))

@@ -506,7 +506,13 @@ def run_scan_det(cfg: ConfigView, seed: int, tol: float | None) -> RunOutput:
     h_values = scan.reals("h_values")
     if not h_values:
         raise ValidationError("h_values must list at least one mesh step")
+    # Each condition below is false for NaN as well as for the out-of-range values.
+    bad = [h for h in h_values if not 0.0 < h < np.inf]
+    if bad:
+        raise ValidationError(f"h_values must be positive and finite, got {bad[0]}")
     near_tol = scan.real("near_tol", 1e-10)
+    if not 0.0 <= near_tol < np.inf:
+        raise ValidationError(f"near_tol must be finite and at least 0, got {near_tol}")
     rows_obj = determinant_scan(c, h_values, bc, (mesh.a, mesh.b), near_tol)
     rows = [
         (r.h, r.n, r.indicator_base, r.indicator_monotonized, r.flagged) for r in rows_obj

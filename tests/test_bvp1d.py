@@ -2,11 +2,15 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from monoscheme.grid import BoundaryData1D, Mesh1D, norm_c, with_boundary
 from monoscheme.bvp1d import (
     OrderEstimate,
     SchemeCoefficients,
+    _base_bands,
+    _monotonized_bands,
+    _singularity_indicator,
     analytic_solution,
     convergence_order,
     determinant_scan,
@@ -15,8 +19,9 @@ from monoscheme.bvp1d import (
     solve_monotonized,
     solve_monotonized_inverse,
 )
+from monoscheme.cli import load_config
 from monoscheme.metrics import max_step_change, oscillates_point_to_point
-from monoscheme.stencils import first_difference, second_difference, smoothing
+from monoscheme.stencils import Tridiagonal, first_difference, second_difference, smoothing
 
 BC_05 = BoundaryData1D(0.5, 0.5)
 OSCILLATORY = SchemeCoefficients(k0=10.0, k1=-5.0, k2=30.0, k3=-1.0)
@@ -210,8 +215,89 @@ class TestDeterminantScan:
         assert rows[0].flagged
 
     def test_rejects_nonpositive_h(self):
-        with pytest.raises(ValueError):
-            determinant_scan(OSCILLATORY, [-0.1], BC_05)
+        for bad in (-0.1, 0.0, float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="positive and finite"):
+                determinant_scan(OSCILLATORY, [1 / 4, bad], BC_05)
+
+    def test_never_builds_a_dense_matrix(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the scan must work from the band")
+
+        monkeypatch.setattr(Tridiagonal, "dense", forbidden)
+        monkeypatch.setattr(np.linalg, "svd", forbidden)
+        (row,) = determinant_scan(OSCILLATORY, [1 / 1024], BC_05)
+        assert row.n == 1023
+        assert 0.0 < row.indicator_monotonized < 1e-4
+
+
+def dense_indicator(a):
+    """The oracle: sigma_min / sigma_max from a dense SVD.
+
+    The matrix is first scaled by a power of two (exact, and the ratio does
+    not depend on scale) so that its largest entry is about 1: on subnormal
+    entries the dense SVD itself is off, e.g. by 5.7e-14 for
+    Tridiagonal(0, t, t, 3) at t = 2.2e-311.
+    """
+    m = a.dense()
+    largest = np.abs(m).max()
+    if largest == 0.0:
+        return 0.0
+    svals = np.linalg.svd(np.ldexp(m, -np.frexp(largest)[1]), compute_uv=False)
+    return svals[-1] / svals[0]
+
+
+BAND = st.one_of(st.just(0.0), st.floats(-10.0, 10.0))
+
+
+class TestSingularityIndicator:
+    """The banded Golub-Kahan indicator against the dense SVD."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(lower=BAND, diag=BAND, upper=BAND, n=st.integers(1, 120))
+    @example(lower=1.0, diag=0.0, upper=-3.0, n=7)
+    @example(lower=0.0, diag=2.5, upper=-7.0, n=50)
+    @example(lower=4.0, diag=-1.0, upper=0.0, n=119)
+    @example(lower=0.0, diag=0.0, upper=9.0, n=12)
+    # LAPACK's own rescaling of a subnormal norm returns garbage.
+    @example(lower=0.0, diag=2.225073858507e-311, upper=0.0, n=1)
+    # Graded bands on which selecting eigenvalues by index fails to converge.
+    @example(lower=3.4034506935851856e-30, diag=-1.313870946899655e-40, upper=6.332770842406973, n=30)
+    @example(lower=2.225073858507203e-309, diag=2.225073858507203e-309, upper=2.125, n=48)
+    def test_matches_dense_svd(self, lower, diag, upper, n):
+        a = Tridiagonal(lower, diag, upper, n)
+        assert abs(_singularity_indicator(a) - dense_indicator(a)) <= 1e-14
+
+    def test_zero_matrix(self):
+        assert _singularity_indicator(Tridiagonal(0.0, 0.0, 0.0, 9)) == 0.0
+
+    def test_single_node(self):
+        assert _singularity_indicator(Tridiagonal(5.0, -2.0, 3.0, 1)) == 1.0
+        assert _singularity_indicator(Tridiagonal(5.0, 0.0, 3.0, 1)) == 0.0
+
+    def test_never_exceeds_one(self):
+        # All singular values equal 1 to within 1e-300; the two eigensolves
+        # may still round sigma_min above sigma_max.
+        assert _singularity_indicator(Tridiagonal(1e-300, 1.0, 1e-300, 5)) == 1.0
+
+    @pytest.mark.parametrize("n", [1, 3, 9, 101, 1023])
+    def test_zero_diagonal_odd_n_is_singular(self, n):
+        # (1, 0, 1) has eigenvalues 2 cos(j pi / (n+1)), one of them 0 at odd n.
+        assert _singularity_indicator(Tridiagonal(1.0, 0.0, 1.0, n)) <= 1e-15
+
+    def test_bundled_scan_ladder_matches_dense_svd(self):
+        cfg = load_config("scan.cfg")
+        prob, scan = cfg.section("problem"), cfg.section("scan")
+        c = SchemeCoefficients(*(prob.real(k) for k in ("k0", "k1", "k2", "k3")))
+        bc = BoundaryData1D(prob.real("u_left"), prob.real("u_right"))
+        domain = (prob.real("a"), prob.real("b"))
+        rows = determinant_scan(c, scan.reals("h_values"), bc, domain)
+        assert rows[-1].n == 1023
+        for row in rows:
+            mesh = Mesh1D(*domain, row.n)
+            expected_base = dense_indicator(_base_bands(c, mesh))
+            expected_mono = dense_indicator(_monotonized_bands(c, mesh))
+            assert abs(row.indicator_base - expected_base) <= 1e-14
+            assert abs(row.indicator_monotonized - expected_mono) <= 1e-14
 
 
 class TestAnalyticSolution:

@@ -386,6 +386,8 @@ class TestExperimentKeyValidation:
 
     @pytest.mark.parametrize("name, key, value", [
         ("scan.cfg", "h_values", ""),
+        *[("scan.cfg", "h_values", v) for v in ("inf", "1/4 inf", "nan", "1/4 -1/8")],
+        *[("scan.cfg", "near_tol", v) for v in ("nan", "-1", "inf")],
         *[("fig1.cfg", "dense_points", v) for v in (2, 1, 0, -3)],
     ])
     def test_1d_keys(self, tmp_path, capsys, name, key, value):

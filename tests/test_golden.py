@@ -1,11 +1,11 @@
 """Golden outputs: sha256 of every file `monoscheme run` writes.
 
 The hashes pin the bundled fig2_n10 flow cell, a seeded `metrics` run, the
-fig1 solve written as csv and as json-lines, the bundled order1d and
-timestep1d configs, and `compare` of fig1's base and monotonized reports. A refactor must keep them; a change that moves them on
-purpose updates them and says why. They were checked to be identical under
-1 and 2 BLAS threads. scan.cfg is left out: its SVD indicators change bits
-with the BLAS thread count.
+fig1 solve written as csv and as json-lines, the bundled order1d,
+timestep1d and scan configs, and `compare` of fig1's base and monotonized
+reports. A refactor must keep them; a change that moves them on purpose
+updates them and says why. They were checked to be identical under 1 and 2
+BLAS threads.
 """
 
 import hashlib
@@ -49,6 +49,10 @@ GOLDEN = {
     "order1d": {
         "order.csv": "c989af02ea4493608aa451ae233d238c427178f51291920a7e3ad88eb7f77349",
         "summary.json": "4699cd83d87102b562dbb7f6f7b1f3874d4b65bcef8d1003e1826752745692cc",
+    },
+    "scan": {
+        "determinant_scan.csv": "a15fc1ad186ef9948256b240a1a0f387d08f7e31d55485109d2ce832211ac24d",
+        "summary.json": "2273f3c213253bd90d183da1d87c0a96c8cdcb29946d7086dabc0c42882fb864",
     },
     "timestep1d": {
         "snapshots.csv": "9069c15ed4726586430ff8be4e565b7e4926be637fe675a385fedd850bd95dcc",
