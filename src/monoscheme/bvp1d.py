@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .grid import BoundaryData1D, Mesh1D, MeshFunction, norm_c
+from .grid import BoundaryData1D, Mesh1D, MeshFunction, check_domain, norm_c
 from .stencils import SingularOperatorError, Tridiagonal, smooth_1d, smoothing, solve_smooth_1d
 
 
@@ -40,8 +40,8 @@ class SingularSchemeError(SingularOperatorError):
 
 @dataclass(frozen=True)
 class SchemeCoefficients:
-    """The four reals of k0 + k1*U + k2*U' + k3*U''= 0; k3 != 0 keeps the
-    problem nondegenerate."""
+    """The four finite reals of k0 + k1*U + k2*U' + k3*U''= 0; k3 != 0 keeps
+    the problem nondegenerate."""
 
     k0: float
     k1: float
@@ -49,6 +49,11 @@ class SchemeCoefficients:
     k3: float
 
     def __post_init__(self):
+        for name in ("k0", "k1", "k2", "k3"):
+            value = getattr(self, name)
+            # False for NaN as well as for the infinities.
+            if not -math.inf < value < math.inf:
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.k3 == 0:
             raise ValueError("k3 must be nonzero")
 
@@ -250,7 +255,6 @@ def _singularity_indicator(a: Tridiagonal) -> float:
 def determinant_scan(
     c: SchemeCoefficients,
     h_values: Sequence[float],
-    bc: BoundaryData1D,
     domain: tuple[float, float] = (0.0, 1.0),
     near_tol: float = 1e-10,
 ) -> list[DeterminantScanRow]:
@@ -259,14 +263,17 @@ def determinant_scan(
     Each requested h is snapped to the nearest admissible step of the domain
     (h = (b-a)/(n+1) with integer n >= 1). A row is flagged when the
     auxiliary matrix is near-singular while the base one is not;
-    near-singularity is data here, not a failure. Every h must be positive
-    and finite; ValueError is raised before any matrix is built otherwise.
+    near-singularity is data here, not a failure. The matrices do not
+    depend on the end values. Every h must be positive and finite, and the
+    domain finite and nonempty; ValueError is raised before any matrix is
+    built otherwise.
     """
     for h_req in h_values:
         # False for NaN as well as for h <= 0 and h = inf.
         if not 0.0 < h_req < math.inf:
             raise ValueError(f"mesh steps must be positive and finite, got {h_req}")
     a, b = domain
+    check_domain(a, b)
     rows = []
     for h_req in h_values:
         n = max(1, round((b - a) / h_req) - 1)
@@ -375,8 +382,7 @@ def analytic_solution(
 ) -> AnalyticSolution:
     """Closed form of k0 + k1 U + k2 U' + k3 U'' = 0 fitted to the end values."""
     a, b = domain
-    if not b > a:
-        raise ValueError(f"empty domain [{a}, {b}]")
+    check_domain(a, b)
     span = b - a
 
     if c.k1 != 0.0:

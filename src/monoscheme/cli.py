@@ -228,18 +228,24 @@ class RunOutput:
 # ---------------------------------------------------------------------------
 
 
-def _coefficients(sec: SectionView) -> tuple[SchemeCoefficients, Mesh1D, BoundaryData1D]:
-    c = SchemeCoefficients(
-        k0=sec.real("k0"), k1=sec.real("k1"), k2=sec.real("k2"), k3=sec.real("k3")
-    )
-    mesh = Mesh1D(sec.real("a", 0.0), sec.real("b", 1.0), sec.integer("n"))
-    bc = BoundaryData1D(sec.real("u_left"), sec.real("u_right"))
-    return c, mesh, bc
+# Each 1D kind reads only the [problem] keys its output depends on; it ignores the rest.
+def _coefficients(sec: SectionView) -> SchemeCoefficients:
+    return SchemeCoefficients(*(sec.real(k) for k in ("k0", "k1", "k2", "k3")))
+
+
+def _domain(sec: SectionView) -> tuple[float, float]:
+    return sec.real("a", 0.0), sec.real("b", 1.0)
+
+
+def _end_values(sec: SectionView) -> BoundaryData1D:
+    return BoundaryData1D(sec.real("u_left"), sec.real("u_right"))
 
 
 def run_solve1d(cfg: ConfigView, seed: int, tol: float | None) -> RunOutput:
     sec = cfg.section("problem")
-    c, mesh, bc = _coefficients(sec)
+    c = _coefficients(sec)
+    mesh = Mesh1D(*_domain(sec), sec.integer("n"))
+    bc = _end_values(sec)
     dense_points = sec.integer("dense_points", 100)
     if dense_points < 3:
         raise ValidationError(f"dense_points must be at least 3, got {dense_points}")
@@ -481,11 +487,10 @@ def _brute_sharpness(u: MeshFunction, cells) -> tuple[float, float]:
 
 def run_order(cfg: ConfigView, seed: int, tol: float | None) -> RunOutput:
     sec = cfg.section("problem")
-    c, mesh, bc = _coefficients(sec)
-    study = cfg.section("study")
-    ns = study.integers("n_values")
-    est_base = convergence_order(c, bc, "base", ns, (mesh.a, mesh.b))
-    est_mono = convergence_order(c, bc, "monotonized", ns, (mesh.a, mesh.b))
+    c, domain, bc = _coefficients(sec), _domain(sec), _end_values(sec)
+    ns = cfg.section("study").integers("n_values")
+    est_base = convergence_order(c, bc, "base", ns, domain)
+    est_mono = convergence_order(c, bc, "monotonized", ns, domain)
     rows = [
         (ns[i], est_base.hs[i], est_base.errors[i], est_mono.errors[i])
         for i in range(len(ns))
@@ -501,7 +506,7 @@ def run_order(cfg: ConfigView, seed: int, tol: float | None) -> RunOutput:
 
 def run_scan_det(cfg: ConfigView, seed: int, tol: float | None) -> RunOutput:
     sec = cfg.section("problem")
-    c, mesh, bc = _coefficients(sec)
+    c, domain = _coefficients(sec), _domain(sec)
     scan = cfg.section("scan")
     h_values = scan.reals("h_values")
     if not h_values:
@@ -513,7 +518,7 @@ def run_scan_det(cfg: ConfigView, seed: int, tol: float | None) -> RunOutput:
     near_tol = scan.real("near_tol", 1e-10)
     if not 0.0 <= near_tol < np.inf:
         raise ValidationError(f"near_tol must be finite and at least 0, got {near_tol}")
-    rows_obj = determinant_scan(c, h_values, bc, (mesh.a, mesh.b), near_tol)
+    rows_obj = determinant_scan(c, h_values, domain, near_tol)
     rows = [
         (r.h, r.n, r.indicator_base, r.indicator_monotonized, r.flagged) for r in rows_obj
     ]
@@ -530,14 +535,12 @@ def run_scan_det(cfg: ConfigView, seed: int, tol: float | None) -> RunOutput:
 
 def run_timestep(cfg: ConfigView, seed: int, tol: float | None) -> RunOutput:
     sec = cfg.section("problem")
-    c, mesh, bc = _coefficients(sec)
+    c = _coefficients(sec)
+    mesh = Mesh1D(*_domain(sec), sec.integer("n"))
+    bc = _end_values(sec)
     st = cfg.section("stepping")
-    ts_cfg = TimeStepConfig(
-        tau=st.real("tau"),
-        sigma=st.real("sigma", 1.0),
-        inner_tol=st.real("inner_tol", 1e-12),
-        max_inner=st.integer("max_inner", 200),
-    )
+    # run_to_steady takes the direct step; inner_tol and max_inner steer only the fixed-point one.
+    ts_cfg = TimeStepConfig(tau=st.real("tau"), sigma=st.real("sigma", 1.0))
     steady_tol = tol if tol is not None else st.real("steady_tol", 1e-12)
     max_steps = st.integer("max_steps", 10000)
     record_every = st.integer("record_every", 1)

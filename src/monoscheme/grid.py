@@ -22,9 +22,17 @@ class InvalidMeshError(ValueError):
     """Raised for mesh parameters that violate the construction contract."""
 
 
+def check_domain(a: float, b: float) -> None:
+    """Raise InvalidMeshError unless [a, b] is finite and nonempty."""
+    # False for NaN and infinite ends as well as for b <= a.
+    if not -np.inf < a < b < np.inf:
+        raise InvalidMeshError(f"domain [a, b] = [{a}, {b}] must be finite with a < b")
+
+
 @dataclass(frozen=True)
 class Mesh1D:
-    """Regular 1D mesh on [a, b] with n interior nodes and step h = (b-a)/(n+1)."""
+    """Regular 1D mesh on a finite [a, b] with n interior nodes and step
+    h = (b-a)/(n+1)."""
 
     a: float
     b: float
@@ -33,8 +41,7 @@ class Mesh1D:
     def __post_init__(self):
         if self.n < 1:
             raise InvalidMeshError(f"need at least one interior node, got n={self.n}")
-        if not self.b > self.a:
-            raise InvalidMeshError(f"empty domain [{self.a}, {self.b}]")
+        check_domain(self.a, self.b)
 
     @property
     def h(self) -> float:

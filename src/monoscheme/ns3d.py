@@ -49,8 +49,8 @@ from .stencils import (
     ghost_plan,
     interior,
     laplacian_pad,
+    pad_grid,
     pad_range,
-    smooth_3d,
     smooth_pad,
 )
 
@@ -110,8 +110,10 @@ class FlowConfig:
     max_iters: int = 200000
 
     def __post_init__(self):
-        if self.L <= 0 or self.rho <= 0 or self.nu <= 0:
-            raise ValueError("L, rho and nu must be positive")
+        # Each range test below is false for NaN as well as for the values out of range.
+        for name in ("L", "rho", "nu"):
+            if not 0.0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
         if self.N < 4:
             raise ValueError(f"need N >= 4, got N={self.N}")
         if not (0 <= self.hole_lo <= self.hole_hi <= self.N - 1):
@@ -120,8 +122,10 @@ class FlowConfig:
             )
         if not (np.isfinite(self.p0) and np.isfinite(self.p1)):
             raise ValueError("hole pressures must be finite")
-        if self.tol <= 0 or self.max_iters < 1:
-            raise ValueError("tol must be positive and max_iters >= 1")
+        if not 0.0 < self.tol < np.inf:
+            raise ValueError(f"tol must be positive and finite, got {self.tol}")
+        if self.max_iters < 1:
+            raise ValueError(f"max_iters must be at least 1, got {self.max_iters}")
         h = self.L / self.N
         if self.sigma_v is None:
             # 0.6 of the explicit diffusion limit h^2/(6 nu).
@@ -263,12 +267,8 @@ class _Workspace:
         self.range = rng = pad_range(N)
         self.v_plans = [ghost_plan(policy.velocity(a), N) for a in range(3)]
         self.p_plan = ghost_plan(policy.p, N)
-        self.v_pads = [plan.new_pad() for plan in self.v_plans]
-        self.p_pad = self.p_plan.new_pad()
-        for plan, pad, grid in zip((*self.v_plans, self.p_plan), (*self.v_pads, self.p_pad),
-                                   (field.vx, field.vy, field.vz, field.p)):
-            interior(pad)[...] = grid.as_grid()
-            plan.refill(pad)
+        self.v_pads = [pad_grid(field.velocity(a).as_grid(), policy.velocity(a)) for a in range(3)]
+        self.p_pad = pad_grid(field.p.as_grid(), policy.p)
         self.diag = [difference_pad(pad, a, self.h) for a, pad in enumerate(self.v_pads)]
         self.smoothed = [np.empty(rng.size) for _ in range(3)] if monotonized else None
         self.r, self.term, self.div = (np.empty(rng.size) for _ in range(3))
@@ -377,7 +377,6 @@ def solve_steady(cfg: FlowConfig, variant: str = "base") -> SolutionReport:
     cfg.tol in C-norm, or max_iters is reached (reported, not raised)."""
     if variant not in ("base", "monotonized"):
         raise ValueError(f"unknown variant {variant!r}")
-    policy = flow_boundary_policy(cfg)
     monotonized = variant == "monotonized"
     ws = _Workspace(init_field(cfg), cfg, monotonized)
     mom_norm = div_norm = float("inf")
@@ -396,12 +395,9 @@ def solve_steady(cfg: FlowConfig, variant: str = "base") -> SolutionReport:
     out = ws.field()
     y = None
     if monotonized:
-        y = FlowField(
-            vx=smooth_3d(out.vx, policy.vx),
-            vy=smooth_3d(out.vy, policy.vy),
-            vz=smooth_3d(out.vz, policy.vz),
-            p=out.p,
-        )
+        # y = Mv smoothed from the final pads, whose ghosts are already current.
+        smoothed = [MeshFunction.from_grid(out.mesh, ws.range.cells(w)) for w in ws.advecting()]
+        y = FlowField(*smoothed, p=out.p)
     return SolutionReport(
         field=out,
         variant=variant,

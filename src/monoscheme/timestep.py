@@ -247,6 +247,9 @@ def run_to_steady(
         raise ValueError(f"record_every must be at least 1, got {record_every}")
     if snapshot_every < 0:
         raise ValueError(f"snapshot_every must be at least 0, got {snapshot_every}")
+    # False for NaN as well as for negative values.
+    if not steady_tol >= 0.0:
+        raise ValueError(f"steady_tol must be at least 0, got {steady_tol}")
     v = v0
     y = smooth_1d(v0, bc)
     history: list[tuple[float, float]] = []

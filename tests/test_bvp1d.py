@@ -182,20 +182,20 @@ class TestInverseRoute:
 class TestDeterminantScan:
     def test_laplacian_never_flags(self):
         c = SchemeCoefficients(0.0, 0.0, 0.0, 1.0)
-        rows = determinant_scan(c, [1 / 4, 1 / 8, 1 / 16], BoundaryData1D(0.0, 1.0))
+        rows = determinant_scan(c, [1 / 4, 1 / 8, 1 / 16])
         assert all(not r.flagged for r in rows)
         assert all(r.indicator_base > 1e-6 for r in rows)
 
     def test_fig1_coefficients_scan_produces_rows(self):
         hs = [2.0**-k for k in range(2, 11)]
-        rows = determinant_scan(OSCILLATORY, hs, BC_05)
+        rows = determinant_scan(OSCILLATORY, hs)
         assert len(rows) == len(hs)
         for r in rows:
             assert 0.0 <= r.indicator_monotonized <= 1.0
             assert 0.0 <= r.indicator_base <= 1.0
 
     def test_empty_list(self):
-        assert determinant_scan(OSCILLATORY, [], BC_05) == []
+        assert determinant_scan(OSCILLATORY, []) == []
 
     def test_flags_singular_step_at_constructed_resonance(self):
         # With k2 = 0 the smoothed matrix is the symmetric tridiagonal
@@ -208,7 +208,7 @@ class TestDeterminantScan:
         cos_t = np.cos(7 * np.pi / (n + 1))  # exactly 1/2
         k1 = 4.0 * (1.0 - cos_t) / ((1.0 + cos_t) * h * h)
         c = SchemeCoefficients(0.0, k1, 0.0, 1.0)
-        rows = determinant_scan(c, [h], BoundaryData1D(0.0, 0.0), near_tol=1e-10)
+        rows = determinant_scan(c, [h], near_tol=1e-10)
         assert rows[0].n == n
         assert rows[0].indicator_monotonized <= 1e-10
         assert rows[0].indicator_base > 1e-6
@@ -217,7 +217,12 @@ class TestDeterminantScan:
     def test_rejects_nonpositive_h(self):
         for bad in (-0.1, 0.0, float("inf"), float("nan")):
             with pytest.raises(ValueError, match="positive and finite"):
-                determinant_scan(OSCILLATORY, [1 / 4, bad], BC_05)
+                determinant_scan(OSCILLATORY, [1 / 4, bad])
+
+    @pytest.mark.parametrize("domain", [(-np.inf, 1.0), (0.0, np.inf), (1.0, 1.0)])
+    def test_rejects_unbounded_or_empty_domain(self, domain):
+        with pytest.raises(ValueError, match=r"domain \[a, b\]"):
+            determinant_scan(OSCILLATORY, [1 / 4], domain)
 
     def test_never_builds_a_dense_matrix(self, monkeypatch):
         def forbidden(*args, **kwargs):
@@ -225,7 +230,7 @@ class TestDeterminantScan:
 
         monkeypatch.setattr(Tridiagonal, "dense", forbidden)
         monkeypatch.setattr(np.linalg, "svd", forbidden)
-        (row,) = determinant_scan(OSCILLATORY, [1 / 1024], BC_05)
+        (row,) = determinant_scan(OSCILLATORY, [1 / 1024])
         assert row.n == 1023
         assert 0.0 < row.indicator_monotonized < 1e-4
 
@@ -288,9 +293,8 @@ class TestSingularityIndicator:
         cfg = load_config("scan.cfg")
         prob, scan = cfg.section("problem"), cfg.section("scan")
         c = SchemeCoefficients(*(prob.real(k) for k in ("k0", "k1", "k2", "k3")))
-        bc = BoundaryData1D(prob.real("u_left"), prob.real("u_right"))
         domain = (prob.real("a"), prob.real("b"))
-        rows = determinant_scan(c, scan.reals("h_values"), bc, domain)
+        rows = determinant_scan(c, scan.reals("h_values"), domain)
         assert rows[-1].n == 1023
         for row in rows:
             mesh = Mesh1D(*domain, row.n)
@@ -378,6 +382,14 @@ class TestSchemeCoefficients:
     def test_k3_must_be_nonzero(self):
         with pytest.raises(ValueError):
             SchemeCoefficients(1.0, 1.0, 1.0, 0.0)
+
+    @pytest.mark.parametrize("index", range(4))
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_rejects_nonfinite(self, index, value):
+        ks = [1.0, 1.0, 1.0, 1.0]
+        ks[index] = value
+        with pytest.raises(ValueError, match=f"^k{index} must be finite"):
+            SchemeCoefficients(*ks)
 
 
 def test_scheme_residual_detects_wrong_solution():

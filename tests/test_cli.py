@@ -357,6 +357,36 @@ def test_runner_writes_nothing_and_returns_every_output(kind, tmp_path, monkeypa
     assert {p.name for p in out.iterdir()} == expected
 
 
+def with_keys(name, section, **values):
+    """Bundled config `name` with the given keys added at the top of [section]."""
+    text = load_config_text(name)
+    assert text.count(f"[{section}]\n") == 1
+    added = "".join(f"{key} = {value}\n" for key, value in values.items())
+    return text.replace(f"[{section}]\n", f"[{section}]\n{added}")
+
+
+MINIMAL_SCAN = (
+    "[experiment]\nkind = scan-det\n[problem]\nk0 = 10\nk1 = -5\nk2 = 30\nk3 = -1\n"
+    "[scan]\nh_values = 1/4 1/8 1/16 1/32 1/64 1/128 1/256 1/512 1/1024\nnear_tol = 1e-10\n"
+)
+
+
+@pytest.mark.parametrize("golden, text", [
+    ("scan", MINIMAL_SCAN),
+    ("scan", with_keys("scan.cfg", "problem", n=0, u_left="nan")),
+    ("order1d", with_keys("order1d.cfg", "problem", n=0)),
+    ("timestep1d", with_keys("timestep1d.cfg", "stepping", inner_tol="nan", max_inner=0)),
+], ids=["minimal_scan", "scan_with_n_and_u_left", "order_with_n", "timestep_with_inner_keys"])
+def test_keys_a_kind_does_not_read_change_no_file(tmp_path, golden, text):
+    """scan-det reads no n or end values, order no n and timestep neither
+    inner_tol nor max_inner: such keys are ignored, whatever their values."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    assert run_cli("run", str(cfg), "--out", str(out)) == 0
+    assert _hashes(out) == GOLDEN[golden]
+
+
 class TestExperimentKeyValidation:
     """Out-of-range experiment keys exit 3 with one line naming the key."""
 
@@ -377,11 +407,20 @@ class TestExperimentKeyValidation:
         self.assert_validation_error(capsys, cfg, tmp_path / "o", key)
         assert not (tmp_path / "o" / "summary.json").exists()
 
-    def test_nan_inner_tol(self, tmp_path, capsys):
-        # timestep1d.cfg leaves inner_tol at its default; [stepping] is its last section.
-        cfg = edited_config(tmp_path, "timestep1d.cfg")
-        cfg.write_text(cfg.read_text() + "inner_tol = nan\n")
-        self.assert_validation_error(capsys, cfg, tmp_path / "o", "inner_tol")
+    @pytest.mark.parametrize("name, key, value, named", [
+        *[("fig2_n10.cfg", "tol", v, "tol must") for v in ("nan", "inf")],
+        *[("fig2_n10.cfg", key, v, f"{key} must") for key in ("L", "rho", "nu")
+          for v in ("nan", "inf")],
+        ("fig1.cfg", "k1", "nan", "k1 must"),
+        ("scan.cfg", "k2", "inf", "k2 must"),
+        ("order1d.cfg", "k0", "-inf", "k0 must"),
+        *[(name, key, v, "domain [a, b]") for name in ("fig1.cfg", "scan.cfg", "order1d.cfg")
+          for key, v in (("a", "-inf"), ("b", "inf"))],
+        *[("timestep1d.cfg", "steady_tol", v, "steady_tol must") for v in ("nan", "-1")],
+    ])
+    def test_bad_numbers(self, tmp_path, capsys, name, key, value, named):
+        cfg = edited_config(tmp_path, name, **{key: value})
+        self.assert_validation_error(capsys, cfg, tmp_path / "o", named)
         assert not (tmp_path / "o" / "summary.json").exists()
 
     @pytest.mark.parametrize("name, key, value", [

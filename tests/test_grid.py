@@ -38,6 +38,11 @@ class TestMesh1D:
         with pytest.raises(InvalidMeshError):
             Mesh1D(1.0, 1.0, 5)
 
+    @pytest.mark.parametrize("a, b", [(-np.inf, 1.0), (0.0, np.inf), (np.nan, 1.0), (0.0, np.nan)])
+    def test_rejects_unbounded_or_nan_domain(self, a, b):
+        with pytest.raises(InvalidMeshError, match=r"domain \[a, b\]"):
+            Mesh1D(a, b, 5)
+
 
 class TestMesh3D:
     def test_trivial_example(self):

@@ -144,6 +144,12 @@ class TestFlowConfig:
         with pytest.raises(ValueError):
             small_config(tol=-1.0)
 
+    @pytest.mark.parametrize("key", ["L", "rho", "nu", "tol"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rejects_nan_and_inf(self, key, value):
+        with pytest.raises(ValueError, match=f"^{key} must be positive and finite"):
+            small_config(**{key: value})
+
 
 class TestInitField:
     def test_linear_pressure_zero_velocity(self):
@@ -290,10 +296,14 @@ class TestSolveSteady:
         assert rep.y is not None
         from monoscheme.stencils import smooth_3d
 
+        # y comes from the final workspace pads; it equals smoothing fresh
+        # pad_grid pads of the returned field bit for bit.
         policy = flow_boundary_policy(cfg)
-        assert np.array_equal(
-            rep.y.vx.values, smooth_3d(rep.field.vx, policy.vx).values
-        )
+        for axis in range(3):
+            assert np.array_equal(
+                rep.y.velocity(axis).values,
+                smooth_3d(rep.field.velocity(axis), policy.velocity(axis)).values,
+            )
         assert np.array_equal(rep.y.p.values, rep.field.p.values)
 
     def test_non_convergence_reported_not_raised(self):

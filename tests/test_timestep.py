@@ -180,6 +180,7 @@ class TestSteadyState:
 
     @pytest.mark.parametrize("key, value", [
         ("max_steps", 0), ("max_steps", -2), ("record_every", 0), ("snapshot_every", -1),
+        ("steady_tol", float("nan")), ("steady_tol", -1.0),
     ])
     def test_rejects_stepping_counts_out_of_range(self, key, value):
         v_init = MeshFunction(MESH, np.full(9, 0.5))
