@@ -238,7 +238,11 @@ def _domain(sec: SectionView) -> tuple[float, float]:
 
 
 def _end_values(sec: SectionView) -> BoundaryData1D:
-    return BoundaryData1D(sec.real("u_left"), sec.real("u_right"))
+    ends = {key: sec.real(key) for key in ("u_left", "u_right")}
+    for key, value in ends.items():
+        if not np.isfinite(value):
+            raise ValidationError(f"{key} must be finite, got {value}")
+    return BoundaryData1D(*ends.values())
 
 
 def run_solve1d(cfg: ConfigView, seed: int, tol: float | None) -> RunOutput:
@@ -558,7 +562,7 @@ def run_timestep(cfg: ConfigView, seed: int, tol: float | None) -> RunOutput:
     # Cross-form agreement of the two step rearrangements on this problem.
     # The rearranged form's inner loop contracts only for
     # tau * ||M^{-1} A|| < 1, so probe with a step inside that bound.
-    amplified = np.linalg.solve(smoothing(mesh.n).dense(), aux_op.a.dense())
+    amplified = smoothing(mesh.n).solve(aux_op.a.dense())
     safe_tau = 0.25 / max(np.linalg.norm(amplified, np.inf), 1.0)
     probe_tau = min(ts_cfg.tau, safe_tau)
     agreements = {}

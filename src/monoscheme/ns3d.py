@@ -120,8 +120,9 @@ class FlowConfig:
             raise ValueError(
                 f"hole range {self.hole_lo}..{self.hole_hi} outside cells 0..{self.N - 1}"
             )
-        if not (np.isfinite(self.p0) and np.isfinite(self.p1)):
-            raise ValueError("hole pressures must be finite")
+        for name in ("p0", "p1"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not 0.0 < self.tol < np.inf:
             raise ValueError(f"tol must be positive and finite, got {self.tol}")
         if self.max_iters < 1:

@@ -20,6 +20,7 @@ serve as each other's cross-check.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,6 +109,49 @@ class LinearMeshOperator:
         return cls(a, off)
 
 
+def _factor_step(
+    lead: np.ndarray, op: LinearMeshOperator, cfg: TimeStepConfig
+) -> tuple[np.ndarray, np.ndarray]:
+    """LU factors of the implicit step matrix lead - tau sigma A, where lead
+    is the dense identity (plain flavor) or smoothing M (smoothed flavor).
+
+    The matrix is the same at every step of a run, so a run factors it once.
+    Dense on purpose: banded forms round differently and shift
+    run_to_steady's stop count. An exactly zero pivot raises.
+    """
+    # Imported here, as in Tridiagonal.solve: 3D and metrics runs never step.
+    import scipy.linalg
+
+    lhs = lead - cfg.tau * cfg.sigma * op.a.dense()
+    with warnings.catch_warnings():
+        # lu_factor only warns on a zero pivot; the check below raises instead.
+        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+        # check_finite=False: non-finite entries propagate, as in np.linalg.solve.
+        lu, piv = scipy.linalg.lu_factor(lhs, check_finite=False)
+    zero = np.flatnonzero(np.diagonal(lu) == 0.0)
+    if zero.size:
+        raise StepFailureError(
+            f"implicit step matrix singular: pivot {zero[0] + 1} is exactly zero",
+            float("inf"),
+        )
+    return lu, piv
+
+
+def _implicit_step(
+    u: np.ndarray,
+    lead_u: np.ndarray,
+    op: LinearMeshOperator,
+    cfg: TimeStepConfig,
+    factor: tuple[np.ndarray, np.ndarray],
+) -> np.ndarray:
+    """u^{n+1} of (lead - tau sigma A) u^{n+1} = lead u + tau sigma offset
+    + tau (1 - sigma) F(u), given lead u and _factor_step's factors."""
+    import scipy.linalg
+
+    rhs = lead_u + cfg.tau * cfg.sigma * op.offset + cfg.tau * (1.0 - cfg.sigma) * op(u)
+    return scipy.linalg.lu_solve(factor, rhs, check_finite=False)
+
+
 def step_base(u_n: MeshFunction, op: LinearMeshOperator, cfg: TimeStepConfig) -> MeshFunction:
     """One weighted step of du/dt = F(u).
 
@@ -121,14 +165,8 @@ def step_base(u_n: MeshFunction, op: LinearMeshOperator, cfg: TimeStepConfig) ->
         if not np.all(np.isfinite(out)):
             raise StepFailureError("explicit step produced non-finite values", float("inf"))
         return u_n.with_values(out)
-    # Dense on purpose, as in step_monotonized.
-    lhs = np.eye(len(u)) - cfg.tau * cfg.sigma * op.a.dense()
-    rhs = u + cfg.tau * cfg.sigma * op.offset + cfg.tau * (1.0 - cfg.sigma) * op(u)
-    try:
-        u_next = np.linalg.solve(lhs, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise StepFailureError(f"implicit step matrix singular: {exc}", float("inf")) from exc
-    return u_n.with_values(u_next)
+    factor = _factor_step(np.eye(len(u)), op, cfg)
+    return u_n.with_values(_implicit_step(u, u, op, cfg, factor))
 
 
 def step_monotonized(
@@ -150,19 +188,9 @@ def step_monotonized(
             raise StepFailureError("explicit step produced non-finite values", float("inf"))
         v_next = solve_smooth_1d(v_n.with_values(y_next), bc)
         return v_next, v_n.with_values(y_next)
-    # Dense on purpose: banded forms round differently and shift run_to_steady's stop.
     m_mat = smoothing(len(v)).dense()
-    lhs = m_mat - cfg.tau * cfg.sigma * aux_op.a.dense()
-    rhs = (
-        m_mat @ v
-        + cfg.tau * cfg.sigma * aux_op.offset
-        + cfg.tau * (1.0 - cfg.sigma) * aux_op(v)
-    )
-    try:
-        v_next = np.linalg.solve(lhs, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise StepFailureError(f"implicit step matrix singular: {exc}", float("inf")) from exc
-    vf = v_n.with_values(v_next)
+    factor = _factor_step(m_mat, aux_op, cfg)
+    vf = v_n.with_values(_implicit_step(v, m_mat @ v, aux_op, cfg, factor))
     return vf, smooth_1d(vf, bc)
 
 
@@ -250,13 +278,26 @@ def run_to_steady(
     # False for NaN as well as for negative values.
     if not steady_tol >= 0.0:
         raise ValueError(f"steady_tol must be at least 0, got {steady_tol}")
+    if cfg.sigma == 0.0:
+        def advance(v_n: MeshFunction) -> tuple[MeshFunction, MeshFunction]:
+            return step_monotonized(v_n, aux_op, bc, cfg)
+    else:
+        # step_monotonized's implicit step, with the matrix factored once per run.
+        m_mat = smoothing(len(v0.values)).dense()
+        factor = _factor_step(m_mat, aux_op, cfg)
+
+        def advance(v_n: MeshFunction) -> tuple[MeshFunction, MeshFunction]:
+            v = v_n.values
+            vf = v_n.with_values(_implicit_step(v, m_mat @ v, aux_op, cfg, factor))
+            return vf, smooth_1d(vf, bc)
+
     v = v0
     y = smooth_1d(v0, bc)
     history: list[tuple[float, float]] = []
     snapshots: list[tuple[float, np.ndarray, np.ndarray]] = []
     t = 0.0
     for step in range(1, max_steps + 1):
-        v_next, y_next = step_monotonized(v, aux_op, bc, cfg)
+        v_next, y_next = advance(v)
         update = norm_c(v_next.values - v.values)
         t += cfg.tau
         if step % record_every == 0:

@@ -417,6 +417,10 @@ class TestExperimentKeyValidation:
         *[(name, key, v, "domain [a, b]") for name in ("fig1.cfg", "scan.cfg", "order1d.cfg")
           for key, v in (("a", "-inf"), ("b", "inf"))],
         *[("timestep1d.cfg", "steady_tol", v, "steady_tol must") for v in ("nan", "-1")],
+        ("fig1.cfg", "u_left", "nan", "u_left must be finite, got nan"),
+        ("timestep1d.cfg", "u_right", "-inf", "u_right must be finite, got -inf"),
+        ("fig2_n10.cfg", "p0", "inf", "p0 must be finite, got inf"),
+        ("fig2_n10.cfg", "p1", "nan", "p1 must be finite, got nan"),
     ])
     def test_bad_numbers(self, tmp_path, capsys, name, key, value, named):
         cfg = edited_config(tmp_path, name, **{key: value})

@@ -186,3 +186,113 @@ class TestSteadyState:
         v_init = MeshFunction(MESH, np.full(9, 0.5))
         with pytest.raises(ValueError, match=f"^{key} must be at least"):
             run_to_steady(v_init, aux_operator(), BC, TimeStepConfig(tau=1.0), **{key: value})
+
+
+@pytest.mark.filterwarnings("error")
+class TestSingularStep:
+    """A step whose implicit matrix is exactly singular raises, and no
+    warning from the factorization reaches the caller."""
+
+    @staticmethod
+    def singular_aux():
+        # M - tau sigma A = M - M = 0 at tau = sigma = 1
+        return LinearMeshOperator(smoothing(MESH.n), np.zeros(MESH.n))
+
+    def test_step_monotonized(self):
+        with pytest.raises(StepFailureError, match="singular") as info:
+            step_monotonized(V0, self.singular_aux(), BC, TimeStepConfig(tau=1.0, sigma=1.0))
+        assert info.value.residual == float("inf")
+
+    def test_step_base(self):
+        identity = LinearMeshOperator(Tridiagonal(0.0, 1.0, 0.0, MESH.n), np.zeros(MESH.n))
+        with pytest.raises(StepFailureError, match="singular"):
+            step_base(V0, identity, TimeStepConfig(tau=1.0, sigma=1.0))
+
+    def test_run_to_steady(self):
+        with pytest.raises(StepFailureError, match="singular"):
+            run_to_steady(V0, self.singular_aux(), BC, TimeStepConfig(tau=1.0, sigma=1.0))
+
+
+BIG_MESH = Mesh1D(0.0, 1.0, 400)
+BIG_BC = BoundaryData1D(0.3, -0.7)
+BIG_TOL = 1e-10
+
+
+def loop_to_steady(step, v0, tau, tol, max_steps=1000, snapshot_every=10):
+    """run_to_steady's bookkeeping around an arbitrary one-step map v -> (v, y)."""
+    v, t = v0, 0.0
+    history, snapshots = [], []
+    for n in range(1, max_steps + 1):
+        v_next, y = step(v)
+        update = norm_c(v_next.values - v.values)
+        t += tau
+        history.append((t, update))
+        v = v_next
+        if n % snapshot_every == 0:
+            snapshots.append((t, v.values.copy(), y.values.copy()))
+        if update <= tol:
+            return v, y, n, history, snapshots
+    raise AssertionError(f"no steady state in {max_steps} steps")
+
+
+class TestFactorOnce:
+    """run_to_steady factors its implicit matrix once and gives the same run
+    as stepping with the public step, which factors at every call."""
+
+    CFG = TimeStepConfig(tau=0.01, sigma=1.0)
+
+    @staticmethod
+    def big_problem():
+        aux = LinearMeshOperator.from_coefficients(FIG1, BIG_MESH, BIG_BC, smoothed=True)
+        v0 = MeshFunction(BIG_MESH, np.full(BIG_MESH.n, (BIG_BC.u0 + BIG_BC.u_np1) / 2.0))
+        return aux, v0
+
+    def test_bitwise_equal_to_public_step_loop(self):
+        aux, v0 = self.big_problem()
+        out = run_to_steady(v0, aux, BIG_BC, self.CFG, BIG_TOL, max_steps=1000,
+                            snapshot_every=10)
+        v, y, steps, history, snapshots = loop_to_steady(
+            lambda v_n: step_monotonized(v_n, aux, BIG_BC, self.CFG), v0, self.CFG.tau, BIG_TOL)
+        assert out.converged and out.steps == steps
+        assert np.array_equal(out.v.values, v.values)
+        assert np.array_equal(out.y.values, y.values)
+        assert out.history == tuple(history)
+        assert len(out.snapshots) == len(snapshots)
+        for (t1, v1, y1), (t2, v2, y2) in zip(out.snapshots, snapshots):
+            assert t1 == t2 and np.array_equal(v1, v2) and np.array_equal(y1, y2)
+
+    def test_one_factorization_per_run(self, monkeypatch):
+        import scipy.linalg
+
+        calls = []
+        lu_factor = scipy.linalg.lu_factor
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return lu_factor(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "lu_factor", counted)
+        v_init = MeshFunction(MESH, np.full(9, 0.5))
+        out = run_to_steady(v_init, aux_operator(), BC, TimeStepConfig(tau=1.0, sigma=1.0))
+        assert out.converged and out.steps > 1
+        assert len(calls) == 1
+
+    def test_matches_dense_solve_at_every_step(self):
+        # Oracle: the same step with a dense np.linalg.solve at every step.
+        # numpy and scipy link separate BLAS builds, so this compares to a
+        # tolerance; the golden hashes pin the bits.
+        aux, v0 = self.big_problem()
+        tau, sigma = self.CFG.tau, self.CFG.sigma
+
+        def dense_step(v_n):
+            v = v_n.values
+            m_mat = smoothing(len(v)).dense()
+            lhs = m_mat - tau * sigma * aux.a.dense()
+            rhs = m_mat @ v + tau * sigma * aux.offset + tau * (1.0 - sigma) * aux(v)
+            vf = v_n.with_values(np.linalg.solve(lhs, rhs))
+            return vf, smooth_1d(vf, BIG_BC)
+
+        v_old, _, steps_old, _, _ = loop_to_steady(dense_step, v0, tau, BIG_TOL)
+        out = run_to_steady(v0, aux, BIG_BC, self.CFG, BIG_TOL, max_steps=1000)
+        assert out.steps == steps_old
+        assert norm_c(out.v.values - v_old.values) <= 1e-13 * norm_c(v_old.values)
