@@ -95,6 +95,15 @@ def ghost_specs(draw, N, kinds=("value", "mirror", "extrapolate")):
     return GhostSpec3D(*rules)
 
 
+@st.composite
+def smoothing_systems(draw):
+    """(N, spec, b): a mirror/value spec on an N^3 mesh and a right side."""
+    N = draw(st.sampled_from((3, 4, 5)))
+    spec = draw(ghost_specs(N, kinds=("value", "mirror")))
+    b = draw(st.lists(st.floats(-10.0, 10.0), min_size=N**3, max_size=N**3))
+    return N, spec, np.asarray(b)
+
+
 class TestFirstDerivative1D:
     def test_exact_on_linear(self):
         mesh = Mesh1D(0.0, 1.0, 7)
@@ -248,12 +257,60 @@ class TestSolveSmooth3D:
         assert np.allclose(rec.values, 1.0, atol=1e-10)
 
     def test_forced_iteration_failure(self):
+        # Mirror patches on value-walled x faces are what the preconditioner
+        # leaves out, so one iteration cannot reach the tolerance.
         rng = np.random.default_rng(2)
         mesh = make_mesh_3d(1.0, 6)
+        hole = FaceRule(FaceGhost("value", 0.0), FaceGhost("mirror"), patch_lo=1, patch_hi=4)
+        wall = FaceRule(FaceGhost("value", 0.0))
+        spec = GhostSpec3D(hole, hole, wall, wall, wall, wall)
         b = _mesh_fn(mesh, rng.standard_normal(216))
         with pytest.raises(IterationFailureError) as err:
-            solve_smooth_3d(b, tol=1e-10, max_iters=1)
+            solve_smooth_3d(b, spec, tol=1e-10, max_iters=1)
         assert err.value.residual > 1e-10
+
+    @pytest.mark.parametrize("zhi", ["value", "mirror"])
+    def test_patch_free_mixed_spec_solves_in_one_iteration(self, zhi):
+        # Without patches the preconditioner is the exact inverse. With a
+        # mirror zhi the three axes have three different (lo, hi) kinds, so
+        # a preconditioner that mixes up the axes of the flat layout (x with
+        # z, say) is no longer exact; with a value zhi x and z agree.
+        rng = np.random.default_rng(2)
+        mesh = make_mesh_3d(1.0, 6)
+        mirror = FaceRule(FaceGhost("mirror"))
+        spec = GhostSpec3D(mirror, FaceRule(FaceGhost("value", 0.3)),
+                           FaceRule(FaceGhost("value", -1.0)), mirror,
+                           mirror, FaceRule(FaceGhost(zhi)))
+        c = _mesh_fn(mesh, rng.standard_normal(216))
+        rec = solve_smooth_3d(smooth_3d(c, spec), spec, tol=1e-10, max_iters=1)
+        assert norm_c(rec.values - c.values) <= 1e-12
+
+    @pytest.mark.parametrize("kwargs, name", [
+        ({"tol": float("nan")}, "tol"),
+        ({"tol": float("inf")}, "tol"),
+        ({"tol": 0.0}, "tol"),
+        ({"max_iters": 0}, "max_iters"),
+    ])
+    def test_rejects_bad_settings(self, kwargs, name):
+        mesh = make_mesh_3d(1.0, 4)
+        b = _mesh_fn(mesh, np.ones(64))
+        with pytest.raises(ValueError, match=name):
+            solve_smooth_3d(b, **kwargs)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_rejects_non_finite_right_side(self, bad):
+        mesh = make_mesh_3d(1.0, 6)
+        values = np.ones(216)
+        values[100] = bad
+        with pytest.raises(ValueError, match="b must be finite"):
+            solve_smooth_3d(_mesh_fn(mesh, values))
+
+    def test_rejects_non_finite_ghost_value(self):
+        mesh = make_mesh_3d(1.0, 4)
+        spec = GhostSpec3D(FaceRule(FaceGhost("mirror"), FaceGhost("value", float("nan")), 0, 1),
+                           *(FaceRule(FaceGhost("mirror")) for _ in FACES[1:]))
+        with pytest.raises(ValueError, match="spec ghost values"):
+            solve_smooth_3d(_mesh_fn(mesh, np.ones(64)), spec)
 
     def test_value_ghost_roundtrip(self):
         rng = np.random.default_rng(5)
@@ -461,6 +518,19 @@ class TestStencilProperties:
         mat, _ = TestDenseCrossCheck.dense_smooth_matrix(N, spec)
         expected = np.abs(mat).sum(axis=1).max()
         assert operator_norm_c((make_mesh_3d(1.0, N), spec)) == pytest.approx(expected, abs=1e-14)
+
+    @PROPERTY
+    @given(system=smoothing_systems())
+    @example(system=(4, GhostSpec3D(
+        FaceRule(FaceGhost("mirror"), FaceGhost("value", 2.5), 1, 2),
+        FaceRule(FaceGhost("value", -0.5), FaceGhost("mirror"), 0, 2),
+        *(FaceRule(FaceGhost("mirror")) for _ in FACES[2:])), np.linspace(-10.0, 10.0, 64)))
+    def test_solve_matches_dense_inverse(self, system):
+        N, spec, b = system
+        mat, aff = TestDenseCrossCheck.dense_smooth_matrix(N, spec)
+        expected = np.linalg.solve(mat, b - aff)
+        mine = solve_smooth_3d(MeshFunction(make_mesh_3d(1.0, N), b), spec, tol=1e-11).values
+        assert norm_c(mine - expected) <= 1e-9
 
     @PROPERTY
     @given(N=st.integers(2, 7), c=st.floats(-1e6, 1e6))
