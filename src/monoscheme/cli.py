@@ -141,14 +141,15 @@ class SectionView:
 
 def load_config(path: str) -> ConfigView:
     """Read a config from disk, falling back to the bundled ones by name."""
-    p = Path(path)
-    if p.exists():
-        text = p.read_text()
-    else:
-        bundled = resources.files("monoscheme").joinpath("configs", p.name)
-        if not bundled.is_file():
+    source = Path(path)
+    if not source.exists():
+        source = resources.files("monoscheme").joinpath("configs", source.name)
+        if not source.is_file():
             raise ConfigParseError(f"config not found: {path}")
-        text = bundled.read_text()
+    try:
+        text = source.read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigParseError(f"cannot read config: {exc}") from exc
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
         parser.read_string(text)

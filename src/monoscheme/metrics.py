@@ -103,32 +103,41 @@ def _region_or_interior(u: MeshFunction, region: Region3D | None) -> Region3D:
     return region
 
 
-def _extrema_masks(u: MeshFunction, region: Region3D) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Boolean (N,N,N) masks: cells in region with all six neighbors in mesh,
-    strict-max cells, strict-min cells."""
+def _full_neighbor_box(N: int, region: Region3D) -> tuple[slice, slice, slice]:
+    """Slices of the (N, N, N) grid holding the cells of region that have all
+    six neighbors in the mesh; an axis with no such cell gets an empty slice."""
+    return tuple(slice(max(lo, 1), max(lo, 1, min(hi, N - 2) + 1)) for lo, hi in region)
+
+
+def _extrema_masks(
+    u: MeshFunction, region: Region3D
+) -> tuple[tuple[slice, slice, slice], np.ndarray, np.ndarray]:
+    """The full-neighbor box of region and its strict-max and strict-min
+    masks, which have the box's shape."""
     if not isinstance(u.mesh, Mesh3D):
         raise TypeError("extremum counting is defined for 3D mesh functions")
-    N = u.mesh.N
+    box = _full_neighbor_box(u.mesh.N, region)
     g = u.as_grid()
-    (i0, i1), (j0, j1), (k0, k1) = region
-    inside = np.zeros((N, N, N), dtype=bool)
-    lo_i, hi_i = max(i0, 1), min(i1, N - 2)
-    lo_j, hi_j = max(j0, 1), min(j1, N - 2)
-    lo_k, hi_k = max(k0, 1), min(k1, N - 2)
-    if lo_i > hi_i or lo_j > hi_j or lo_k > hi_k:
-        return inside, inside, inside
-    inside[lo_i : hi_i + 1, lo_j : hi_j + 1, lo_k : hi_k + 1] = True
-
-    is_max = inside.copy()
-    is_min = inside.copy()
+    center = g[box]
+    is_max = np.ones(center.shape, dtype=bool)
+    is_min = np.ones(center.shape, dtype=bool)
     for axis in range(3):
         for shift in (1, -1):
-            nbr = np.roll(g, shift, axis=axis)
-            is_max &= g > nbr
-            is_min &= g < nbr
-    # np.roll wraps around, but wrapped comparisons only affect edge cells,
-    # which `inside` already excludes.
-    return inside, is_max, is_min
+            nbr = list(box)
+            nbr[axis] = slice(box[axis].start + shift, box[axis].stop + shift)
+            is_max &= center > g[tuple(nbr)]
+            is_min &= center < g[tuple(nbr)]
+    return box, is_max, is_min
+
+
+def _extremum_index(u: MeshFunction, region: Region3D) -> np.ndarray:
+    """(m, 3) array of the (i, j, k) cells counted by count_extrema_3d, in
+    flat-index order."""
+    box, is_max, is_min = _extrema_masks(u, region)
+    # Nonzero over the transposed mask walks k slowest and i fastest, which
+    # is flat-index order (flat = i + N*j + N*N*k).
+    kk, jj, ii = np.nonzero((is_max | is_min).T)
+    return np.stack([ii + box[0].start, jj + box[1].start, kk + box[2].start], axis=1)
 
 
 def count_extrema_3d(u: MeshFunction, region: Region3D | None = None) -> int:
@@ -146,12 +155,22 @@ def count_extrema_3d(u: MeshFunction, region: Region3D | None = None) -> int:
 
 def extremum_cells(u: MeshFunction, region: Region3D | None = None) -> list[tuple[int, int, int]]:
     """The (i, j, k) triples counted by count_extrema_3d, in flat-index order."""
-    region = _region_or_interior(u, region)
-    _, is_max, is_min = _extrema_masks(u, region)
-    # Nonzero over the transposed mask walks k slowest and i fastest, which
-    # is flat-index order (flat = i + N*j + N*N*k).
-    kk, jj, ii = np.nonzero((is_max | is_min).T)
-    return list(zip(ii.tolist(), jj.tolist(), kk.tolist()))
+    return list(map(tuple, _extremum_index(u, _region_or_interior(u, region)).tolist()))
+
+
+def _sharpness(g: np.ndarray, idx: np.ndarray) -> tuple[float, float]:
+    """(a, b) over the full-neighbor cells idx, an (m, 3) array, of grid g."""
+    i, j, k = idx.T
+    c = g[i, j, k]
+    jumps = np.abs(np.stack([
+        c - g[i + 1, j, k], c - g[i - 1, j, k],
+        c - g[i, j + 1, k], c - g[i, j - 1, k],
+        c - g[i, j, k + 1], c - g[i, j, k - 1],
+    ]))
+    # fmax passes over a cell whose jumps hold a NaN, so a and b stay numbers.
+    a = np.fmax.reduce(jumps.max(axis=0), initial=0.0)
+    b = np.fmax.reduce(jumps.min(axis=0), initial=0.0)
+    return float(a), float(b)
 
 
 def sharpness_metrics(
@@ -165,12 +184,12 @@ def sharpness_metrics(
     """
     if not isinstance(u.mesh, Mesh3D):
         raise TypeError("sharpness metrics are defined for 3D mesh functions")
-    N = u.mesh.N
+    N, g = u.mesh.N, u.as_grid()
     if isinstance(cells, tuple) and len(cells) == 3 and all(
         isinstance(r, tuple) and len(r) == 2 for r in cells
     ):
-        inside, _, _ = _extrema_masks(u, cells)
-        idx = np.argwhere(inside)
+        box = _full_neighbor_box(N, cells)
+        idx = np.argwhere(np.ones(g[box].shape, dtype=bool)) + [s.start for s in box]
     else:
         idx = np.asarray(list(cells))
     if idx.size == 0:
@@ -181,18 +200,7 @@ def sharpness_metrics(
     if lacking.any():
         i, j, k = idx[np.argmax(lacking)]
         raise ValueError(f"cell ({i}, {j}, {k}) lacks a full six-neighbor set")
-    g = u.as_grid()
-    i, j, k = idx.T
-    c = g[i, j, k]
-    jumps = np.abs(np.stack([
-        c - g[i + 1, j, k], c - g[i - 1, j, k],
-        c - g[i, j + 1, k], c - g[i, j - 1, k],
-        c - g[i, j, k + 1], c - g[i, j, k - 1],
-    ]))
-    # fmax passes over a cell whose jumps hold a NaN, so a and b stay numbers.
-    a = np.fmax.reduce(jumps.max(axis=0), initial=0.0)
-    b = np.fmax.reduce(jumps.min(axis=0), initial=0.0)
-    return float(a), float(b)
+    return _sharpness(g, idx)
 
 
 # ---------------------------------------------------------------------------
@@ -368,19 +376,16 @@ def report_1d(full_sequence: Sequence[float]) -> MonotonicityReport:
 def report_3d(u: MeshFunction, region: Region3D | None = None) -> MonotonicityReport:
     """Monotonicity report for a 3D mesh function over a region."""
     region = _region_or_interior(u, region)
-    cells = extremum_cells(u, region)
-    if cells:
-        a, b = sharpness_metrics(u, cells)
-    else:
-        a, b = 0.0, 0.0
+    idx = _extremum_index(u, region)
     g = u.as_grid()
+    a, b = _sharpness(g, idx) if len(idx) else (0.0, 0.0)
     (i0, i1), (j0, j1), (k0, k1) = region
     sub = g[max(i0, 0) : i1 + 1, max(j0, 0) : j1 + 1, max(k0, 0) : k1 + 1]
     steps = [np.abs(np.diff(sub, axis=ax)) for ax in range(3)]
     f_val = max((float(s.max()) for s in steps if s.size), default=0.0)
     return MonotonicityReport(
         f_value=f_val,
-        extremum_count=len(cells),
+        extremum_count=len(idx),
         sharpness_a=a,
         sharpness_b=b,
         region=f"cells [{i0}..{i1}]x[{j0}..{j1}]x[{k0}..{k1}]",

@@ -237,7 +237,7 @@ def init_field(cfg: FlowConfig) -> FlowField:
         vx=MeshFunction(mesh, zeros),
         vy=MeshFunction(mesh, zeros),
         vz=MeshFunction(mesh, zeros),
-        p=MeshFunction.from_grid(mesh, np.ascontiguousarray(p_grid)),
+        p=MeshFunction.from_grid(mesh, p_grid),
     )
 
 
@@ -339,7 +339,7 @@ class _Workspace:
         """A copy of the current state."""
         mesh = self.cfg.mesh
         grids = [interior(pad) for pad in (*self.v_pads, self.p_pad)]
-        return FlowField(*(MeshFunction.from_grid(mesh, g.copy()) for g in grids))
+        return FlowField(*(MeshFunction.from_grid(mesh, g) for g in grids))
 
 
 def momentum_residual(
@@ -355,7 +355,7 @@ def momentum_residual(
     ws = _Workspace(field, cfg, advecting == "monotonized")
     w = ws.advecting()
     return tuple(
-        MeshFunction.from_grid(field.mesh, ws.range.cells(ws.residual(comp, w)).copy())
+        MeshFunction.from_grid(field.mesh, ws.range.cells(ws.residual(comp, w)))
         for comp in range(3)
     )
 

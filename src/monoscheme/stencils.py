@@ -602,10 +602,12 @@ def operator_norm_c(op) -> float:
     coefficient leaves the row.
     """
     if isinstance(op, Tridiagonal):
-        lo, c, hi = abs(op.lower), abs(op.diag), abs(op.upper)
-        if op.n == 1:
-            return c
-        return max(lo + c + hi if op.n > 2 else 0.0, c + hi, lo + c)
+        # |T| applied to ones with zero end values, as sums: an infinite band
+        # times a zero end value would give NaN.
+        rows = np.full(op.n, abs(op.diag))
+        rows[1:] += abs(op.lower)
+        rows[:-1] += abs(op.upper)
+        return float(rows.max())
 
     mesh, spec = op
     return _smooth_3d_norm(mesh, spec)

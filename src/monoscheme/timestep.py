@@ -109,47 +109,58 @@ class LinearMeshOperator:
         return cls(a, off)
 
 
-def _factor_step(
-    lead: np.ndarray, op: LinearMeshOperator, cfg: TimeStepConfig
-) -> tuple[np.ndarray, np.ndarray]:
-    """LU factors of the implicit step matrix lead - tau sigma A, where lead
-    is the dense identity (plain flavor) or smoothing M (smoothed flavor).
+class _Stepper:
+    """One weighted step, built once per (operator, config, bc) and taken per call.
 
-    The matrix is the same at every step of a run, so a run factors it once.
+    bc None gives the plain flavor, where the stepped variable is u itself;
+    a bc gives the smoothed flavor, where it is y = Mv. A call maps u^n to
+    (u^{n+1}, y^{n+1}). sigma = 0 evaluates explicitly (the smoothed flavor
+    then recovers v with one inverse-smoothing solve). sigma > 0 LU-factors
+    lead - tau sigma A here, with lead the identity or the dense M, and each
+    call takes one solve of it with the right side lead u + tau sigma offset
+    + tau (1 - sigma) F(u).
+
     Dense on purpose: banded forms round differently and shift
     run_to_steady's stop count. An exactly zero pivot raises.
     """
-    # Imported here, as in Tridiagonal.solve: 3D and metrics runs never step.
-    import scipy.linalg
 
-    lhs = lead - cfg.tau * cfg.sigma * op.a.dense()
-    with warnings.catch_warnings():
-        # lu_factor only warns on a zero pivot; the check below raises instead.
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        # check_finite=False: non-finite entries propagate, as in np.linalg.solve.
-        lu, piv = scipy.linalg.lu_factor(lhs, check_finite=False)
-    zero = np.flatnonzero(np.diagonal(lu) == 0.0)
-    if zero.size:
-        raise StepFailureError(
-            f"implicit step matrix singular: pivot {zero[0] + 1} is exactly zero",
-            float("inf"),
-        )
-    return lu, piv
+    def __init__(self, op: LinearMeshOperator, cfg: TimeStepConfig,
+                 bc: BoundaryData1D | None = None):
+        self.op, self.cfg, self.bc = op, cfg, bc
+        if cfg.sigma == 0.0:
+            return
+        # Imported here, as in Tridiagonal.solve: 3D and metrics runs never step.
+        import scipy.linalg
 
+        self.lead = np.eye(op.a.n) if bc is None else smoothing(op.a.n).dense()
+        lhs = self.lead - cfg.tau * cfg.sigma * op.a.dense()
+        with warnings.catch_warnings():
+            # The factorization only warns on a zero pivot; the check below raises instead.
+            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+            # check_finite=False: non-finite entries propagate, as in np.linalg.solve.
+            self.factor = scipy.linalg.lu_factor(lhs, check_finite=False)
+        zero = np.flatnonzero(np.diagonal(self.factor[0]) == 0.0)
+        if zero.size:
+            raise StepFailureError(
+                f"implicit step matrix singular: pivot {zero[0] + 1} is exactly zero",
+                float("inf"),
+            )
 
-def _implicit_step(
-    u: np.ndarray,
-    lead_u: np.ndarray,
-    op: LinearMeshOperator,
-    cfg: TimeStepConfig,
-    factor: tuple[np.ndarray, np.ndarray],
-) -> np.ndarray:
-    """u^{n+1} of (lead - tau sigma A) u^{n+1} = lead u + tau sigma offset
-    + tau (1 - sigma) F(u), given lead u and _factor_step's factors."""
-    import scipy.linalg
+    def __call__(self, u_n: MeshFunction) -> tuple[MeshFunction, MeshFunction]:
+        op, cfg, bc, u = self.op, self.cfg, self.bc, u_n.values
+        if cfg.sigma == 0.0:
+            with np.errstate(over="ignore", invalid="ignore"):
+                lead_u = u if bc is None else smooth_1d(u_n, bc).values
+                y_next = u_n.with_values(lead_u + cfg.tau * op(u))
+            if not np.all(np.isfinite(y_next.values)):
+                raise StepFailureError("explicit step produced non-finite values", float("inf"))
+            return (y_next if bc is None else solve_smooth_1d(y_next, bc)), y_next
+        import scipy.linalg
 
-    rhs = lead_u + cfg.tau * cfg.sigma * op.offset + cfg.tau * (1.0 - cfg.sigma) * op(u)
-    return scipy.linalg.lu_solve(factor, rhs, check_finite=False)
+        lead_u = u if bc is None else self.lead @ u
+        rhs = lead_u + cfg.tau * cfg.sigma * op.offset + cfg.tau * (1.0 - cfg.sigma) * op(u)
+        u_next = u_n.with_values(scipy.linalg.lu_solve(self.factor, rhs, check_finite=False))
+        return u_next, (u_next if bc is None else smooth_1d(u_next, bc))
 
 
 def step_base(u_n: MeshFunction, op: LinearMeshOperator, cfg: TimeStepConfig) -> MeshFunction:
@@ -158,15 +169,7 @@ def step_base(u_n: MeshFunction, op: LinearMeshOperator, cfg: TimeStepConfig) ->
     sigma = 0 is a single explicit evaluation; sigma > 0 solves the linear
     implicit system directly.
     """
-    u = u_n.values
-    if cfg.sigma == 0.0:
-        with np.errstate(over="ignore", invalid="ignore"):
-            out = u + cfg.tau * op(u)
-        if not np.all(np.isfinite(out)):
-            raise StepFailureError("explicit step produced non-finite values", float("inf"))
-        return u_n.with_values(out)
-    factor = _factor_step(np.eye(len(u)), op, cfg)
-    return u_n.with_values(_implicit_step(u, u, op, cfg, factor))
+    return _Stepper(op, cfg)(u_n)[0]
 
 
 def step_monotonized(
@@ -181,17 +184,7 @@ def step_monotonized(
     tridiagonal-structured solve (M - tau sigma A) v^{n+1} = rhs; sigma = 0
     instead evaluates explicitly and performs one inverse-smoothing solve.
     """
-    v = v_n.values
-    if cfg.sigma == 0.0:
-        y_next = smooth_1d(v_n, bc).values + cfg.tau * aux_op(v)
-        if not np.all(np.isfinite(y_next)):
-            raise StepFailureError("explicit step produced non-finite values", float("inf"))
-        v_next = solve_smooth_1d(v_n.with_values(y_next), bc)
-        return v_next, v_n.with_values(y_next)
-    m_mat = smoothing(len(v)).dense()
-    factor = _factor_step(m_mat, aux_op, cfg)
-    vf = v_n.with_values(_implicit_step(v, m_mat @ v, aux_op, cfg, factor))
-    return vf, smooth_1d(vf, bc)
+    return _Stepper(aux_op, cfg, bc)(v_n)
 
 
 def step_monotonized_alt(
@@ -278,19 +271,7 @@ def run_to_steady(
     # False for NaN as well as for negative values.
     if not steady_tol >= 0.0:
         raise ValueError(f"steady_tol must be at least 0, got {steady_tol}")
-    if cfg.sigma == 0.0:
-        def advance(v_n: MeshFunction) -> tuple[MeshFunction, MeshFunction]:
-            return step_monotonized(v_n, aux_op, bc, cfg)
-    else:
-        # step_monotonized's implicit step, with the matrix factored once per run.
-        m_mat = smoothing(len(v0.values)).dense()
-        factor = _factor_step(m_mat, aux_op, cfg)
-
-        def advance(v_n: MeshFunction) -> tuple[MeshFunction, MeshFunction]:
-            v = v_n.values
-            vf = v_n.with_values(_implicit_step(v, m_mat @ v, aux_op, cfg, factor))
-            return vf, smooth_1d(vf, bc)
-
+    advance = _Stepper(aux_op, cfg, bc)
     v = v0
     y = smooth_1d(v0, bc)
     history: list[tuple[float, float]] = []

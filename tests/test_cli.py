@@ -81,6 +81,16 @@ class TestConfigLoading:
         assert run_cli("run", str(bad), "--out", str(tmp_path / "out")) == 2
         assert not (tmp_path / "out").exists()
 
+    def test_directory_is_parse_error(self, tmp_path, capsys):
+        assert run_cli("run", str(tmp_path)) == 2
+        assert "error: parse: cannot read config:" in capsys.readouterr().err
+
+    def test_non_utf8_config_is_parse_error(self, tmp_path, capsys):
+        bad = tmp_path / "utf16.cfg"
+        bad.write_bytes(b"\xff\xfe[\x00e\x00")
+        assert run_cli("run", str(bad)) == 2
+        assert "error: parse: cannot read config:" in capsys.readouterr().err
+
     def test_unknown_kind_is_validation_error(self, tmp_path):
         cfg = tmp_path / "weird.cfg"
         cfg.write_text("[experiment]\nkind = paint\n")

@@ -397,6 +397,17 @@ class TestOperatorNorms:
         norm = operator_norm_c(second_difference(mesh))
         assert norm == pytest.approx(400.0)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 7])
+    def test_tridiagonal_norm_is_largest_dense_row_sum(self, n):
+        t = Tridiagonal(-1.5, 0.25, 3.0, n)
+        assert operator_norm_c(t) == np.abs(t.dense()).sum(axis=1).max()
+
+    def test_tridiagonal_norm_with_infinite_band(self):
+        # The end values' coefficients leave the row instead of meeting a
+        # zero end value, which would give inf * 0 = NaN.
+        assert operator_norm_c(Tridiagonal(np.inf, 1.0, 2.0, 3)) == np.inf
+        assert operator_norm_c(Tridiagonal(np.inf, 1.0, np.inf, 1)) == 1.0
+
     def test_smooth_3d_norm_is_one(self):
         mesh = make_mesh_3d(1.0, 4)
         assert operator_norm_c((mesh, MIRROR_ALL)) == 1.0
