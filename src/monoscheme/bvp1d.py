@@ -85,21 +85,14 @@ class Bvp1dSolution:
 # ---------------------------------------------------------------------------
 
 
-def _base_bands(c: SchemeCoefficients, mesh: Mesh1D) -> Tridiagonal:
+def scheme_matrix(c: SchemeCoefficients, mesh: Mesh1D, monotonized: bool) -> Tridiagonal:
+    """h^2 times the scheme's matrix; its k1 term is h^2 k1 u_i, or h^2 k1 (Mv)_i
+    with M = (1/4, 1/2, 1/4) when monotonized. k0 is no matrix entry."""
     h = mesh.h
-    lower = c.k3 - h * c.k2 / 2.0
-    diag = h * h * c.k1 - 2.0 * c.k3
-    upper = c.k3 + h * c.k2 / 2.0
-    return Tridiagonal(lower, diag, upper, mesh.n)
-
-
-def _monotonized_bands(c: SchemeCoefficients, mesh: Mesh1D) -> Tridiagonal:
-    h = mesh.h
-    m = h * h * c.k1 / 4.0
-    lower = m + c.k3 - h * c.k2 / 2.0
-    diag = 2.0 * m - 2.0 * c.k3
-    upper = m + c.k3 + h * c.k2 / 2.0
-    return Tridiagonal(lower, diag, upper, mesh.n)
+    side = h * h * c.k1 / 4.0 if monotonized else 0.0
+    center = 2.0 * side if monotonized else h * h * c.k1
+    return Tridiagonal(side + c.k3 - h * c.k2 / 2.0, center - 2.0 * c.k3,
+                       side + c.k3 + h * c.k2 / 2.0, mesh.n)
 
 
 def _solve_scheme(
@@ -121,7 +114,7 @@ def scheme_residual(
     monotonized: bool,
 ) -> float:
     """C-norm of the scheme equations evaluated at the given unknown vector."""
-    a = _monotonized_bands(c, mesh) if monotonized else _base_bands(c, mesh)
+    a = scheme_matrix(c, mesh, monotonized)
     return norm_c(a.apply(unknown, bc) + mesh.h**2 * c.k0)
 
 
@@ -132,7 +125,7 @@ def scheme_residual(
 
 def solve_base(c: SchemeCoefficients, mesh: Mesh1D, bc: BoundaryData1D) -> Bvp1dSolution:
     """Direct banded solve of the plain central-difference scheme."""
-    u = _solve_scheme(c, _base_bands(c, mesh), mesh, bc)
+    u = _solve_scheme(c, scheme_matrix(c, mesh, False), mesh, bc)
     res = scheme_residual(c, mesh, bc, u, monotonized=False)
     return Bvp1dSolution(
         mesh=mesh, bc=bc, scheme="base", residual_c_norm=res, u=MeshFunction(mesh, u)
@@ -146,7 +139,7 @@ def solve_monotonized(c: SchemeCoefficients, mesh: Mesh1D, bc: BoundaryData1D) -
     matrix stays tridiagonal. A singular auxiliary matrix is a legitimate
     math case at particular mesh steps and is reported as such.
     """
-    v = _solve_scheme(c, _monotonized_bands(c, mesh), mesh, bc)
+    v = _solve_scheme(c, scheme_matrix(c, mesh, True), mesh, bc)
     vf = MeshFunction(mesh, v)
     y = smooth_1d(vf, bc)
     res = scheme_residual(c, mesh, bc, v, monotonized=True)
@@ -166,7 +159,7 @@ def solve_monotonized_inverse(
     """
     n, h = mesh.n, mesh.h
     # h k2 D1~ + k3 D2~ is the base scheme without its k1 term.
-    d = _base_bands(replace(c, k1=0.0), mesh)
+    d = scheme_matrix(replace(c, k1=0.0), mesh, False)
     d_mat = d.dense()
 
     # v = M^{-1} (y - m_aff) where (Mv)_i includes the boundary quarter-terms.
@@ -278,8 +271,8 @@ def determinant_scan(
     for h_req in h_values:
         n = max(1, round((b - a) / h_req) - 1)
         mesh = Mesh1D(a, b, n)
-        ind_base = _singularity_indicator(_base_bands(c, mesh))
-        ind_mono = _singularity_indicator(_monotonized_bands(c, mesh))
+        ind_base = _singularity_indicator(scheme_matrix(c, mesh, False))
+        ind_mono = _singularity_indicator(scheme_matrix(c, mesh, True))
         rows.append(
             DeterminantScanRow(
                 h=mesh.h,
@@ -520,6 +513,7 @@ __all__ = [
     "analytic_solution",
     "convergence_order",
     "determinant_scan",
+    "scheme_matrix",
     "scheme_residual",
     "solve_base",
     "solve_monotonized",

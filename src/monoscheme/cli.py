@@ -52,7 +52,7 @@ from .bvp1d import (
     solve_monotonized_inverse,
 )
 from .ns3d import FlowConfig, centerline_profile, solve_steady
-from .stencils import SolverError, smoothing
+from .stencils import SolverError, smooth_1d, smoothing
 from .timestep import LinearMeshOperator, TimeStepConfig, run_to_steady, step_monotonized, step_monotonized_alt
 
 
@@ -270,12 +270,9 @@ def run_solve1d(cfg: ConfigView, seed: int, tol: float | None) -> RunOutput:
     v_full = with_boundary(mono.v, bc)
     y_full = with_boundary(mono.y, bc)
 
-    def smooth_full(seq: np.ndarray) -> np.ndarray:
-        smoothed = seq.copy()
-        smoothed[1:-1] = (seq[2:] + 2.0 * seq[1:-1] + seq[:-2]) / 4.0
-        return smoothed
-
-    damping = check_damping_bound(u_full, v_full, smooth_full)
+    damping = check_damping_bound(
+        u_full, v_full,
+        lambda seq: with_boundary(smooth_1d(MeshFunction(mesh, seq[1:-1]), bc), bc))
 
     reports = {
         label: ComparableReport("solve1d", label, report_1d(full), norm_c(values - ref))
@@ -551,8 +548,7 @@ def run_timestep(cfg: ConfigView, seed: int, tol: float | None) -> RunOutput:
     record_every = st.integer("record_every", 1)
     snapshot_every = st.integer("snapshot_every", 0)
 
-    coeffs = (c.k0, c.k1, c.k2, c.k3)
-    aux_op = LinearMeshOperator.from_coefficients(coeffs, mesh, bc, smoothed=True)
+    aux_op = LinearMeshOperator.from_coefficients(c, mesh, bc, smoothed=True)
     v0 = MeshFunction(mesh, np.full(mesh.n, (bc.u0 + bc.u_np1) / 2.0))
     result = run_to_steady(v0, aux_op, bc, ts_cfg, steady_tol, max_steps,
                            record_every, snapshot_every)
@@ -676,13 +672,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _output_dir(path: str) -> Path:
+    """Create the output directory; a path that cannot be one is a validation error."""
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ValidationError(f"cannot use {out} as output directory: {exc.strerror}") from exc
+    return out
+
+
 def _run(args) -> int:
     cfg = load_config(args.config)
     kind = cfg.section("experiment").text("kind")
     if kind not in EXPERIMENTS:
         raise ValidationError(f"unknown experiment kind {kind!r}")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _output_dir(args.out)
     result = EXPERIMENTS[kind](cfg, args.seed, args.tol)
     summary = dict(result.summary)
     if result.reports:
@@ -704,9 +709,7 @@ def main(argv=None) -> int:
         result = compare_reports(args.report_a, args.report_b)
         text = json.dumps(result, indent=2, sort_keys=True)
         if args.out:
-            outdir = Path(args.out)
-            outdir.mkdir(parents=True, exist_ok=True)
-            (outdir / "comparison.json").write_text(text + "\n")
+            (_output_dir(args.out) / "comparison.json").write_text(text + "\n")
         print(text)
         return 0
     except ConfigParseError as exc:

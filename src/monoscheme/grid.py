@@ -12,6 +12,7 @@ flat = i + N*j + N*N*k.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Union
 
@@ -29,6 +30,13 @@ def check_domain(a: float, b: float) -> None:
         raise InvalidMeshError(f"domain [a, b] = [{a}, {b}] must be finite with a < b")
 
 
+def _check_count(name: str, value) -> int:
+    try:  # numpy integers pass; floats, 3.0 included, do not
+        return operator.index(value)
+    except TypeError:
+        raise InvalidMeshError(f"{name} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class Mesh1D:
     """Regular 1D mesh on a finite [a, b] with n interior nodes and step
@@ -39,7 +47,7 @@ class Mesh1D:
     n: int
 
     def __post_init__(self):
-        if self.n < 1:
+        if _check_count("n", self.n) < 1:
             raise InvalidMeshError(f"need at least one interior node, got n={self.n}")
         check_domain(self.a, self.b)
 
@@ -68,9 +76,10 @@ class Mesh3D:
     N: int
 
     def __post_init__(self):
-        if self.L <= 0:
-            raise InvalidMeshError(f"cube side must be positive, got L={self.L}")
-        if self.N < 2:
+        # False for NaN as well as for L <= 0 and L = inf.
+        if not 0.0 < self.L < np.inf:
+            raise InvalidMeshError(f"cube side must be positive and finite, got L={self.L}")
+        if _check_count("N", self.N) < 2:
             raise InvalidMeshError(f"need at least 2 cells per direction, got N={self.N}")
 
     @property

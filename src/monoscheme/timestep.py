@@ -6,6 +6,10 @@ module, in two flavors:
     plain       F(u) = k0 + k1 u    + k2 D1 u + k3 D2 u
     smoothed    F(v) = k0 + k1 (Mv) + k2 D1 v + k3 D2 v
 
+Both are bvp1d.scheme_matrix, the stationary scheme times h^2, divided by
+h^2, so a steady state of the smoothed flavor solves bvp1d's monotonized
+scheme.
+
 The weighted step blends explicit and implicit evaluation:
 
     (u^{n+1} - u^n)/tau = sigma F(u^{n+1}) + (1 - sigma) F(u^n)
@@ -25,16 +29,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bvp1d import SchemeCoefficients, scheme_matrix
 from .grid import BoundaryData1D, Mesh1D, MeshFunction, norm_c
-from .stencils import (
-    SolverError,
-    Tridiagonal,
-    first_difference,
-    second_difference,
-    smooth_1d,
-    smoothing,
-    solve_smooth_1d,
-)
+from .stencils import SolverError, Tridiagonal, smooth_1d, smoothing, solve_smooth_1d
 
 
 class StepFailureError(SolverError):
@@ -85,28 +82,17 @@ class LinearMeshOperator:
     @classmethod
     def from_coefficients(
         cls,
-        coeffs: tuple[float, float, float, float],
+        c: SchemeCoefficients,
         mesh: Mesh1D,
         bc: BoundaryData1D,
         smoothed: bool = False,
     ) -> "LinearMeshOperator":
-        """Assemble k0 + k1 u + k2 D1 u + k3 D2 u (or with Mu in the k1 term)."""
-        k0, k1, k2, k3 = coeffs
-        zeroth = smoothing(mesh.n) if smoothed else Tridiagonal(0.0, 1.0, 0.0, mesh.n)
-        d1, d2 = first_difference(mesh), second_difference(mesh)
-        a = Tridiagonal(
-            k1 * zeroth.lower + k2 * d1.lower + k3 * d2.lower,
-            k1 * zeroth.diag + k2 * d1.diag + k3 * d2.diag,
-            k1 * zeroth.upper + k2 * d1.upper + k3 * d2.upper,
-            mesh.n,
-        )
-        off = (
-            k0 * np.ones(mesh.n)
-            + k1 * zeroth.offset(bc)
-            + k2 * d1.offset(bc)
-            + k3 * d2.offset(bc)
-        )
-        return cls(a, off)
+        """F = k0 + k1 u + k2 D1 u + k3 D2 u (or with Mu in the k1 term): the
+        stationary scheme's matrix and end-value terms over h^2, plus k0."""
+        t = scheme_matrix(c, mesh, smoothed)
+        s = 1.0 / (mesh.h * mesh.h)
+        a = Tridiagonal(t.lower * s, t.diag * s, t.upper * s, mesh.n)
+        return cls(a, c.k0 * np.ones(mesh.n) + t.offset(bc) * s)
 
 
 class _Stepper:
@@ -121,7 +107,8 @@ class _Stepper:
     + tau (1 - sigma) F(u).
 
     Dense on purpose: banded forms round differently and shift
-    run_to_steady's stop count. An exactly zero pivot raises.
+    run_to_steady's stop count. An exactly zero pivot raises, and so does a
+    step of either kind whose result is not finite.
     """
 
     def __init__(self, op: LinearMeshOperator, cfg: TimeStepConfig,
@@ -157,9 +144,12 @@ class _Stepper:
             return (y_next if bc is None else solve_smooth_1d(y_next, bc)), y_next
         import scipy.linalg
 
-        lead_u = u if bc is None else self.lead @ u
-        rhs = lead_u + cfg.tau * cfg.sigma * op.offset + cfg.tau * (1.0 - cfg.sigma) * op(u)
-        u_next = u_n.with_values(scipy.linalg.lu_solve(self.factor, rhs, check_finite=False))
+        with np.errstate(over="ignore", invalid="ignore"):
+            lead_u = u if bc is None else self.lead @ u
+            rhs = lead_u + cfg.tau * cfg.sigma * op.offset + cfg.tau * (1.0 - cfg.sigma) * op(u)
+            u_next = u_n.with_values(scipy.linalg.lu_solve(self.factor, rhs, check_finite=False))
+        if not np.all(np.isfinite(u_next.values)):
+            raise StepFailureError("implicit step produced non-finite values", float("inf"))
         return u_next, (u_next if bc is None else smooth_1d(u_next, bc))
 
 

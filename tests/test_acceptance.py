@@ -174,9 +174,7 @@ def test_acceptance_5_form_equivalences():
     inverse = solve_monotonized_inverse(FIG1, FIG1_MESH, FIG1_BC)
     route_gap = norm_c(inverse.y.values - direct.y.values)
 
-    aux = LinearMeshOperator.from_coefficients(
-        (FIG1.k0, FIG1.k1, FIG1.k2, FIG1.k3), FIG1_MESH, FIG1_BC, smoothed=True
-    )
+    aux = LinearMeshOperator.from_coefficients(FIG1, FIG1_MESH, FIG1_BC, smoothed=True)
     smooth_mat = smoothing(FIG1_MESH.n).dense()
     safe_tau = 0.25 / np.linalg.norm(np.linalg.solve(smooth_mat, aux.a.dense()), np.inf)
     rng = np.random.default_rng(20240814)

@@ -8,12 +8,11 @@ from monoscheme.grid import BoundaryData1D, Mesh1D, norm_c, with_boundary
 from monoscheme.bvp1d import (
     OrderEstimate,
     SchemeCoefficients,
-    _base_bands,
-    _monotonized_bands,
     _singularity_indicator,
     analytic_solution,
     convergence_order,
     determinant_scan,
+    scheme_matrix,
     scheme_residual,
     solve_base,
     solve_monotonized,
@@ -298,8 +297,8 @@ class TestSingularityIndicator:
         assert rows[-1].n == 1023
         for row in rows:
             mesh = Mesh1D(*domain, row.n)
-            expected_base = dense_indicator(_base_bands(c, mesh))
-            expected_mono = dense_indicator(_monotonized_bands(c, mesh))
+            expected_base = dense_indicator(scheme_matrix(c, mesh, False))
+            expected_mono = dense_indicator(scheme_matrix(c, mesh, True))
             assert abs(row.indicator_base - expected_base) <= 1e-14
             assert abs(row.indicator_monotonized - expected_mono) <= 1e-14
 

@@ -91,6 +91,20 @@ class TestConfigLoading:
         assert run_cli("run", str(bad)) == 2
         assert "error: parse: cannot read config:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    def test_out_naming_a_file_is_validation_error(self, tmp_path, capsys, command):
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory\n")
+        report = tmp_path / "report.json"
+        report.write_text(json.dumps(asdict(
+            ComparableReport("solve1d", "base", MonotonicityReport(1.0, 2, 0.5, 0.1, "r")))))
+        args = ["fig1.cfg"] if command == "run" else [str(report), str(report)]
+        assert run_cli(command, *args, "--out", str(taken)) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: validation: ") and str(taken) in err
+        assert err.count("\n") == 1
+        assert taken.read_text() == "not a directory\n"
+
     def test_unknown_kind_is_validation_error(self, tmp_path):
         cfg = tmp_path / "weird.cfg"
         cfg.write_text("[experiment]\nkind = paint\n")
@@ -276,6 +290,17 @@ class TestSolverFailureExit:
         assert err.startswith("error: solver: sweep diverged at iteration 107 ")
         assert "sigma_v*|w|^2/(2nu) <= 1" in err
         assert err.count("\n") == 1
+
+    def test_overflowing_implicit_run_exit_4(self, tmp_path, capsys):
+        # Every eigenvalue of fig1's M^{-1}A is positive, so sigma = 1/2 at
+        # tau = 0.01 grows until a step overflows, long before max_steps.
+        cfg = edited_config(tmp_path, "timestep1d.cfg", tau="0.01", sigma="0.5",
+                            max_steps="2000")
+        out = tmp_path / "o"
+        assert run_cli("run", str(cfg), "--out", str(out)) == 4
+        err = capsys.readouterr().err
+        assert err == "error: solver: implicit step produced non-finite values\n"
+        assert not (out / "summary.json").exists()
 
 
 class TestOptionalFlowKeys:

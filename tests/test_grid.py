@@ -43,6 +43,14 @@ class TestMesh1D:
         with pytest.raises(InvalidMeshError, match=r"domain \[a, b\]"):
             Mesh1D(a, b, 5)
 
+    @pytest.mark.parametrize("n", [2.5, 3.0, "3"])
+    def test_rejects_non_integer_count(self, n):
+        with pytest.raises(InvalidMeshError, match="n must be an integer"):
+            Mesh1D(0.0, 1.0, n)
+
+    def test_accepts_numpy_integer_count(self):
+        assert Mesh1D(0.0, 1.0, np.int64(9)).h == Mesh1D(0.0, 1.0, 9).h
+
 
 class TestMesh3D:
     def test_trivial_example(self):
@@ -60,6 +68,19 @@ class TestMesh3D:
             make_mesh_3d(1.0, 0)
         with pytest.raises(InvalidMeshError):
             make_mesh_3d(-1.0, 4)
+
+    @pytest.mark.parametrize("L", [np.nan, np.inf])
+    def test_rejects_non_finite_side(self, L):
+        with pytest.raises(InvalidMeshError, match="L="):
+            Mesh3D(L, 4)
+
+    @pytest.mark.parametrize("N", [2.5, 4.0])
+    def test_rejects_non_integer_count(self, N):
+        with pytest.raises(InvalidMeshError, match="N must be an integer"):
+            Mesh3D(1.0, N)
+
+    def test_accepts_numpy_integer_count(self):
+        assert Mesh3D(1.0, np.int32(4)).cell_count == 64
 
     def test_cell_centers(self):
         mesh = make_mesh_3d(1.0, 2)

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from monoscheme.grid import BoundaryData1D, Mesh1D, MeshFunction, norm_c
-from monoscheme.bvp1d import SchemeCoefficients, solve_monotonized
+from monoscheme.bvp1d import SchemeCoefficients, scheme_matrix, solve_monotonized
 from monoscheme.stencils import Tridiagonal, smooth_1d, smoothing
 from monoscheme.timestep import (
     LinearMeshOperator,
@@ -18,7 +19,7 @@ MESH = Mesh1D(0.0, 1.0, 9)
 BC = BoundaryData1D(0.5, 0.5)
 RNG = np.random.default_rng(99)
 V0 = MeshFunction(MESH, RNG.standard_normal(9))
-FIG1 = (10.0, -5.0, 30.0, -1.0)
+FIG1 = SchemeCoefficients(10.0, -5.0, 30.0, -1.0)
 
 
 def aux_operator():
@@ -42,6 +43,30 @@ class TestConfig:
                 TimeStepConfig(tau=tau)
         with pytest.raises(ValueError, match="inner_tol"):
             TimeStepConfig(tau=0.1, inner_tol=float("nan"))
+
+
+# Zero or of magnitude 1e-3..1e3, so no term is subnormal.
+MAGNITUDE = st.one_of(st.just(0.0), st.floats(1e-3, 1e3), st.floats(-1e3, -1e-3))
+
+
+class TestOperatorIsSchemeOverH2:
+    """F is the stationary scheme's matrix and end-value terms over h^2, plus k0."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(data=st.data(), k=st.tuples(MAGNITUDE, MAGNITUDE, MAGNITUDE,
+                                       MAGNITUDE.filter(lambda x: x != 0.0)),
+           n=st.integers(1, 40), span=st.floats(1e-2, 1e2), smoothed=st.booleans())
+    def test_h2_times_operator_is_scheme_matrix_plus_h2_k0(self, data, k, n, span, smoothed):
+        c, mesh = SchemeCoefficients(*k), Mesh1D(0.0, span, n)
+        u = np.array(data.draw(st.lists(MAGNITUDE, min_size=n, max_size=n)))
+        bc = BoundaryData1D(data.draw(MAGNITUDE), data.draw(MAGNITUDE))
+        h2 = mesh.h * mesh.h
+        got = h2 * LinearMeshOperator.from_coefficients(c, mesh, bc, smoothed)(u)
+        t = scheme_matrix(c, mesh, smoothed)
+        want = t.apply(u, bc) + h2 * c.k0
+        largest = max(norm_c(u), abs(bc.u0), abs(bc.u_np1))
+        terms = (abs(t.lower) + abs(t.diag) + abs(t.upper)) * largest + h2 * abs(c.k0)
+        assert norm_c(got - want) <= 8 * np.finfo(float).eps * terms
 
 
 class TestStepBase:
@@ -101,7 +126,7 @@ class TestStepMonotonized:
         # constant state with matching boundary data and an operator that
         # vanishes on constants
         const = MeshFunction(MESH, np.full(9, 0.5))
-        coeffs = (0.0, 0.0, 3.0, 1.0)  # k2 D1 + k3 D2 kills constants
+        coeffs = SchemeCoefficients(0.0, 0.0, 3.0, 1.0)  # k2 D1 + k3 D2 kills constants
         op = LinearMeshOperator.from_coefficients(coeffs, MESH, BC, smoothed=True)
         cfg = TimeStepConfig(tau=0.01, sigma=1.0)
         v1, y1 = step_monotonized(const, op, BC, cfg)
@@ -151,14 +176,23 @@ class TestFormEquivalence:
 
 class TestSteadyState:
     def test_matches_stationary_solution(self):
-        coeffs = SchemeCoefficients(*FIG1)
-        stationary = solve_monotonized(coeffs, MESH, BC)
+        stationary = solve_monotonized(FIG1, MESH, BC)
         aux = aux_operator()
         v_init = MeshFunction(MESH, np.full(9, 0.5))
         cfg = TimeStepConfig(tau=1.0, sigma=1.0)
         out = run_to_steady(v_init, aux, BC, cfg, steady_tol=1e-12, max_steps=200)
         assert out.converged
         assert norm_c(out.y.values - stationary.y.values) <= 10 * 1e-12
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_implicit_run_raises(self):
+        # Every eigenvalue of fig1's M^{-1}A is positive, so sigma = 1/2 at
+        # tau = 0.01 grows until a step overflows; that step raises instead
+        # of handing NaN on to the next.
+        cfg = TimeStepConfig(tau=0.01, sigma=0.5)
+        with pytest.raises(StepFailureError, match="implicit step produced non-finite values"):
+            run_to_steady(MeshFunction(MESH, np.full(9, 0.5)), aux_operator(), BC, cfg,
+                          max_steps=2000)
 
     def test_history_records(self):
         aux = aux_operator()
@@ -257,7 +291,7 @@ class TestFactorOnce:
             # sigma = 1/2 steps grow; the negated operator's modes decay under
             # both at safe_tau(). Neither run reaches BIG_TOL in max_steps.
             aux = LinearMeshOperator.from_coefficients(
-                tuple(-k for k in FIG1), MESH, BC, smoothed=True)
+                SchemeCoefficients(-10.0, 5.0, -30.0, 1.0), MESH, BC, smoothed=True)
             v0, bc, cfg = V0, BC, TimeStepConfig(tau=safe_tau(), sigma=sigma)
         out = run_to_steady(v0, aux, bc, cfg, BIG_TOL, max_steps=1000, snapshot_every=10)
         v, y, steps, history, snapshots = loop_to_steady(
