@@ -100,8 +100,8 @@ class Mesh3D:
 
 
 def make_mesh_3d(L: float, N: int) -> Mesh3D:
-    """Build a regular 3D mesh; rejects nonpositive L and N < 2."""
-    return Mesh3D(L=L, N=int(N))
+    """Build a regular 3D mesh; rejects nonpositive L, a non-integer N and N < 2."""
+    return Mesh3D(L=L, N=N)
 
 
 def flat_index(i: int, j: int, k: int, N: int) -> int:

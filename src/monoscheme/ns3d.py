@@ -16,7 +16,10 @@ The pseudo-time relaxation sweeps Jacobi-style:
 with w = v for the base scheme and w = Mv (the seven-point smoother) for the
 monotonized one. Pressure is a dependent variable and is never smoothed. On
 convergence the monotonized variant reports y = Mv alongside v; the balance
-relations of the scheme hold for y.
+relations of the scheme hold for y. A sweep evaluates these updates from the
+unscaled neighbor sums and central steps of monoscheme.stencils, with
+sigma_v, sigma_p, 1/2h, 1/rho and nu/h^2 folded into four coefficients once
+per run, so it agrees with the formulas above to rounding (see _Workspace).
 
 Stability of the explicit sweep needs roughly sigma_v <= h^2/(6 nu) for
 diffusion, |sigma_p| <= rho h^2 / sigma_v for the pseudo-compressibility
@@ -44,11 +47,10 @@ from .stencils import (
     FaceRule,
     GhostSpec3D,
     SolverError,
-    difference_pad,
-    divergence_pads,
+    add_neighbors,
+    central_step,
     ghost_plan,
     interior,
-    laplacian_pad,
     pad_grid,
     pad_range,
     smooth_pad,
@@ -249,91 +251,114 @@ class _Workspace:
     allocated by the first sweep. Ghost plans are compiled once, so fixed
     ghosts are written at allocation and only the ghosts that follow the
     cells are refilled. Scratch arrays are range vectors over the pads'
-    PadRange. diag[a] = d(v_a)/dx_a of the current velocities: the
-    divergence computes it and the next sweep's advection reuses it. Every
-    stencil runs through the stencils kernels in their floating-point order,
-    so a sweep here equals one on fresh pad_grid pads bit for bit.
+    PadRange.
 
-    The residual and the divergence are zeroed at the range's ghost
+    The workspace computes the increment scale*R directly, from the unscaled
+    sums of stencils.add_neighbors and stencils.central_step and four
+    coefficients folded once (scale is sigma_v for a sweep, 1 for R itself):
+
+        scale*R = c_d (nbr - 6v) + c_adv (w . steps of v) + c_p (p_+ - p_-)
+        p <- p + c_div (sum over a of the step of v_a along a)
+
+    with c_d = scale nu/h^2, c_adv = -scale/2h, c_p = -scale/(2h rho) and
+    c_div = sigma_p/2h. lap[a] = nbr - 6v_a is summed once per velocity and
+    serves its diffusion and, for the monotonized scheme, the advecting sum
+    w_a = lap[a] + 12 v_a = 12 (M v)_a, whose 1/12 is folded into c_adv.
+    steps[a], the step of v_a along a, is kept from the divergence for the
+    next sweep's advection. No whole-range division runs in a sweep.
+
+    The increment and the divergence are zeroed at the range's ghost
     positions before they are measured or added into a pad, so an update
     leaves every ghost and edge of the pad as it was.
     """
 
-    def __init__(self, field: FlowField, cfg: FlowConfig, monotonized: bool):
+    def __init__(self, field: FlowField, cfg: FlowConfig, monotonized: bool, scale: float):
         N = cfg.N
+        h = cfg.L / N
         policy = flow_boundary_policy(cfg)
         self.cfg = cfg
-        self.h = cfg.L / N
+        self.h = h
         self.monotonized = monotonized
         self.range = rng = pad_range(N)
         self.v_plans = [ghost_plan(policy.velocity(a), N) for a in range(3)]
         self.p_plan = ghost_plan(policy.p, N)
         self.v_pads = [pad_grid(field.velocity(a).as_grid(), policy.velocity(a)) for a in range(3)]
         self.p_pad = pad_grid(field.p.as_grid(), policy.p)
-        self.diag = [difference_pad(pad, a, self.h) for a, pad in enumerate(self.v_pads)]
-        self.smoothed = [np.empty(rng.size) for _ in range(3)] if monotonized else None
-        self.r, self.term, self.div = (np.empty(rng.size) for _ in range(3))
+        self.c_d = scale * cfg.nu / (h * h)
+        self.c_adv = -scale / ((24.0 if monotonized else 2.0) * h)
+        self.c_p = -scale / (2.0 * h * cfg.rho)
+        self.c_div = cfg.sigma_p / (2.0 * h)
+        self.steps = [central_step(pad, a) for a, pad in enumerate(self.v_pads)]
+        self.lap = [np.empty(rng.size) for _ in range(3)]
+        self.w = [np.empty(rng.size) for _ in range(3)] if monotonized else None
+        self.inc, self.term = np.empty(rng.size), np.empty(rng.size)
 
     @functools.cached_property
     def v_next(self) -> list[np.ndarray]:
         """The pads the next sweep writes; momentum_residual never needs them."""
         return [plan.new_pad() for plan in self.v_plans]
 
-    def advecting(self) -> list[np.ndarray]:
-        """The advecting velocity w over the range: Mv of the current
-        velocities for the monotonized scheme (smoothed into self.smoothed),
-        else v itself."""
+    def neighbor_sums(self) -> list[np.ndarray]:
+        """Write nbr - 6v of each current velocity into self.lap; return the
+        advecting sum w: 12 Mv for the monotonized scheme (written into
+        self.w), else v itself."""
+        rng = self.range
+        for pad, lap in zip(self.v_pads, self.lap):
+            add_neighbors(pad, np.multiply(-6.0, rng.of(pad), out=lap))
         if not self.monotonized:
-            return [self.range.of(pad) for pad in self.v_pads]
-        for pad, out in zip(self.v_pads, self.smoothed):
-            smooth_pad(pad, out=out)
-        return self.smoothed
+            return [rng.of(pad) for pad in self.v_pads]
+        for pad, lap, w in zip(self.v_pads, self.lap, self.w):
+            np.multiply(12.0, rng.of(pad), out=w)
+            w += lap
+        return self.w
 
-    def residual(self, comp: int, w: list[np.ndarray]) -> np.ndarray:
-        """R = -(w.grad)v - grad(p)/rho + nu Lap v for one velocity
-        component, written into self.r."""
-        cfg, h, pad = self.cfg, self.h, self.v_pads[comp]
-        r, term = self.r, self.term
+    def increment(self, comp: int, w: list[np.ndarray]) -> np.ndarray:
+        """scale*R for one velocity component, written into self.inc, from
+        the sums of the last neighbor_sums call."""
+        pad, inc, term = self.v_pads[comp], self.inc, self.term
+        np.multiply(w[comp], self.steps[comp], out=inc)
         for axis in range(3):
-            d = self.diag[comp] if axis == comp else difference_pad(pad, axis, h, out=term)
-            if axis == 0:
-                np.multiply(w[axis], d, out=r)
-            else:
-                np.multiply(w[axis], d, out=term)
-                r += term
-        np.negative(r, out=r)
-        difference_pad(self.p_pad, comp, h, out=term)
-        term /= cfg.rho
-        r -= term
-        laplacian_pad(pad, h, out=term)
-        term *= cfg.nu
-        r += term
-        return r
+            if axis != comp:
+                central_step(pad, axis, out=term)
+                term *= w[axis]
+                inc += term
+        inc *= self.c_adv
+        central_step(self.p_pad, comp, out=term)
+        term *= self.c_p
+        inc += term
+        np.multiply(self.c_d, self.lap[comp], out=term)
+        inc += term
+        return inc
 
     def sweep(self) -> tuple[float, float]:
-        """One Jacobi sweep in place; returns the C-norms of R and of div v."""
-        cfg, term, rng = self.cfg, self.term, self.range
+        """One Jacobi sweep in place; returns the C-norms of the velocity
+        update scale*R and of div v."""
+        term, rng = self.term, self.range
         # Overflow here is how an unstable parameter choice announces itself;
         # the callers check the results for finiteness, so silence the warnings.
         with np.errstate(over="ignore", invalid="ignore"):
-            w = self.advecting()
+            w = self.neighbor_sums()
             norms = []
             for comp in range(3):
-                r = self.residual(comp, w)
-                r[rng.ghosts] = 0.0
-                norms.append(float(np.abs(r, out=term).max()))
-                np.multiply(cfg.sigma_v, r, out=term)
-                np.add(rng.of(self.v_pads[comp]), term, out=rng.of(self.v_next[comp]))
+                inc = self.increment(comp, w)
+                inc[rng.ghosts] = 0.0
+                norms.append(float(np.abs(inc, out=term).max()))
+                np.add(rng.of(self.v_pads[comp]), inc, out=rng.of(self.v_next[comp]))
             for plan, pad in zip(self.v_plans, self.v_next):
                 plan.refill(pad)
             self.v_pads, self.v_next = self.v_next, self.v_pads
-            div = divergence_pads(self.v_pads, self.h, out=self.div, terms=self.diag)
+            # The increment's buffer is free once the velocities are updated.
+            steps, div = self.steps, self.inc
+            for a, pad in enumerate(self.v_pads):
+                central_step(pad, a, out=steps[a])
+            np.add(steps[0], steps[1], out=div)
+            div += steps[2]
             div[rng.ghosts] = 0.0
-            np.multiply(cfg.sigma_p, div, out=term)
+            np.multiply(self.c_div, div, out=term)
             p = rng.of(self.p_pad)
             p += term
             self.p_plan.refill(self.p_pad)
-            return max(norms), float(np.abs(div, out=term).max())
+            return max(norms), float(np.abs(div, out=term).max()) / (2.0 * self.h)
 
     def field(self) -> FlowField:
         """A copy of the current state."""
@@ -352,10 +377,10 @@ def momentum_residual(
     """
     if advecting not in ("raw", "monotonized"):
         raise ValueError(f"unknown advecting mode {advecting!r}")
-    ws = _Workspace(field, cfg, advecting == "monotonized")
-    w = ws.advecting()
+    ws = _Workspace(field, cfg, advecting == "monotonized", scale=1.0)
+    w = ws.neighbor_sums()
     return tuple(
-        MeshFunction.from_grid(field.mesh, ws.range.cells(ws.residual(comp, w)))
+        MeshFunction.from_grid(field.mesh, ws.range.cells(ws.increment(comp, w)))
         for comp in range(3)
     )
 
@@ -365,7 +390,7 @@ def iterate(field: FlowField, cfg: FlowConfig, variant: str = "base") -> FlowFie
     from the freshly updated velocities."""
     if variant not in ("base", "monotonized"):
         raise ValueError(f"unknown variant {variant!r}")
-    ws = _Workspace(field, cfg, variant == "monotonized")
+    ws = _Workspace(field, cfg, variant == "monotonized", scale=cfg.sigma_v)
     ws.sweep()
     new = ws.field()
     if not all(np.isfinite(f.values).all() for f in (new.vx, new.vy, new.vz, new.p)):
@@ -379,31 +404,32 @@ def solve_steady(cfg: FlowConfig, variant: str = "base") -> SolutionReport:
     if variant not in ("base", "monotonized"):
         raise ValueError(f"unknown variant {variant!r}")
     monotonized = variant == "monotonized"
-    ws = _Workspace(init_field(cfg), cfg, monotonized)
-    mom_norm = div_norm = float("inf")
+    ws = _Workspace(init_field(cfg), cfg, monotonized, scale=cfg.sigma_v)
+    update_norm = div_norm = float("inf")
     finite_norms = (None, None)
     converged = False
     iterations = 0
     for iterations in range(1, cfg.max_iters + 1):
-        mom_norm, div_norm = ws.sweep()
-        update_norm = cfg.sigma_v * mom_norm
+        update_norm, div_norm = ws.sweep()
         if not (np.isfinite(update_norm) and np.isfinite(div_norm)):
             raise FlowDivergenceError(cfg, iterations, *finite_norms)
-        finite_norms = (mom_norm, div_norm)
+        finite_norms = (update_norm / cfg.sigma_v, div_norm)
         if update_norm <= cfg.tol and div_norm <= cfg.tol:
             converged = True
             break
     out = ws.field()
     y = None
     if monotonized:
-        # y = Mv smoothed from the final pads, whose ghosts are already current.
-        smoothed = [MeshFunction.from_grid(out.mesh, ws.range.cells(w)) for w in ws.advecting()]
+        # y = Mv smoothed from the final pads, whose ghosts are already current,
+        # into the advecting sums' buffers, which no sweep needs any more.
+        smoothed = [MeshFunction.from_grid(out.mesh, ws.range.cells(smooth_pad(pad, out=w)))
+                    for pad, w in zip(ws.v_pads, ws.w)]
         y = FlowField(*smoothed, p=out.p)
     return SolutionReport(
         field=out,
         variant=variant,
         iterations=iterations,
-        momentum_residual_c=mom_norm,
+        momentum_residual_c=update_norm / cfg.sigma_v,
         divergence_c=div_norm,
         converged=converged,
         y=y,

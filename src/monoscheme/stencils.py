@@ -24,6 +24,7 @@ or the smoother (it zeroes the former and is asymmetric for the latter).
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -236,26 +237,29 @@ class GhostPlan:
     new_pad() allocates an (N+2)^3 array with every ghost that holds a fixed
     value already written; refill(pad) recomputes the others (mirror and
     extrapolation rules, and any rule that overrides one of them) from the
-    pad's cells. Faces run in FACES order, each base rule before its patch,
-    so a pad refilled in place equals pad_grid of its cells bit for bit.
+    pad's cells. Each face's base rule runs before its patch. Where an
+    axis's two faces have equal rules at the same step (equal ghosts over
+    the same tangential cells), one strided operation fills both ghost
+    layers. A rule reads only cells and writes only its own ghost layer, so
+    a pad refilled in place equals pad_grid of its cells bit for bit.
     """
 
     def __init__(self, spec: GhostSpec3D, N: int):
         fixed, refill = [], []
-        for face, rule in zip(FACES, spec.rules()):
-            steps = [(rule.base, _face_slices(face, N, 0, N - 1))]
-            if rule.patch is not None:
-                if rule.patch_hi >= N:
-                    raise ValueError(
-                        f"{face} patch {rule.patch_lo}..{rule.patch_hi} outside cells 0..{N - 1}"
-                    )
-                steps.append((rule.patch, _face_slices(face, N, rule.patch_lo, rule.patch_hi)))
-            # A value written after a refilled rule on the same face must be
-            # rewritten with it.
-            refilled = False
-            for ghost, slices in steps:
-                refilled = refilled or ghost.kind != "value"
-                (refill if refilled else fixed).append((ghost, slices))
+        rules = spec.rules()
+        for axis in range(3):
+            lo_steps, hi_steps = (
+                _face_steps(FACES[side], rules[side], N) for side in (2 * axis, 2 * axis + 1)
+            )
+            for lo, hi in itertools.zip_longest(lo_steps, hi_steps):
+                # At N = 1 an extrapolation reads the other face's ghost layer.
+                if lo == hi and N > 1:
+                    sides = [((0, 1), lo)]
+                else:
+                    sides = [((s,), step) for s, step in ((0, lo), (1, hi)) if step is not None]
+                for faces, (refilled, ghost, t_lo, t_hi) in sides:
+                    slices = _layer_slices(axis, faces, N, t_lo, t_hi)
+                    (refill if refilled else fixed).append((ghost, slices))
         self.N = N
         self._fixed = tuple(fixed)
         self._refill = tuple(refill)
@@ -281,15 +285,39 @@ class GhostPlan:
                 out -= pad[inner]
 
 
-def _face_slices(face: str, N: int, lo: int, hi: int) -> tuple[tuple, tuple, tuple]:
-    """Index tuples of a face's ghost layer, its edge cells and the cells one
-    row in, over tangential cells lo..hi (inclusive) of the (N+2)^3 pad."""
-    axis = "xyz".index(face[0])
-    depths = (0, 1, 2) if face.endswith("lo") else (N + 1, N, N - 1)
+def _face_steps(face: str, rule: FaceRule, N: int) -> list[tuple[bool, FaceGhost, int, int]]:
+    """(refilled, ghost, lo, hi) for a face's base rule and then its patch,
+    which covers tangential cells lo..hi. A value written after a refilled
+    rule on the same face must be rewritten with it, so it is refilled too."""
+    steps = [(rule.base, 0, N - 1)]
+    if rule.patch is not None:
+        if rule.patch_hi >= N:
+            raise ValueError(
+                f"{face} patch {rule.patch_lo}..{rule.patch_hi} outside cells 0..{N - 1}"
+            )
+        steps.append((rule.patch, rule.patch_lo, rule.patch_hi))
+    refilled = False
+    out = []
+    for ghost, lo, hi in steps:
+        refilled = refilled or ghost.kind != "value"
+        out.append((refilled, ghost, lo, hi))
+    return out
+
+
+def _layer_slices(axis: int, faces: tuple[int, ...], N: int, lo: int, hi: int) -> tuple:
+    """Index tuples of the ghost layers of an axis's faces (0 = lo, 1 = hi,
+    or both), their edge cells and the cells one row in, over tangential
+    cells lo..hi (inclusive) of the (N+2)^3 pad. Both faces take one basic
+    slice per depth: a strided one, or a one-row one where the two depths
+    coincide (the inner row at N = 3), which broadcasts."""
+    depths = ((0, 1, 2), (N + 1, N, N - 1))
+    if len(faces) == 1:
+        index = depths[faces[0]]
+    else:
+        index = tuple(slice(a, a + 1) if a == b else slice(a, b + (1 if b > a else -1), b - a)
+                      for a, b in zip(*depths))
     tangential = slice(lo + 1, hi + 2)
-    return tuple(
-        tuple(depth if a == axis else tangential for a in range(3)) for depth in depths
-    )
+    return tuple(tuple(d if a == axis else tangential for a in range(3)) for d in index)
 
 
 @functools.lru_cache(maxsize=64)
@@ -315,8 +343,10 @@ def pad_grid(grid: np.ndarray, spec: GhostSpec3D) -> np.ndarray:
 #
 # Each kernel reads (N+2)^3 arrays from pad_grid or a GhostPlan as flat
 # vectors and returns a range vector (see PadRange), written into `out` when
-# one is given. The public operators below and the flow solver share them,
-# so both evaluate every stencil in the same floating-point order.
+# one is given. Every neighbor read goes through two unscaled primitives,
+# central_step and add_neighbors. The scaled kernels that the public
+# operators use are written on them, and the flow solver scales their sums
+# itself with coefficients folded once per run.
 
 _CORE = (slice(1, -1),) * 3
 
@@ -372,48 +402,56 @@ def interior(pad: np.ndarray) -> np.ndarray:
     return pad[_CORE]
 
 
+def central_step(pad: np.ndarray, axis: int, out: np.ndarray | None = None) -> np.ndarray:
+    """The unscaled central step u_+ - u_- along one axis."""
+    rng, flat = pad_range(pad.shape[0] - 2), pad.reshape(-1)
+    return np.subtract(flat[rng.plus[axis]], flat[rng.minus[axis]], out=out)
+
+
+def add_neighbors(pad: np.ndarray, acc: np.ndarray) -> np.ndarray:
+    """Add the six axis neighbors into the range vector acc, in place: the
+    neighbor pairs axis by axis, the plus one of each pair first."""
+    rng, flat = pad_range(pad.shape[0] - 2), pad.reshape(-1)
+    for axis in range(3):
+        acc += flat[rng.plus[axis]]
+        acc += flat[rng.minus[axis]]
+    return acc
+
+
 def difference_pad(
     pad: np.ndarray, axis: int, h: float, out: np.ndarray | None = None
 ) -> np.ndarray:
     """Central first difference (u_+ - u_-) / 2h along one axis."""
-    rng, flat = pad_range(pad.shape[0] - 2), pad.reshape(-1)
-    out = np.subtract(flat[rng.plus[axis]], flat[rng.minus[axis]], out=out)
+    out = central_step(pad, axis, out=out)
     out /= 2.0 * h
     return out
 
 
 def laplacian_pad(pad: np.ndarray, h: float, out: np.ndarray | None = None) -> np.ndarray:
     """Seven-point Laplacian: -6u plus the neighbor pairs axis by axis, / h^2."""
-    rng, flat = pad_range(pad.shape[0] - 2), pad.reshape(-1)
-    lap = np.multiply(-6.0, flat[rng.core], out=out)
-    for axis in range(3):
-        lap += flat[rng.plus[axis]]
-        lap += flat[rng.minus[axis]]
+    rng = pad_range(pad.shape[0] - 2)
+    lap = add_neighbors(pad, np.multiply(-6.0, rng.of(pad), out=out))
     lap /= h * h
     return lap
 
 
 def smooth_pad(pad: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Seven-point average u/2 + (sum of six axis neighbors)/12."""
-    rng, flat = pad_range(pad.shape[0] - 2), pad.reshape(-1)
+    rng = pad_range(pad.shape[0] - 2)
     # The neighbor sum starts from +0.0, which fixes the sign of a zero sum.
     nbr = np.empty(rng.size) if out is None else out
     nbr.fill(0.0)
-    for axis in range(3):
-        nbr += flat[rng.plus[axis]]
-        nbr += flat[rng.minus[axis]]
+    add_neighbors(pad, nbr)
     nbr /= 12.0
-    nbr += 0.5 * flat[rng.core]
+    nbr += 0.5 * rng.of(pad)
     return nbr
 
 
 def divergence_pads(
-    pads: list[np.ndarray], h: float, out: np.ndarray | None = None, terms: list | None = None
+    pads: list[np.ndarray], h: float, out: np.ndarray | None = None
 ) -> np.ndarray:
-    """d(vx)/dx + d(vy)/dy + d(vz)/dz from the three padded components. The
-    three terms are written into `terms` when it is given."""
-    d = [difference_pad(pad, a, h, None if terms is None else terms[a])
-         for a, pad in enumerate(pads)]
+    """d(vx)/dx + d(vy)/dy + d(vz)/dz from the three padded components."""
+    d = [difference_pad(pad, a, h) for a, pad in enumerate(pads)]
     out = np.add(d[0], d[1], out=out)
     out += d[2]
     return out
@@ -634,6 +672,8 @@ __all__ = [
     "SingularOperatorError",
     "SolverError",
     "Tridiagonal",
+    "add_neighbors",
+    "central_step",
     "difference_pad",
     "divergence_3d",
     "divergence_pads",

@@ -18,15 +18,21 @@ from monoscheme.cli import main
 METRICS_CFG = "[experiment]\nkind = metrics\n[metrics]\ntrials = 60\nmax_n = 6\n"
 
 GOLDEN = {
+    # Re-pinned when the flow sweep folded its constants into its
+    # coefficients: against the old sweep the fields moved by at most
+    # 9.2e-16 of each field's largest value, and the sweep counts stayed at
+    # 1024/964. The strict extremum counts and the sharpness taken at them
+    # moved, because they hinge on rounding-level ties (README, "Known
+    # deviations").
     "fig2_n10": {
-        "centerline.csv": "810a13bae9a926cc504f97c861abb93f117b2a0a5aa24416233db09a895e4d2c",
-        "field_auxiliary.csv": "893d50fb859bd600b3d2fe2cda497e28484934de3d7e4020fcf03a41e60f0305",
-        "field_base.csv": "ec41316463e7d1cbb8984cdefb1180f8bfcbe6c160f62d47a030dcb38452f00c",
-        "field_monotonized.csv": "f94052d2fb516d1b973a44eaad42e8c3873920d9dc2a6414cdbfdbae543dcfca",
-        "report_auxiliary.json": "fa03a1cbe705b31f4ee8fd994a97f9aa0739b7c6283d2593d719b192f47e0987",
-        "report_base.json": "26b0574a08fc08764d05eafb5e51c87df68620d4dc6e5471c40d4b88cf66a898",
-        "report_monotonized.json": "0573d134d0a81b9335d2bea2678d3ca12768911801cddf5a2b5e8ff4eef02186",
-        "summary.json": "abf32b77b92b09946164a8fd9c27c52f1a1a367ffe0b6a6061860f9067e9db7f",
+        "centerline.csv": "7c5370acd53d75b3a2c19023532fab0df27f1e39e6a0d9970b2128526e9bccfe",
+        "field_auxiliary.csv": "c74e7c0b98774be9d0d303ab0a891091b94aaf82a1d9a2e9d3803d02c387e5de",
+        "field_base.csv": "07e2ece74850bc474fad9a078dbdf38d591a04b2d713090a7d8f974235178f7c",
+        "field_monotonized.csv": "024a97b403d84895ab394f8e48a8e64785dcbe14b5e6eca1503eaeeeca3682e7",
+        "report_auxiliary.json": "75f3f2574acd7a5af7637f70fe3fb0f20ac0906e066f16820cd8010d2db3423d",
+        "report_base.json": "e522bd86f6a90a6a9296f9b26aac64a76dd474a02a2b07ae3eb149d0c858ebfa",
+        "report_monotonized.json": "a67dff80ebc33ad32d8077b9c04014bba62f38574bfa91c04b8df51a1398968d",
+        "summary.json": "b33416e46a19bb9e9b85e46c6174432dba69d94cf46f2144c1d77cb660ba9b0f",
     },
     "metrics_seed7": {
         "metrics_trials.csv": "c17010c82e24b26596574855246d6f9ec583b2160864dd162568b7dab832c06b",

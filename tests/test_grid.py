@@ -69,6 +69,11 @@ class TestMesh3D:
         with pytest.raises(InvalidMeshError):
             make_mesh_3d(-1.0, 4)
 
+    def test_non_integer_count_rejected_like_mesh3d(self):
+        for build in (make_mesh_3d, Mesh3D):
+            with pytest.raises(InvalidMeshError, match="N must be an integer"):
+                build(1.0, 2.5)
+
     @pytest.mark.parametrize("L", [np.nan, np.inf])
     def test_rejects_non_finite_side(self, L):
         with pytest.raises(InvalidMeshError, match="L="):

@@ -30,8 +30,9 @@ def small_config(**over):
 
 
 # The oracle's stencils: plain 3D-slice expressions over (N+2)^3 pads, in the
-# floating-point order of the kernels in monoscheme.stencils, so that a sweep
-# can be checked bit for bit without calling the kernels it checks.
+# floating-point order of the public kernels in monoscheme.stencils, which
+# tests/test_stencils.py checks against them bit for bit. They check a sweep
+# without calling the code it runs.
 CORE = (slice(1, -1),) * 3
 PLUS = tuple(CORE[:a] + (slice(2, None),) + CORE[a + 1:] for a in range(3))
 MINUS = tuple(CORE[:a] + (slice(None, -2),) + CORE[a + 1:] for a in range(3))
@@ -66,6 +67,30 @@ def same_bits(a, b):
     """Equal shapes and equal float64 bit patterns (sign of zero included)."""
     a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
     return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+# The sweep folds sigma_v, 1/2h, 1/rho and nu/h^2 into its coefficients and
+# adds its terms in another order than the oracle, which divides as the
+# public kernels do, so the two agree to rounding rather than bit for bit.
+# Measured largest deviations, relative to the field's largest value: 8.2e-16
+# for one sweep or one residual, 1.8e-15 for iterate(f) - f against
+# sigma_v R, and 1.8e-14 after fifty sweeps at own_sigmas, whose margins let
+# rounding grow. The norms after fifty sweeps deviate by up to 2.9e-13, as R
+# and div v are sums of larger terms that largely cancel.
+REL_TOL = 1e-13
+NORM_TOL = 1e-12
+
+
+def close(a, b):
+    """Equal shapes, and |a - b| <= REL_TOL * max|b| everywhere."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and np.max(np.abs(a - b)) <= REL_TOL * np.max(np.abs(b))
+
+
+def close_fields(a, b):
+    """close() for each of the four fields of two FlowFields."""
+    return all(close(a.velocity(c).values, b.velocity(c).values) for c in range(3)) and close(
+        a.p.values, b.p.values)
 
 
 def reference_residuals(v_grids, p_grid, cfg, monotonized):
@@ -237,6 +262,9 @@ class TestIterate:
 
 
 class TestSweepMatchesReference:
+    """The workspace's sweep against the oracle sweep: fields, pads and
+    residuals within REL_TOL, norms within NORM_TOL."""
+
     @pytest.mark.parametrize("variant", ["base", "monotonized"])
     @pytest.mark.parametrize("name", sorted(ORACLE_CONFIGS))
     def test_fifty_sweeps_bitwise(self, name, variant):
@@ -245,18 +273,18 @@ class TestSweepMatchesReference:
         rep = solve_steady(cfg, variant)
         v, p, (mom_norm, div_norm) = reference_state(cfg, 50, monotonized)
         assert rep.iterations == 50 and not rep.converged
-        assert same_bits(rep.field.concatenated(), as_field(cfg, v, p).concatenated())
-        assert rep.momentum_residual_c == mom_norm
-        assert rep.divergence_c == div_norm
-        # The workspace's whole pads, ghost layers and edges included, equal
+        assert close_fields(rep.field, as_field(cfg, v, p))
+        assert rep.momentum_residual_c == pytest.approx(mom_norm, rel=NORM_TOL, abs=0.0)
+        assert rep.divergence_c == pytest.approx(div_norm, rel=NORM_TOL, abs=0.0)
+        # The workspace's whole pads, ghost layers and edges included, match
         # fresh pads of the reference grids.
-        ws = _Workspace(init_field(cfg), cfg, monotonized)
+        ws = _Workspace(init_field(cfg), cfg, monotonized, cfg.sigma_v)
         for _ in range(50):
             ws.sweep()
         policy = flow_boundary_policy(cfg)
         for a in range(3):
-            assert same_bits(ws.v_pads[a], pad_grid(v[a], policy.velocity(a)))
-        assert same_bits(ws.p_pad, pad_grid(p, policy.p))
+            assert close(ws.v_pads[a], pad_grid(v[a], policy.velocity(a)))
+        assert close(ws.p_pad, pad_grid(p, policy.p))
 
     @pytest.mark.parametrize("variant", ["base", "monotonized"])
     @pytest.mark.parametrize("name", sorted(ORACLE_CONFIGS))
@@ -266,14 +294,33 @@ class TestSweepMatchesReference:
         v, p, _ = reference_state(cfg, 7, monotonized)
         field = as_field(cfg, v, p)
         new_v, new_p, _, _ = reference_sweep(v, p, cfg, monotonized)
-        assert same_bits(iterate(field, cfg, variant).concatenated(),
-                         as_field(cfg, new_v, new_p).concatenated())
+        assert close_fields(iterate(field, cfg, variant), as_field(cfg, new_v, new_p))
         got = momentum_residual(field, cfg, "monotonized" if monotonized else "raw")
         for r, expected in zip(got, reference_residuals(v, p, cfg, monotonized)):
-            assert same_bits(r.as_grid(), expected)
+            assert close(r.as_grid(), expected)
+
+    @pytest.mark.parametrize("variant", ["base", "monotonized"])
+    @pytest.mark.parametrize("name", sorted(ORACLE_CONFIGS))
+    def test_iterate_steps_by_sigma_v_times_residual(self, name, variant):
+        cfg = ORACLE_CONFIGS[name]
+        monotonized = variant == "monotonized"
+        field = as_field(cfg, *reference_state(cfg, 7, monotonized)[:2])
+        new = iterate(field, cfg, variant)
+        got = momentum_residual(field, cfg, "monotonized" if monotonized else "raw")
+        for comp, r in enumerate(got):
+            step = new.velocity(comp).values - field.velocity(comp).values
+            assert close(step, cfg.sigma_v * r.values)
 
 
 class TestSolveSteady:
+    def test_fig2_n10_sweep_counts(self):
+        # The bundled fig2_n10.cfg flow cell. Rounding-level changes to the
+        # sweep must leave these counts as they are.
+        cfg = FlowConfig(L=1 / 30, N=10, rho=1.0, nu=1.002, p0=1e6, p1=0.0,
+                         hole_lo=2, hole_hi=7, tol=1e-4, max_iters=30000)
+        assert solve_steady(cfg, "base").iterations == 1024
+        assert solve_steady(cfg, "monotonized").iterations == 964
+
     def test_no_forcing_converges_immediately(self):
         cfg = small_config(p0=1.0, p1=1.0)
         rep = solve_steady(cfg)

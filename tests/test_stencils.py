@@ -13,6 +13,8 @@ from monoscheme.stencils import (
     IterationFailureError,
     MIRROR_ALL,
     Tridiagonal,
+    add_neighbors,
+    central_step,
     difference_pad,
     divergence_3d,
     divergence_pads,
@@ -35,7 +37,7 @@ from monoscheme.stencils import (
     solve_smooth_3d,
 )
 from monoscheme.ns3d import BoundaryPolicy3D
-from test_ns3d import same_bits, slice_difference, slice_laplacian, slice_smooth
+from test_ns3d import MINUS, PLUS, same_bits, slice_difference, slice_laplacian, slice_smooth
 
 
 def _mesh_fn(mesh, values):
@@ -84,7 +86,11 @@ def ghost_specs(draw, N, kinds=("value", "mirror", "extrapolate")):
         return FaceGhost(kind, value)
 
     rules = []
-    for _ in FACES:
+    for face in FACES:
+        if face.endswith("hi") and draw(st.booleans()):
+            # Both faces of the axis alike, which a plan fills in one operation.
+            rules.append(rules[-1])
+            continue
         base = ghost()
         if draw(st.booleans()):
             lo = draw(st.integers(0, N - 1))
@@ -504,6 +510,7 @@ class TestPatchRanges:
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True)
 
 
+
 class TestStencilProperties:
     @PROPERTY
     @given(data=st.data(), N=st.integers(2, 5))
@@ -521,6 +528,18 @@ class TestStencilProperties:
             expected = brute_pad(grid, spec)
             assert np.array_equal(pad_grid(grid, spec), expected)
             assert np.array_equal(reused, expected)
+
+    @pytest.mark.parametrize("N", [2, 3, 4])
+    @pytest.mark.parametrize("kind", ["mirror", "extrapolate"])
+    def test_paired_faces_refill_like_per_cell_ghosts(self, kind, N):
+        # At N = 2 the two faces' inner rows come in reverse order, and at
+        # N = 3 they are one row.
+        spec = GhostSpec3D.uniform(FaceGhost(kind))
+        grid = np.random.default_rng(N).standard_normal((N, N, N))
+        pad = ghost_plan(spec, N).new_pad()
+        interior(pad)[...] = grid
+        ghost_plan(spec, N).refill(pad)
+        assert np.array_equal(pad, brute_pad(grid, spec))
 
     @PROPERTY
     @given(data=st.data(), N=st.integers(2, 4))
@@ -604,6 +623,23 @@ class TestFlatKernels:
                         vec = kernel(a)
                         assert vec.shape == (size,) and (out is None or vec is out)
                         assert same_bits(view.cells(vec), ref), name
+
+    @PROPERTY
+    @given(N=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
+    def test_primitives_equal_slice_expressions(self, N, seed):
+        rng = np.random.default_rng(seed)
+        pad = nan_edged(rng.standard_normal((N + 2,) * 3))
+        view = pad_range(N)
+        for a in range(3):
+            assert same_bits(view.cells(central_step(pad, a)), pad[PLUS[a]] - pad[MINUS[a]])
+        start = rng.standard_normal(view.size)
+        expected = view.cells(start).copy()
+        for a in range(3):
+            expected += pad[PLUS[a]]
+            expected += pad[MINUS[a]]
+        acc = start.copy()
+        assert add_neighbors(pad, acc) is acc
+        assert same_bits(view.cells(acc), expected)
 
     @pytest.mark.parametrize("N", [1, 2, 5])
     def test_range_geometry(self, N):
