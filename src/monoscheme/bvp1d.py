@@ -15,7 +15,8 @@ Dirichlet data at both ends. Three discrete routes are provided:
 
 An analytic closed form serves as the oracle for convergence studies, and
 determinant_scan probes mesh steps where the auxiliary matrix degenerates
-while the base matrix does not.
+while the base matrix does not. Its singular values are the absolute
+eigenvalues of the flipped matrix J A, which constant bands make symmetric.
 """
 
 from __future__ import annotations
@@ -199,17 +200,27 @@ class DeterminantScanRow:
     flagged: bool
 
 
+def _persymmetric_band(a: Tridiagonal) -> np.ndarray:
+    """C = P J A P^T in lower band storage, ab[r, j] = C[j + r, j]: J flips
+    the rows and P orders them 0, n-1, 1, n-2, 2, ... (J A)[i, j] is lower,
+    diag or upper at i + j - (n-1) = -1, 0 or 1, and 0 elsewhere; in P's
+    order such i and j lie at most three apart, so C has half-width 3."""
+    n = a.n
+    k = np.arange(n)
+    order = np.where(k % 2 == 0, k // 2, n - 1 - k // 2)
+    rows = k + np.arange(4)[:, None]
+    s = np.where(rows < n, order[np.minimum(rows, n - 1)] + order - (n - 1), 2)
+    return np.select([s == -1, s == 0, s == 1], [a.lower, a.diag, a.upper])
+
+
 def _singularity_indicator(a: Tridiagonal) -> float:
     """Smallest over largest singular value; 0 marks an exactly singular matrix.
 
-    The singular values come from the band, never from an n x n array
-    (Golub & Kahan, 1965): the eigenvalues of the symmetric 2n x 2n matrix
-    [[0, A], [A^T, 0]] are +-sigma_i. Numbering x_i as 2i and y_j as 2j+1
-    makes that matrix a band of half-width 3, so sigma_max is eigenvalue
-    2n-1 and sigma_min the smaller |lambda| of eigenvalues n-1 and n. Each
-    comes from one selected-index banded eigensolve, O(n^2) where a dense
-    SVD is O(n^3); two such calls cost less than one call for the index
-    range n-1..2n-1, or one for all eigenvalues.
+    A has constant bands, so it is persymmetric: J A J = A^T, and J A is
+    symmetric. J is orthogonal, so A's singular values are the absolute
+    values of J A's eigenvalues (Golub & Van Loan, Matrix Computations,
+    4.7). One banded eigensolve of the full spectrum of the n x n band
+    C = P J A P^T (QR sweeps, O(n^2) where a dense SVD is O(n^3)) gives both.
 
     The eigenvalues of A^T A are not used: they give the singular values
     with the condition number squared, so sigma_min would carry an error of
@@ -219,11 +230,7 @@ def _singularity_indicator(a: Tridiagonal) -> float:
     # Imported here for the reason given in Tridiagonal.solve.
     from scipy.linalg import eigvals_banded
 
-    n = a.n
-    ab = np.zeros((4, 2 * n))  # lower band storage: ab[k, j] = B[j + k, j]
-    ab[1, 0::2] = a.diag  # B[y_i, x_i] = A[i, i]
-    ab[1, 1:-1:2] = a.lower  # B[x_{i+1}, y_i] = A[i+1, i]
-    ab[3, 0:-2:2] = a.upper  # B[y_{i+1}, x_i] = A[i, i+1]
+    ab = _persymmetric_band(a)
     largest = float(np.abs(ab).max())
     if largest == 0.0:
         return 0.0
@@ -231,18 +238,8 @@ def _singularity_indicator(a: Tridiagonal) -> float:
     # exact and brings the largest entry into [1/2, 1), where LAPACK does not
     # rescale: its rescaling of a subnormal norm fails and returns garbage.
     np.ldexp(ab, -math.frexp(largest)[1], out=ab)
-    try:
-        top = eigvals_banded(ab, lower=True, select="i", select_range=(2 * n - 1, 2 * n - 1))[0]
-        mid = eigvals_banded(ab, lower=True, select="i", select_range=(n - 1, n))
-    except np.linalg.LinAlgError:
-        # Selecting by index bisects, and that can stop short on bands whose
-        # entries lie some 1e-40 or more apart. The full spectrum (QR sweeps)
-        # does not; it costs about as much as three index calls.
-        spectrum = eigvals_banded(ab, lower=True)
-        top, mid = spectrum[-1], spectrum[n - 1 : n + 1]
-    # The two index calls bisect separately, so at sigma_min = sigma_max the
-    # quotient can exceed 1 by a rounding step.
-    return min(1.0, float(np.abs(mid).min() / top))
+    sigma = np.abs(eigvals_banded(ab, lower=True))
+    return float(sigma.min() / sigma.max())
 
 
 def determinant_scan(

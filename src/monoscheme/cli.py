@@ -163,12 +163,6 @@ def load_config(path: str) -> ConfigView:
 # ---------------------------------------------------------------------------
 
 
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
-
-
 TABLE_FORMATS = ("csv", "jsonl")
 
 
@@ -179,8 +173,8 @@ def write_table(path: Path, header: list[str], rows: list[tuple], fmt: str) -> N
     with open(path, "w") as fh:
         if fmt == "csv":
             fh.write(",".join(header) + "\n")
-            for row in rows:
-                fh.write(",".join(_fmt(v) for v in row) + "\n")
+            # str of a Python float is its shortest round-trip repr.
+            fh.writelines(",".join(map(str, row)) + "\n" for row in rows)
         else:
             for row in rows:
                 fh.write(json.dumps(dict(zip(header, row)), sort_keys=True) + "\n")

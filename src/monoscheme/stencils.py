@@ -24,7 +24,6 @@ or the smoother (it zeroes the former and is asymmetric for the latter).
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -155,6 +154,7 @@ def solve_smooth_1d(b: MeshFunction, bc: BoundaryData1D) -> MeshFunction:
 # ---------------------------------------------------------------------------
 
 FACES = ("xlo", "xhi", "ylo", "yhi", "zlo", "zhi")
+_KINDS = ("value", "extrapolate", "mirror")  # GhostPlan.refill runs them in this order
 
 
 @dataclass(frozen=True)
@@ -165,7 +165,7 @@ class FaceGhost:
     value: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in ("value", "mirror", "extrapolate"):
+        if self.kind not in _KINDS:
             raise ValueError(f"unknown ghost kind {self.kind!r}")
 
 
@@ -232,63 +232,64 @@ class BoundaryPolicy3D:
 
 
 class GhostPlan:
-    """A GhostSpec3D compiled for one mesh size N.
+    """A GhostSpec3D compiled for one mesh size N into flat index arrays.
 
-    new_pad() allocates an (N+2)^3 array with every ghost that holds a fixed
-    value already written; refill(pad) recomputes the others (mirror and
-    extrapolation rules, and any rule that overrides one of them) from the
-    pad's cells. Each face's base rule runs before its patch. Where an
-    axis's two faces have equal rules at the same step (equal ghosts over
-    the same tangential cells), one strided operation fills both ghost
-    layers. A rule reads only cells and writes only its own ghost layer, so
-    a pad refilled in place equals pad_grid of its cells bit for bit.
+    Each ghost cell takes its face's patch rule where the patch covers it
+    and the base rule elsewhere. new_pad() allocates an (N+2)^3 array with
+    every value ghost written; refill(pad) recomputes the others from the
+    pad's cells with one gather and scatter per kind: the extrapolated
+    ghosts, then the mirrored ones. A rule reads only cells, so a pad
+    refilled in place equals pad_grid of its cells bit for bit. At N = 1 an
+    extrapolation's inner cell would be the other face's ghost, so such a
+    spec is rejected there.
     """
 
     def __init__(self, spec: GhostSpec3D, N: int):
-        fixed, refill = [], []
-        rules = spec.rules()
-        for axis in range(3):
-            lo_steps, hi_steps = (
-                _face_steps(FACES[side], rules[side], N) for side in (2 * axis, 2 * axis + 1)
-            )
-            for lo, hi in itertools.zip_longest(lo_steps, hi_steps):
-                # At N = 1 an extrapolation reads the other face's ghost layer.
-                if lo == hi and N > 1:
-                    sides = [((0, 1), lo)]
-                else:
-                    sides = [((s,), step) for s, step in ((0, lo), (1, hi)) if step is not None]
-                for faces, (refilled, ghost, t_lo, t_hi) in sides:
-                    slices = _layer_slices(axis, faces, N, t_lo, t_hi)
-                    (refill if refilled else fixed).append((ghost, slices))
+        if N == 1 and spec.has_extrapolation():
+            raise ValueError("extrapolation needs N >= 2 cells per axis")
         self.N = N
-        self._fixed = tuple(fixed)
-        self._refill = tuple(refill)
+        parts = {kind: [] for kind in _KINDS}  # per kind: (ghosts, edges, inners, values)
+        for side, (face, rule) in enumerate(zip(FACES, spec.rules())):
+            steps = _face_steps(face, rule, N)
+            layer = _layer_indices(side // 2, side % 2, N)
+            last = np.zeros((N, N), dtype=np.intp)  # the last step that writes each ghost
+            for i, (_, lo, top) in enumerate(steps):
+                last[lo : top + 1, lo : top + 1] = i
+            for i, (ghost, _, _) in enumerate(steps):
+                keep = (last == i).ravel()
+                parts[ghost.kind].append((*(a[keep] for a in layer), np.full(keep.sum(), ghost.value)))
+        joined = {kind: [np.concatenate(col) for col in zip(*p)] for kind, p in parts.items() if p}
+        ghosts, _, _, values = joined.pop("value", (np.empty(0, dtype=np.intp),) * 4)
+        written = values.view(np.int64) != 0  # the zero pad already holds the +0.0 ghosts
+        self._fixed = (ghosts[written], values[written])
+        self._refill = [(kind, *v[:3]) for kind, v in joined.items()]
 
     def new_pad(self) -> np.ndarray:
-        """Zero (N+2)^3 array with the fixed ghosts written. Ghost edges and
+        """Zero (N+2)^3 array with the value ghosts written. Ghost edges and
         corners stay zero; no cell's axis stencil reads them."""
-        pad = np.zeros((self.N + 2,) * 3)
-        for ghost, (layer, _, _) in self._fixed:
-            pad[layer] = ghost.value
-        return pad
+        flat = np.zeros((self.N + 2) ** 3)
+        ghosts, values = self._fixed
+        flat[ghosts] = values
+        return flat.reshape((self.N + 2,) * 3)
 
     def refill(self, pad: np.ndarray) -> None:
-        """Rewrite, in place, the ghosts that depend on the pad's cells."""
-        for ghost, (layer, edge, inner) in self._refill:
-            if ghost.kind == "value":
-                pad[layer] = ghost.value
-            elif ghost.kind == "mirror":
-                pad[layer] = pad[edge]
+        """Rewrite, in place, the ghosts that depend on the pad's cells. The
+        pad must be C-contiguous, as new_pad and pad_grid make it."""
+        if not pad.flags.c_contiguous:
+            raise ValueError("refill needs a C-contiguous pad")
+        flat = pad.reshape(-1)
+        for kind, ghosts, edges, inners in self._refill:
+            if kind == "extrapolate":
+                out = np.multiply(2.0, flat[edges])
+                out -= flat[inners]
+                flat[ghosts] = out
             else:
-                out = pad[layer]
-                np.multiply(2.0, pad[edge], out=out)
-                out -= pad[inner]
+                flat[ghosts] = flat[edges]
 
 
-def _face_steps(face: str, rule: FaceRule, N: int) -> list[tuple[bool, FaceGhost, int, int]]:
-    """(refilled, ghost, lo, hi) for a face's base rule and then its patch,
-    which covers tangential cells lo..hi. A value written after a refilled
-    rule on the same face must be rewritten with it, so it is refilled too."""
+def _face_steps(face: str, rule: FaceRule, N: int) -> list[tuple[FaceGhost, int, int]]:
+    """(ghost, lo, hi) for a face's base rule and then its patch, which
+    covers tangential cells lo..hi."""
     steps = [(rule.base, 0, N - 1)]
     if rule.patch is not None:
         if rule.patch_hi >= N:
@@ -296,28 +297,18 @@ def _face_steps(face: str, rule: FaceRule, N: int) -> list[tuple[bool, FaceGhost
                 f"{face} patch {rule.patch_lo}..{rule.patch_hi} outside cells 0..{N - 1}"
             )
         steps.append((rule.patch, rule.patch_lo, rule.patch_hi))
-    refilled = False
-    out = []
-    for ghost, lo, hi in steps:
-        refilled = refilled or ghost.kind != "value"
-        out.append((refilled, ghost, lo, hi))
-    return out
+    return steps
 
 
-def _layer_slices(axis: int, faces: tuple[int, ...], N: int, lo: int, hi: int) -> tuple:
-    """Index tuples of the ghost layers of an axis's faces (0 = lo, 1 = hi,
-    or both), their edge cells and the cells one row in, over tangential
-    cells lo..hi (inclusive) of the (N+2)^3 pad. Both faces take one basic
-    slice per depth: a strided one, or a one-row one where the two depths
-    coincide (the inner row at N = 3), which broadcasts."""
-    depths = ((0, 1, 2), (N + 1, N, N - 1))
-    if len(faces) == 1:
-        index = depths[faces[0]]
-    else:
-        index = tuple(slice(a, a + 1) if a == b else slice(a, b + (1 if b > a else -1), b - a)
-                      for a, b in zip(*depths))
-    tangential = slice(lo + 1, hi + 2)
-    return tuple(tuple(d if a == axis else tangential for a in range(3)) for d in index)
+def _layer_indices(axis: int, hi: int, N: int) -> tuple[np.ndarray, ...]:
+    """Flat indices into the (N+2)^3 pad of the ghosts of an axis's low
+    (hi = 0) or high (hi = 1) face, of their edge cells and of the cells one
+    row in, each over the N x N tangential cells in row-major order."""
+    strides = ((N + 2) ** 2, N + 2, 1)
+    t = np.arange(1, N + 1)
+    first, second = (t * strides[a] for a in range(3) if a != axis)
+    tangential = np.add.outer(first, second).ravel()
+    return tuple(tangential + d * strides[axis] for d in ((N + 1, N, N - 1) if hi else (0, 1, 2)))
 
 
 @functools.lru_cache(maxsize=64)

@@ -8,6 +8,7 @@ from monoscheme.grid import BoundaryData1D, Mesh1D, norm_c, with_boundary
 from monoscheme.bvp1d import (
     OrderEstimate,
     SchemeCoefficients,
+    _persymmetric_band,
     _singularity_indicator,
     analytic_solution,
     convergence_order,
@@ -254,7 +255,7 @@ BAND = st.one_of(st.just(0.0), st.floats(-10.0, 10.0))
 
 
 class TestSingularityIndicator:
-    """The banded Golub-Kahan indicator against the dense SVD."""
+    """The persymmetric banded indicator against the dense SVD."""
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(lower=BAND, diag=BAND, upper=BAND, n=st.integers(1, 120))
@@ -262,6 +263,9 @@ class TestSingularityIndicator:
     @example(lower=0.0, diag=2.5, upper=-7.0, n=50)
     @example(lower=4.0, diag=-1.0, upper=0.0, n=119)
     @example(lower=0.0, diag=0.0, upper=9.0, n=12)
+    # n = 2 and 3, where the band's rows taken from the two ends meet at once.
+    @example(lower=1.5, diag=-2.0, upper=3.25, n=2)
+    @example(lower=-0.75, diag=4.0, upper=2.5, n=3)
     # LAPACK's own rescaling of a subnormal norm returns garbage.
     @example(lower=0.0, diag=2.225073858507e-311, upper=0.0, n=1)
     # Graded bands on which selecting eigenvalues by index fails to converge.
@@ -279,14 +283,45 @@ class TestSingularityIndicator:
         assert _singularity_indicator(Tridiagonal(5.0, 0.0, 3.0, 1)) == 0.0
 
     def test_never_exceeds_one(self):
-        # All singular values equal 1 to within 1e-300; the two eigensolves
-        # may still round sigma_min above sigma_max.
+        # All singular values equal 1 to within 1e-300.
         assert _singularity_indicator(Tridiagonal(1e-300, 1.0, 1e-300, 5)) == 1.0
 
     @pytest.mark.parametrize("n", [1, 3, 9, 101, 1023])
     def test_zero_diagonal_odd_n_is_singular(self, n):
         # (1, 0, 1) has eigenvalues 2 cos(j pi / (n+1)), one of them 0 at odd n.
         assert _singularity_indicator(Tridiagonal(1.0, 0.0, 1.0, n)) <= 1e-15
+
+    @pytest.mark.parametrize("lower, diag, upper", [
+        (1.5, -2.0, 3.25), (0.0, 1.0, 2.0), (4.0, 0.0, 0.0), (0.0, 0.0, -3.0), (1.0, 2.0, 0.0)])
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_band_is_permuted_flipped_matrix(self, lower, diag, upper, n):
+        a = Tridiagonal(lower, diag, upper, n)
+        ab = _persymmetric_band(a)
+        assert ab.shape == (4, n)
+        band = np.zeros((n, n))
+        for r in range(4):
+            j = np.arange(n - r)
+            band[j + r, j] = band[j, j + r] = ab[r, : n - r]
+            # Entries past the matrix's last row stay zero.
+            assert not ab[r, n - r :].any()
+        k = np.arange(n)
+        p = np.eye(n)[np.where(k % 2 == 0, k // 2, n - 1 - k // 2)]  # rows 0, n-1, 1, ...
+        assert np.array_equal(band, p @ a.dense()[::-1] @ p.T)
+
+    def test_one_full_spectrum_eigensolve(self, monkeypatch):
+        import scipy.linalg
+
+        calls = []
+        real = scipy.linalg.eigvals_banded
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "eigvals_banded", counted)
+        a = Tridiagonal(3.4034506935851856e-30, -1.313870946899655e-40, 6.332770842406973, 30)
+        assert abs(_singularity_indicator(a) - dense_indicator(a)) <= 1e-14
+        assert calls == [{"lower": True}]
 
     def test_bundled_scan_ladder_matches_dense_svd(self):
         cfg = load_config("scan.cfg")

@@ -9,6 +9,7 @@ from monoscheme.stencils import (
     FACES,
     FaceGhost,
     FaceRule,
+    GhostPlan,
     GhostSpec3D,
     IterationFailureError,
     MIRROR_ALL,
@@ -88,7 +89,7 @@ def ghost_specs(draw, N, kinds=("value", "mirror", "extrapolate")):
     rules = []
     for face in FACES:
         if face.endswith("hi") and draw(st.booleans()):
-            # Both faces of the axis alike, which a plan fills in one operation.
+            # Both faces of the axis alike.
             rules.append(rules[-1])
             continue
         base = ghost()
@@ -540,6 +541,33 @@ class TestStencilProperties:
         interior(pad)[...] = grid
         ghost_plan(spec, N).refill(pad)
         assert np.array_equal(pad, brute_pad(grid, spec))
+
+    def test_single_cell_pads_like_per_cell_ghosts(self):
+        spec = GhostSpec3D(FaceRule(FaceGhost("value", 2.5)),
+                           *(FaceRule(FaceGhost("mirror")) for _ in FACES[1:]))
+        grid = np.full((1, 1, 1), 3.0)
+        assert np.array_equal(pad_grid(grid, spec), brute_pad(grid, spec))
+
+    def test_value_ghosts_keep_their_sign_bit(self):
+        # A new pad starts at +0.0, so a -0.0 ghost must still be written.
+        # The plan is built directly: ghost_plan's cache takes -0.0 for 0.0.
+        spec = GhostSpec3D(FaceRule(FaceGhost("value", -0.0)), FaceRule(FaceGhost("value", 0.0)),
+                           *(FaceRule(FaceGhost("mirror")) for _ in FACES[2:]))
+        pad = GhostPlan(spec, 3).new_pad()
+        assert np.signbit(pad[0, 1:-1, 1:-1]).all() and not np.signbit(pad[-1]).any()
+
+    def test_extrapolation_at_one_cell_rejected(self):
+        # Its inner cell would be the other face's ghost.
+        patched = FaceRule(FaceGhost("mirror"), FaceGhost("extrapolate"), 0, 0)
+        for spec in (GhostSpec3D.uniform(FaceGhost("extrapolate")),
+                     GhostSpec3D(*(FaceRule(FaceGhost("mirror")) for _ in FACES[1:]), patched)):
+            with pytest.raises(ValueError, match="N >= 2"):
+                pad_grid(np.ones((1, 1, 1)), spec)
+
+    def test_refill_rejects_non_contiguous_pad(self):
+        pad = np.zeros((5, 5, 10))[:, :, ::2]
+        with pytest.raises(ValueError, match="C-contiguous"):
+            ghost_plan(MIRROR_ALL, 3).refill(pad)
 
     @PROPERTY
     @given(data=st.data(), N=st.integers(2, 4))
