@@ -14,7 +14,6 @@ from .grid import (
     Mesh3D,
     MeshFunction,
     flat_index,
-    make_mesh_3d,
     norm_c,
     sample,
     unflatten_index,

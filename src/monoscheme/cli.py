@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import json
+import math
 import sys
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
@@ -176,8 +177,11 @@ def write_table(path: Path, header: list[str], rows: list[tuple], fmt: str) -> N
             # str of a Python float is its shortest round-trip repr.
             fh.writelines(",".join(map(str, row)) + "\n" for row in rows)
         else:
+            # Strict JSON has no NaN or infinity, so a non-finite float is null.
             for row in rows:
-                fh.write(json.dumps(dict(zip(header, row)), sort_keys=True) + "\n")
+                record = {key: None if isinstance(v, float) and not math.isfinite(v) else v
+                          for key, v in zip(header, row)}
+                fh.write(json.dumps(record, sort_keys=True) + "\n")
 
 
 def write_json(path: Path, payload: dict) -> None:

@@ -99,11 +99,6 @@ class Mesh3D:
         return (np.arange(self.N) + 0.5) * self.h
 
 
-def make_mesh_3d(L: float, N: int) -> Mesh3D:
-    """Build a regular 3D mesh; rejects nonpositive L, a non-integer N and N < 2."""
-    return Mesh3D(L=L, N=N)
-
-
 def flat_index(i: int, j: int, k: int, N: int) -> int:
     """Single-index position of cell (i, j, k): i + N*j + N*N*k.
 

@@ -50,7 +50,6 @@ from .stencils import (
     add_neighbors,
     central_step,
     ghost_plan,
-    interior,
     pad_grid,
     pad_range,
     smooth_pad,
@@ -272,13 +271,15 @@ class _Workspace:
     leaves every ghost and edge of the pad as it was.
     """
 
-    def __init__(self, field: FlowField, cfg: FlowConfig, monotonized: bool, scale: float):
+    def __init__(self, field: FlowField, cfg: FlowConfig, variant: str, scale: float):
+        if variant not in ("base", "monotonized"):
+            raise ValueError(f"unknown variant {variant!r}")
+        self.monotonized = monotonized = variant == "monotonized"
         N = cfg.N
         h = cfg.L / N
         policy = flow_boundary_policy(cfg)
         self.cfg = cfg
         self.h = h
-        self.monotonized = monotonized
         self.range = rng = pad_range(N)
         self.v_plans = [ghost_plan(policy.velocity(a), N) for a in range(3)]
         self.p_plan = ghost_plan(policy.p, N)
@@ -362,22 +363,20 @@ class _Workspace:
 
     def field(self) -> FlowField:
         """A copy of the current state."""
-        mesh = self.cfg.mesh
-        grids = [interior(pad) for pad in (*self.v_pads, self.p_pad)]
-        return FlowField(*(MeshFunction.from_grid(mesh, g) for g in grids))
+        mesh, rng = self.cfg.mesh, self.range
+        return FlowField(*(MeshFunction.from_grid(mesh, rng.cells(rng.of(pad)))
+                           for pad in (*self.v_pads, self.p_pad)))
 
 
 def momentum_residual(
-    field: FlowField, cfg: FlowConfig, advecting: str = "raw"
+    field: FlowField, cfg: FlowConfig, variant: str = "base"
 ) -> tuple[MeshFunction, MeshFunction, MeshFunction]:
     """R = -(w.grad)v - grad(p)/rho + nu Lap v per velocity component.
 
-    advecting="raw" uses w = v; "monotonized" uses w = Mv with the smoother
+    variant="base" uses w = v; "monotonized" uses w = Mv with the smoother
     closed by the velocity ghost rules.
     """
-    if advecting not in ("raw", "monotonized"):
-        raise ValueError(f"unknown advecting mode {advecting!r}")
-    ws = _Workspace(field, cfg, advecting == "monotonized", scale=1.0)
+    ws = _Workspace(field, cfg, variant, scale=1.0)
     w = ws.neighbor_sums()
     return tuple(
         MeshFunction.from_grid(field.mesh, ws.range.cells(ws.increment(comp, w)))
@@ -388,9 +387,7 @@ def momentum_residual(
 def iterate(field: FlowField, cfg: FlowConfig, variant: str = "base") -> FlowField:
     """One Jacobi sweep: velocities from the previous iterate, then pressure
     from the freshly updated velocities."""
-    if variant not in ("base", "monotonized"):
-        raise ValueError(f"unknown variant {variant!r}")
-    ws = _Workspace(field, cfg, variant == "monotonized", scale=cfg.sigma_v)
+    ws = _Workspace(field, cfg, variant, scale=cfg.sigma_v)
     ws.sweep()
     new = ws.field()
     if not all(np.isfinite(f.values).all() for f in (new.vx, new.vy, new.vz, new.p)):
@@ -401,10 +398,7 @@ def iterate(field: FlowField, cfg: FlowConfig, variant: str = "base") -> FlowFie
 def solve_steady(cfg: FlowConfig, variant: str = "base") -> SolutionReport:
     """Sweep until both the velocity update sigma_v*R and div v fall below
     cfg.tol in C-norm, or max_iters is reached (reported, not raised)."""
-    if variant not in ("base", "monotonized"):
-        raise ValueError(f"unknown variant {variant!r}")
-    monotonized = variant == "monotonized"
-    ws = _Workspace(init_field(cfg), cfg, monotonized, scale=cfg.sigma_v)
+    ws = _Workspace(init_field(cfg), cfg, variant, scale=cfg.sigma_v)
     update_norm = div_norm = float("inf")
     finite_norms = (None, None)
     converged = False
@@ -419,7 +413,7 @@ def solve_steady(cfg: FlowConfig, variant: str = "base") -> SolutionReport:
             break
     out = ws.field()
     y = None
-    if monotonized:
+    if ws.monotonized:
         # y = Mv smoothed from the final pads, whose ghosts are already current,
         # into the advecting sums' buffers, which no sweep needs any more.
         smoothed = [MeshFunction.from_grid(out.mesh, ws.range.cells(smooth_pad(pad, out=w)))

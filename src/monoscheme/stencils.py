@@ -311,9 +311,18 @@ def _layer_indices(axis: int, hi: int, N: int) -> tuple[np.ndarray, ...]:
     return tuple(tangential + d * strides[axis] for d in ((N + 1, N, N - 1) if hi else (0, 1, 2)))
 
 
-@functools.lru_cache(maxsize=64)
 def ghost_plan(spec: GhostSpec3D, N: int) -> GhostPlan:
-    """The plan of `spec` on an N^3 mesh, compiled once per (spec, N)."""
+    """The plan of `spec` on an N^3 mesh, compiled once per (spec, N).
+
+    FaceGhost("value", -0.0) equals FaceGhost("value", 0.0) but writes
+    another sign bit, so the cache key holds the sign of every ghost value.
+    """
+    ghosts = (g for r in spec.rules() for g in (r.base, r.patch) if g is not None)
+    return _compiled_plan(spec, tuple(math.copysign(1.0, g.value) for g in ghosts), N)
+
+
+@functools.lru_cache(maxsize=64)
+def _compiled_plan(spec: GhostSpec3D, signs: tuple[float, ...], N: int) -> GhostPlan:
     return GhostPlan(spec, N)
 
 
@@ -323,23 +332,21 @@ def pad_grid(grid: np.ndarray, spec: GhostSpec3D) -> np.ndarray:
     reads them."""
     plan = ghost_plan(spec, grid.shape[0])
     pad = plan.new_pad()
-    pad[_CORE] = grid
+    pad[1:-1, 1:-1, 1:-1] = grid
     plan.refill(pad)
     return pad
 
 
 # ---------------------------------------------------------------------------
-# 3D padded-array kernels
+# 3D stencils on padded arrays
 # ---------------------------------------------------------------------------
 #
-# Each kernel reads (N+2)^3 arrays from pad_grid or a GhostPlan as flat
-# vectors and returns a range vector (see PadRange), written into `out` when
-# one is given. Every neighbor read goes through two unscaled primitives,
-# central_step and add_neighbors. The scaled kernels that the public
-# operators use are written on them, and the flow solver scales their sums
-# itself with coefficients folded once per run.
-
-_CORE = (slice(1, -1),) * 3
+# Every neighbor read of an (N+2)^3 pad from pad_grid or a GhostPlan goes
+# through two unscaled primitives, central_step and add_neighbors, which
+# read the pad as a flat vector and work on range vectors (see PadRange).
+# smooth_pad is the one kernel written on them. The public operators scale
+# the primitives' sums themselves, and so does the flow solver, with
+# coefficients folded once per run.
 
 
 class PadRange:
@@ -388,11 +395,6 @@ def pad_range(N: int) -> PadRange:
     return PadRange(N)
 
 
-def interior(pad: np.ndarray) -> np.ndarray:
-    """The (N, N, N) view of a pad's cells."""
-    return pad[_CORE]
-
-
 def central_step(pad: np.ndarray, axis: int, out: np.ndarray | None = None) -> np.ndarray:
     """The unscaled central step u_+ - u_- along one axis."""
     rng, flat = pad_range(pad.shape[0] - 2), pad.reshape(-1)
@@ -409,23 +411,6 @@ def add_neighbors(pad: np.ndarray, acc: np.ndarray) -> np.ndarray:
     return acc
 
 
-def difference_pad(
-    pad: np.ndarray, axis: int, h: float, out: np.ndarray | None = None
-) -> np.ndarray:
-    """Central first difference (u_+ - u_-) / 2h along one axis."""
-    out = central_step(pad, axis, out=out)
-    out /= 2.0 * h
-    return out
-
-
-def laplacian_pad(pad: np.ndarray, h: float, out: np.ndarray | None = None) -> np.ndarray:
-    """Seven-point Laplacian: -6u plus the neighbor pairs axis by axis, / h^2."""
-    rng = pad_range(pad.shape[0] - 2)
-    lap = add_neighbors(pad, np.multiply(-6.0, rng.of(pad), out=out))
-    lap /= h * h
-    return lap
-
-
 def smooth_pad(pad: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Seven-point average u/2 + (sum of six axis neighbors)/12."""
     rng = pad_range(pad.shape[0] - 2)
@@ -438,43 +423,37 @@ def smooth_pad(pad: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return nbr
 
 
-def divergence_pads(
-    pads: list[np.ndarray], h: float, out: np.ndarray | None = None
-) -> np.ndarray:
-    """d(vx)/dx + d(vy)/dy + d(vz)/dz from the three padded components."""
-    d = [difference_pad(pad, a, h) for a, pad in enumerate(pads)]
-    out = np.add(d[0], d[1], out=out)
-    out += d[2]
-    return out
-
-
 def _from_range(mesh: Mesh3D, vec: np.ndarray) -> MeshFunction:
     """The mesh function of a range vector's cells."""
     return MeshFunction.from_grid(mesh, pad_range(mesh.N).cells(vec))
 
 
 def gradient_3d(u: MeshFunction, axis: int, spec: GhostSpec3D) -> MeshFunction:
-    """Central difference along one axis with ghost-resolved neighbors.
+    """Central difference (u_+ - u_-) / 2h along one axis, ghost-resolved.
 
     With an extrapolation ghost on a face this evaluates to the one-sided
     first-order difference at that face's cells.
     """
-    pad = pad_grid(u.as_grid(), spec)
-    return _from_range(u.mesh, difference_pad(pad, axis, u.mesh.h))
+    step = central_step(pad_grid(u.as_grid(), spec), axis)
+    step /= 2.0 * u.mesh.h
+    return _from_range(u.mesh, step)
 
 
 def laplacian_3d(u: MeshFunction, spec: GhostSpec3D) -> MeshFunction:
-    """Sum of the three second central differences."""
+    """Seven-point Laplacian: -6u plus the neighbor pairs axis by axis, / h^2."""
     pad = pad_grid(u.as_grid(), spec)
-    return _from_range(u.mesh, laplacian_pad(pad, u.mesh.h))
+    lap = add_neighbors(pad, -6.0 * pad_range(u.mesh.N).of(pad))
+    lap /= u.mesh.h * u.mesh.h
+    return _from_range(u.mesh, lap)
 
 
 def divergence_3d(
     vx: MeshFunction, vy: MeshFunction, vz: MeshFunction, policy: BoundaryPolicy3D
 ) -> MeshFunction:
     """d(vx)/dx + d(vy)/dy + d(vz)/dz with each component's own ghost spec."""
-    pads = [pad_grid(v.as_grid(), policy.velocity(a)) for a, v in enumerate((vx, vy, vz))]
-    return _from_range(vx.mesh, divergence_pads(pads, vx.mesh.h))
+    dx, dy, dz = (central_step(pad_grid(v.as_grid(), policy.velocity(a)), a) / (2.0 * vx.mesh.h)
+                  for a, v in enumerate((vx, vy, vz)))
+    return _from_range(vx.mesh, dx + dy + dz)
 
 
 def smooth_3d(u: MeshFunction, spec: GhostSpec3D = MIRROR_ALL) -> MeshFunction:
@@ -639,16 +618,12 @@ def operator_norm_c(op) -> float:
         return float(rows.max())
 
     mesh, spec = op
-    return _smooth_3d_norm(mesh, spec)
-
-
-def _smooth_3d_norm(mesh: Mesh3D, spec: GhostSpec3D) -> float:
     if spec.has_extrapolation():
         raise ValueError("extrapolation ghosts are not part of the smoothing operator")
     # Every coefficient is nonnegative, so a row's absolute sum is M applied
     # to ones once the affine "value" ghosts are set to zero.
-    ones = np.ones((mesh.N,) * 3)
-    return float(pad_range(mesh.N).cells(smooth_pad(pad_grid(ones, _unknowns_only(spec)))).max())
+    ones = MeshFunction(mesh, np.ones(mesh.cell_count))
+    return float(smooth_3d(ones, _unknowns_only(spec)).values.max())
 
 
 __all__ = [
@@ -665,16 +640,12 @@ __all__ = [
     "Tridiagonal",
     "add_neighbors",
     "central_step",
-    "difference_pad",
     "divergence_3d",
-    "divergence_pads",
     "first_derivative_1d",
     "first_difference",
     "ghost_plan",
     "gradient_3d",
-    "interior",
     "laplacian_3d",
-    "laplacian_pad",
     "operator_norm_c",
     "pad_grid",
     "pad_range",

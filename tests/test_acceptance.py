@@ -16,8 +16,8 @@ import pytest
 from monoscheme.grid import (
     BoundaryData1D,
     Mesh1D,
+    Mesh3D,
     MeshFunction,
-    make_mesh_3d,
     norm_c,
     sample,
     with_boundary,
@@ -250,7 +250,7 @@ def test_acceptance_7_metrics_oracles():
     mismatches = 0
     for _ in range(200):
         n = int(rng.integers(3, 6))
-        mesh = make_mesh_3d(1.0, n)
+        mesh = Mesh3D(1.0, n)
         u = MeshFunction(mesh, rng.standard_normal(n**3))
         g = u.as_grid()
         brute = []
@@ -297,7 +297,7 @@ def test_acceptance_7_metrics_oracles():
 
 def test_acceptance_8_operator_suite():
     mesh1 = Mesh1D(0.0, 1.0, 12)
-    mesh3 = make_mesh_3d(1.0, 5)
+    mesh3 = Mesh3D(1.0, 5)
     norm_1d = operator_norm_c(smoothing(mesh1.n))
     norm_3d = operator_norm_c((mesh3, MIRROR_ALL))
 

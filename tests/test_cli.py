@@ -15,7 +15,7 @@ from monoscheme import cli
 from monoscheme.cli import (
     EXPERIMENTS, ComparableReport, _field_rows, compare_reports, load_config, main,
 )
-from monoscheme.grid import MeshFunction, make_mesh_3d, unflatten_index
+from monoscheme.grid import Mesh3D, MeshFunction, unflatten_index
 from monoscheme.metrics import MonotonicityReport
 from monoscheme.ns3d import FlowField
 from test_golden import GOLDEN, METRICS_CFG, _hashes
@@ -227,6 +227,24 @@ class TestOtherExperiments:
         assert len(rows) == 40
         assert all(row["match"] is True for row in rows)
 
+    def test_metrics_jsonl_is_strict_json(self, tmp_path):
+        # A trial with no extremum has no sharpness: null in jsonl, where a
+        # bare NaN token would fail a strict parser, and nan in csv as before.
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        cfg = tmp_path / "metrics.cfg"
+        cfg.write_text("[experiment]\nkind = metrics\n[metrics]\ntrials = 40\nmax_n = 5\n")
+        for fmt in ("jsonl", "csv"):
+            argv = ("run", str(cfg), "--out", str(tmp_path / fmt), "--seed", "7", "--format", fmt)
+            assert run_cli(*argv) == 0
+        lines = (tmp_path / "jsonl" / "metrics_trials.jsonl").read_text().splitlines()
+        rows = [json.loads(line, parse_constant=reject) for line in lines]
+        empty = [row for row in rows if row["count"] == 0]
+        assert empty and all(row["sharpness_a"] is None for row in empty)
+        csv = (tmp_path / "csv" / "metrics_trials.csv").read_text().splitlines()
+        assert sum(",nan,nan," in line for line in csv) == len(empty)
+
     def test_solve3d_small_run(self, tmp_path):
         cfg = tmp_path / "tiny3d.cfg"
         cfg.write_text(TINY_3D)
@@ -249,7 +267,7 @@ class TestOtherExperiments:
 
 def test_field_rows_match_per_cell_loop():
     N = 4
-    mesh = make_mesh_3d(1.0, N)
+    mesh = Mesh3D(1.0, N)
     rng = np.random.default_rng(3)
     fld = FlowField(*(MeshFunction(mesh, rng.standard_normal(N**3)) for _ in range(4)))
     expected = [

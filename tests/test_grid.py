@@ -10,7 +10,6 @@ from monoscheme.grid import (
     Mesh3D,
     MeshFunction,
     flat_index,
-    make_mesh_3d,
     norm_c,
     sample,
     unflatten_index,
@@ -54,25 +53,24 @@ class TestMesh1D:
 
 class TestMesh3D:
     def test_trivial_example(self):
-        mesh = make_mesh_3d(1.0, 2)
+        mesh = Mesh3D(1.0, 2)
         assert mesh.h == 0.5
         assert mesh.cell_count == 8
 
     def test_fine_mesh(self):
-        mesh = make_mesh_3d(1 / 30, 20)
+        mesh = Mesh3D(1 / 30, 20)
         assert mesh.h == pytest.approx((1 / 30) / 20)
         assert mesh.cell_count == 8000
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(InvalidMeshError):
-            make_mesh_3d(1.0, 0)
+            Mesh3D(1.0, 0)
         with pytest.raises(InvalidMeshError):
-            make_mesh_3d(-1.0, 4)
+            Mesh3D(-1.0, 4)
 
     def test_non_integer_count_rejected_like_mesh3d(self):
-        for build in (make_mesh_3d, Mesh3D):
-            with pytest.raises(InvalidMeshError, match="N must be an integer"):
-                build(1.0, 2.5)
+        with pytest.raises(InvalidMeshError, match="N must be an integer"):
+            Mesh3D(1.0, 2.5)
 
     @pytest.mark.parametrize("L", [np.nan, np.inf])
     def test_rejects_non_finite_side(self, L):
@@ -88,7 +86,7 @@ class TestMesh3D:
         assert Mesh3D(1.0, np.int32(4)).cell_count == 64
 
     def test_cell_centers(self):
-        mesh = make_mesh_3d(1.0, 2)
+        mesh = Mesh3D(1.0, 2)
         assert mesh.center(0, 0, 0) == (0.25, 0.25, 0.25)
         assert mesh.center(1, 1, 1) == (0.75, 0.75, 0.75)
 
@@ -114,7 +112,7 @@ class TestFlatIndex:
             assert flat_index(i, j, k, N) == p
 
     def test_grid_view_matches_flat_order(self):
-        mesh = make_mesh_3d(1.0, 3)
+        mesh = Mesh3D(1.0, 3)
         values = np.arange(27, dtype=float)
         mf = MeshFunction(mesh, values)
         g = mf.as_grid()
@@ -136,7 +134,7 @@ class TestMeshFunction:
             mf.values[0] = 1.0
 
     def test_grid_roundtrip(self):
-        mesh = make_mesh_3d(1.0, 4)
+        mesh = Mesh3D(1.0, 4)
         values = np.random.default_rng(0).standard_normal(64)
         mf = MeshFunction(mesh, values)
         again = MeshFunction.from_grid(mesh, mf.as_grid())
@@ -154,7 +152,7 @@ class TestSample:
         assert np.all(sample(mesh, lambda x: 0.0).values == 0.0)
 
     def test_cell_centers_3d(self):
-        mesh = make_mesh_3d(1.0, 2)
+        mesh = Mesh3D(1.0, 2)
         mf = sample(mesh, lambda x, y, z: x)
         assert set(np.round(mf.values, 12)) == {0.25, 0.75}
 
@@ -173,11 +171,11 @@ class TestSample:
         def f(x, y, z):
             return np.sin(a * x) * np.cos(b * y) + c * z * z
 
-        mesh = make_mesh_3d(1.0, N)
+        mesh = Mesh3D(1.0, N)
         assert sample(mesh, f).values.tobytes() == self.per_cell(mesh, f).tobytes()
 
     def test_scalar_only_callable_runs_per_cell(self):
-        mesh = make_mesh_3d(1.0, 4)
+        mesh = Mesh3D(1.0, 4)
 
         def f(x, y, z):
             return math.sin(x) * math.cos(y) + (1.0 if z > 0.5 else 0.0)
@@ -185,7 +183,7 @@ class TestSample:
         assert np.array_equal(sample(mesh, f).values, self.per_cell(mesh, f))
 
     def test_constant_and_single_axis_results_broadcast(self):
-        mesh = make_mesh_3d(1.0, 3)
+        mesh = Mesh3D(1.0, 3)
         assert np.all(sample(mesh, lambda x, y, z: 2.5).values == 2.5)
         grid = sample(mesh, lambda x, y, z: z).as_grid()
         assert np.array_equal(grid[0, 0, :], mesh.axis_centers())

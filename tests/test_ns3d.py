@@ -30,7 +30,7 @@ def small_config(**over):
 
 
 # The oracle's stencils: plain 3D-slice expressions over (N+2)^3 pads, in the
-# floating-point order of the public kernels in monoscheme.stencils, which
+# floating-point order of the public operators in monoscheme.stencils, which
 # tests/test_stencils.py checks against them bit for bit. They check a sweep
 # without calling the code it runs.
 CORE = (slice(1, -1),) * 3
@@ -224,17 +224,23 @@ class TestMomentumResidual:
         const = MeshFunction(mesh, np.full(mesh.cell_count, 2.0))
         f = init_field(cfg)
         field = FlowField(vx=const, vy=const, vz=const, p=f.p)
-        raw = momentum_residual(field, cfg, "raw")
+        base = momentum_residual(field, cfg, "base")
         mono = momentum_residual(field, cfg, "monotonized")
-        for r, m in zip(raw, mono):
+        for r, m in zip(base, mono):
             assert np.allclose(
                 r.as_grid()[1:-1, 1:-1, 1:-1], m.as_grid()[1:-1, 1:-1, 1:-1], atol=1e-11
             )
 
     def test_rejects_unknown_mode(self):
+        # The residual, a sweep and a solve share one variant check; "raw"
+        # was the residual's old name for the base variant.
         cfg = small_config()
-        with pytest.raises(ValueError):
-            momentum_residual(init_field(cfg), cfg, "other")
+        f = init_field(cfg)
+        for run in (lambda v: momentum_residual(f, cfg, v), lambda v: iterate(f, cfg, v),
+                    lambda v: solve_steady(cfg, v)):
+            for variant in ("other", "raw"):
+                with pytest.raises(ValueError, match="unknown variant"):
+                    run(variant)
 
 
 class TestIterate:
@@ -278,7 +284,7 @@ class TestSweepMatchesReference:
         assert rep.divergence_c == pytest.approx(div_norm, rel=NORM_TOL, abs=0.0)
         # The workspace's whole pads, ghost layers and edges included, match
         # fresh pads of the reference grids.
-        ws = _Workspace(init_field(cfg), cfg, monotonized, cfg.sigma_v)
+        ws = _Workspace(init_field(cfg), cfg, variant, cfg.sigma_v)
         for _ in range(50):
             ws.sweep()
         policy = flow_boundary_policy(cfg)
@@ -295,7 +301,7 @@ class TestSweepMatchesReference:
         field = as_field(cfg, v, p)
         new_v, new_p, _, _ = reference_sweep(v, p, cfg, monotonized)
         assert close_fields(iterate(field, cfg, variant), as_field(cfg, new_v, new_p))
-        got = momentum_residual(field, cfg, "monotonized" if monotonized else "raw")
+        got = momentum_residual(field, cfg, variant)
         for r, expected in zip(got, reference_residuals(v, p, cfg, monotonized)):
             assert close(r.as_grid(), expected)
 
@@ -306,7 +312,7 @@ class TestSweepMatchesReference:
         monotonized = variant == "monotonized"
         field = as_field(cfg, *reference_state(cfg, 7, monotonized)[:2])
         new = iterate(field, cfg, variant)
-        got = momentum_residual(field, cfg, "monotonized" if monotonized else "raw")
+        got = momentum_residual(field, cfg, variant)
         for comp, r in enumerate(got):
             step = new.velocity(comp).values - field.velocity(comp).values
             assert close(step, cfg.sigma_v * r.values)
