@@ -167,6 +167,18 @@ def load_config(path: str) -> ConfigView:
 TABLE_FORMATS = ("csv", "jsonl")
 
 
+def _strict(payload):
+    """The payload with every non-finite float as None: strict JSON has no
+    NaN or infinity, so such a value is written as null."""
+    if isinstance(payload, float):
+        return payload if math.isfinite(payload) else None
+    if isinstance(payload, dict):
+        return {key: _strict(v) for key, v in payload.items()}
+    if isinstance(payload, (list, tuple)):
+        return [_strict(v) for v in payload]
+    return payload
+
+
 def write_table(path: Path, header: list[str], rows: list[tuple], fmt: str) -> None:
     """Write rows as csv or json-lines; callers name the file `<stem>.<fmt>`."""
     if fmt not in TABLE_FORMATS:
@@ -177,16 +189,13 @@ def write_table(path: Path, header: list[str], rows: list[tuple], fmt: str) -> N
             # str of a Python float is its shortest round-trip repr.
             fh.writelines(",".join(map(str, row)) + "\n" for row in rows)
         else:
-            # Strict JSON has no NaN or infinity, so a non-finite float is null.
             for row in rows:
-                record = {key: None if isinstance(v, float) and not math.isfinite(v) else v
-                          for key, v in zip(header, row)}
-                fh.write(json.dumps(record, sort_keys=True) + "\n")
+                fh.write(json.dumps(_strict(dict(zip(header, row))), sort_keys=True) + "\n")
 
 
 def write_json(path: Path, payload: dict) -> None:
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(_strict(payload), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
@@ -202,14 +211,29 @@ class ComparableReport:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ComparableReport":
-        """Inverse of `asdict`, for reports read back from JSON."""
+        """Inverse of `asdict`, for reports read back from JSON. A field that
+        compare subtracts must be a number; TypeError names one that is not."""
+        def report(part: str) -> MonotonicityReport:
+            rep = MonotonicityReport(**d[part])
+            for key in ("f_value", "extremum_count", "sharpness_a", "sharpness_b"):
+                _number(getattr(rep, key), f"{part}.{key}")
+            return rep
+
+        ref = d.get("reference_distance_c")
         return cls(
             experiment=d["experiment"],
             label=d["label"],
-            report=MonotonicityReport(**d["report"]),
-            reference_distance_c=d.get("reference_distance_c"),
-            central=MonotonicityReport(**d["central"]) if d.get("central") else None,
+            report=report("report"),
+            reference_distance_c=None if ref is None else _number(ref, "reference_distance_c"),
+            central=report("central") if d.get("central") else None,
         )
+
+
+def _number(value, name: str):
+    """value, if it is an int or a float (not a bool); else TypeError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{name} is not a number: {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -285,7 +309,6 @@ def run_solve1d(cfg: ConfigView, seed: int, tol: float | None) -> RunOutput:
     ]
     header = ["x", "u", "v", "y", "reference_dense", "reference_analytic"]
     summary = {
-        "experiment": "solve1d",
         "coefficients": asdict(c),
         "mesh": {"a": mesh.a, "b": mesh.b, "n": mesh.n, "h": mesh.h},
         "bc": asdict(bc),
@@ -371,7 +394,6 @@ def run_solve3d(cfg: ConfigView, seed: int, tol: float | None) -> RunOutput:
         label: sharpness_metrics(fld.vx, central)[0] for label, fld in fields.items()
     }
     summary = {
-        "experiment": "solve3d",
         "flow": asdict(flow),
         "central_region": [c_lo, c_hi],
         "runs": {
@@ -439,7 +461,6 @@ def run_metrics(cfg: ConfigView, seed: int, tol: float | None) -> RunOutput:
 
     header = ["trial", "n", "count", "brute_count", "sharpness_a", "sharpness_b", "match"]
     summary = {
-        "experiment": "metrics",
         "seed": seed,
         "trials": trials,
         "oracle_mismatches": mismatches,
@@ -496,7 +517,6 @@ def run_order(cfg: ConfigView, seed: int, tol: float | None) -> RunOutput:
         for i in range(len(ns))
     ]
     summary = {
-        "experiment": "order",
         "coefficients": asdict(c),
         "base": asdict(est_base),
         "monotonized": asdict(est_mono),
@@ -524,7 +544,6 @@ def run_scan_det(cfg: ConfigView, seed: int, tol: float | None) -> RunOutput:
     ]
     header = ["h", "n", "indicator_base", "indicator_monotonized", "flagged"]
     summary = {
-        "experiment": "scan-det",
         "coefficients": asdict(c),
         "near_tol": near_tol,
         "rows": [asdict(r) for r in rows_obj],
@@ -577,7 +596,6 @@ def run_timestep(cfg: ConfigView, seed: int, tol: float | None) -> RunOutput:
         ]
         tables["snapshots"] = (["t", "x", "v", "y"], snap_rows)
     summary = {
-        "experiment": "timestep",
         "coefficients": asdict(c),
         "tau": ts_cfg.tau,
         "sigma": ts_cfg.sigma,
@@ -687,7 +705,7 @@ def _run(args) -> int:
         raise ValidationError(f"unknown experiment kind {kind!r}")
     out = _output_dir(args.out)
     result = EXPERIMENTS[kind](cfg, args.seed, args.tol)
-    summary = dict(result.summary)
+    summary = {"experiment": kind, **result.summary}
     if result.reports:
         summary["reports"] = {label: asdict(r) for label, r in result.reports.items()}
         for label, payload in summary["reports"].items():
@@ -705,7 +723,7 @@ def main(argv=None) -> int:
         if args.command == "run":
             return _run(args)
         result = compare_reports(args.report_a, args.report_b)
-        text = json.dumps(result, indent=2, sort_keys=True)
+        text = json.dumps(_strict(result), indent=2, sort_keys=True)
         if args.out:
             (_output_dir(args.out) / "comparison.json").write_text(text + "\n")
         print(text)

@@ -20,6 +20,8 @@ relations of the scheme hold for y. A sweep evaluates these updates from the
 unscaled neighbor sums and central steps of monoscheme.stencils, with
 sigma_v, sigma_p, 1/2h, 1/rho and nu/h^2 folded into four coefficients once
 per run, so it agrees with the formulas above to rounding (see _Workspace).
+It keeps one padded array per variable: all three velocity increments are
+computed first, then each is added into its own array in place.
 
 Stability of the explicit sweep needs roughly sigma_v <= h^2/(6 nu) for
 diffusion, |sigma_p| <= rho h^2 / sigma_v for the pseudo-compressibility
@@ -34,7 +36,6 @@ be overridden per run.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -245,16 +246,15 @@ def init_field(cfg: FlowConfig) -> FlowField:
 class _Workspace:
     """Padded fields and scratch arrays for sweeping one flow cell.
 
-    v_pads hold the current velocities with their ghosts and v_next the pads
-    the next sweep writes; the two swap after every sweep, and v_next is
-    allocated by the first sweep. Ghost plans are compiled once, so fixed
-    ghosts are written at allocation and only the ghosts that follow the
-    cells are refilled. Scratch arrays are range vectors over the pads'
+    One pad per variable holds its current values with their ghosts, and a
+    sweep updates each pad in place. Ghost plans are compiled once, so fixed
+    ghosts are written when a pad is made and only the ghosts that follow
+    the cells are refilled. Scratch arrays are range vectors over the pads'
     PadRange.
 
-    The workspace computes the increment scale*R directly, from the unscaled
-    sums of stencils.add_neighbors and stencils.central_step and four
-    coefficients folded once (scale is sigma_v for a sweep, 1 for R itself):
+    increments() computes scale*R directly, from the unscaled sums of
+    stencils.add_neighbors and stencils.central_step and four coefficients
+    folded once (scale is sigma_v for a sweep, 1 for R itself):
 
         scale*R = c_d (nbr - 6v) + c_adv (w . steps of v) + c_p (p_+ - p_-)
         p <- p + c_div (sum over a of the step of v_a along a)
@@ -263,8 +263,9 @@ class _Workspace:
     c_div = sigma_p/2h. lap[a] = nbr - 6v_a is summed once per velocity and
     serves its diffusion and, for the monotonized scheme, the advecting sum
     w_a = lap[a] + 12 v_a = 12 (M v)_a, whose 1/12 is folded into c_adv.
-    steps[a], the step of v_a along a, is kept from the divergence for the
-    next sweep's advection. No whole-range division runs in a sweep.
+    Each increment is then written over its own lap buffer. steps[a], the
+    step of v_a along a, is kept from the divergence for the next sweep's
+    advection. No whole-range division runs in a sweep.
 
     The increment and the divergence are zeroed at the range's ghost
     positions before they are measured or added into a pad, so an update
@@ -294,42 +295,34 @@ class _Workspace:
         self.w = [np.empty(rng.size) for _ in range(3)] if monotonized else None
         self.inc, self.term = np.empty(rng.size), np.empty(rng.size)
 
-    @functools.cached_property
-    def v_next(self) -> list[np.ndarray]:
-        """The pads the next sweep writes; momentum_residual never needs them."""
-        return [plan.new_pad() for plan in self.v_plans]
-
-    def neighbor_sums(self) -> list[np.ndarray]:
-        """Write nbr - 6v of each current velocity into self.lap; return the
-        advecting sum w: 12 Mv for the monotonized scheme (written into
-        self.w), else v itself."""
-        rng = self.range
-        for pad, lap in zip(self.v_pads, self.lap):
-            add_neighbors(pad, np.multiply(-6.0, rng.of(pad), out=lap))
-        if not self.monotonized:
-            return [rng.of(pad) for pad in self.v_pads]
-        for pad, lap, w in zip(self.v_pads, self.lap, self.w):
-            np.multiply(12.0, rng.of(pad), out=w)
-            w += lap
-        return self.w
-
-    def increment(self, comp: int, w: list[np.ndarray]) -> np.ndarray:
-        """scale*R for one velocity component, written into self.inc, from
-        the sums of the last neighbor_sums call."""
-        pad, inc, term = self.v_pads[comp], self.inc, self.term
-        np.multiply(w[comp], self.steps[comp], out=inc)
-        for axis in range(3):
-            if axis != comp:
-                central_step(pad, axis, out=term)
-                term *= w[axis]
-                inc += term
-        inc *= self.c_adv
-        central_step(self.p_pad, comp, out=term)
-        term *= self.c_p
-        inc += term
-        np.multiply(self.c_d, self.lap[comp], out=term)
-        inc += term
-        return inc
+    def increments(self) -> list[np.ndarray]:
+        """scale*R for the three velocity components, written over self.lap.
+        The base scheme's advecting w is the pads themselves, so every
+        increment exists before any pad may change."""
+        rng, pads, lap, inc, term = self.range, self.v_pads, self.lap, self.inc, self.term
+        for pad, nbr in zip(pads, lap):
+            add_neighbors(pad, np.multiply(-6.0, rng.of(pad), out=nbr))
+        if self.monotonized:
+            w = self.w
+            for pad, nbr, w_a in zip(pads, lap, w):
+                np.multiply(12.0, rng.of(pad), out=w_a)
+                w_a += nbr
+        else:
+            w = [rng.of(pad) for pad in pads]
+        for comp, pad in enumerate(pads):
+            np.multiply(w[comp], self.steps[comp], out=inc)
+            for axis in range(3):
+                if axis != comp:
+                    central_step(pad, axis, out=term)
+                    term *= w[axis]
+                    inc += term
+            inc *= self.c_adv
+            central_step(self.p_pad, comp, out=term)
+            term *= self.c_p
+            inc += term
+            lap[comp] *= self.c_d
+            lap[comp] += inc
+        return lap
 
     def sweep(self) -> tuple[float, float]:
         """One Jacobi sweep in place; returns the C-norms of the velocity
@@ -338,17 +331,13 @@ class _Workspace:
         # Overflow here is how an unstable parameter choice announces itself;
         # the callers check the results for finiteness, so silence the warnings.
         with np.errstate(over="ignore", invalid="ignore"):
-            w = self.neighbor_sums()
             norms = []
-            for comp in range(3):
-                inc = self.increment(comp, w)
+            for pad, plan, inc in zip(self.v_pads, self.v_plans, self.increments()):
                 inc[rng.ghosts] = 0.0
                 norms.append(float(np.abs(inc, out=term).max()))
-                np.add(rng.of(self.v_pads[comp]), inc, out=rng.of(self.v_next[comp]))
-            for plan, pad in zip(self.v_plans, self.v_next):
+                v = rng.of(pad)
+                v += inc
                 plan.refill(pad)
-            self.v_pads, self.v_next = self.v_next, self.v_pads
-            # The increment's buffer is free once the velocities are updated.
             steps, div = self.steps, self.inc
             for a, pad in enumerate(self.v_pads):
                 central_step(pad, a, out=steps[a])
@@ -364,7 +353,7 @@ class _Workspace:
     def field(self) -> FlowField:
         """A copy of the current state."""
         mesh, rng = self.cfg.mesh, self.range
-        return FlowField(*(MeshFunction.from_grid(mesh, rng.cells(rng.of(pad)))
+        return FlowField(*(rng.mesh_function(mesh, rng.of(pad))
                            for pad in (*self.v_pads, self.p_pad)))
 
 
@@ -377,11 +366,7 @@ def momentum_residual(
     closed by the velocity ghost rules.
     """
     ws = _Workspace(field, cfg, variant, scale=1.0)
-    w = ws.neighbor_sums()
-    return tuple(
-        MeshFunction.from_grid(field.mesh, ws.range.cells(ws.increment(comp, w)))
-        for comp in range(3)
-    )
+    return tuple(ws.range.mesh_function(field.mesh, inc) for inc in ws.increments())
 
 
 def iterate(field: FlowField, cfg: FlowConfig, variant: str = "base") -> FlowField:
@@ -416,7 +401,7 @@ def solve_steady(cfg: FlowConfig, variant: str = "base") -> SolutionReport:
     if ws.monotonized:
         # y = Mv smoothed from the final pads, whose ghosts are already current,
         # into the advecting sums' buffers, which no sweep needs any more.
-        smoothed = [MeshFunction.from_grid(out.mesh, ws.range.cells(smooth_pad(pad, out=w)))
+        smoothed = [ws.range.mesh_function(out.mesh, smooth_pad(pad, out=w))
                     for pad, w in zip(ws.v_pads, ws.w)]
         y = FlowField(*smoothed, p=out.p)
     return SolutionReport(

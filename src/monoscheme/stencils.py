@@ -388,6 +388,10 @@ class PadRange:
         strides = tuple(vec.itemsize * s for s in self._shifts)
         return np.ndarray((self.N,) * 3, vec.dtype, vec, 0, strides)
 
+    def mesh_function(self, mesh: Mesh3D, vec: np.ndarray) -> MeshFunction:
+        """The mesh function of a range vector's cells, as a copy."""
+        return MeshFunction.from_grid(mesh, self.cells(vec))
+
 
 @functools.lru_cache(maxsize=64)
 def pad_range(N: int) -> PadRange:
@@ -423,11 +427,6 @@ def smooth_pad(pad: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return nbr
 
 
-def _from_range(mesh: Mesh3D, vec: np.ndarray) -> MeshFunction:
-    """The mesh function of a range vector's cells."""
-    return MeshFunction.from_grid(mesh, pad_range(mesh.N).cells(vec))
-
-
 def gradient_3d(u: MeshFunction, axis: int, spec: GhostSpec3D) -> MeshFunction:
     """Central difference (u_+ - u_-) / 2h along one axis, ghost-resolved.
 
@@ -436,15 +435,15 @@ def gradient_3d(u: MeshFunction, axis: int, spec: GhostSpec3D) -> MeshFunction:
     """
     step = central_step(pad_grid(u.as_grid(), spec), axis)
     step /= 2.0 * u.mesh.h
-    return _from_range(u.mesh, step)
+    return pad_range(u.mesh.N).mesh_function(u.mesh, step)
 
 
 def laplacian_3d(u: MeshFunction, spec: GhostSpec3D) -> MeshFunction:
     """Seven-point Laplacian: -6u plus the neighbor pairs axis by axis, / h^2."""
-    pad = pad_grid(u.as_grid(), spec)
-    lap = add_neighbors(pad, -6.0 * pad_range(u.mesh.N).of(pad))
+    pad, rng = pad_grid(u.as_grid(), spec), pad_range(u.mesh.N)
+    lap = add_neighbors(pad, -6.0 * rng.of(pad))
     lap /= u.mesh.h * u.mesh.h
-    return _from_range(u.mesh, lap)
+    return rng.mesh_function(u.mesh, lap)
 
 
 def divergence_3d(
@@ -453,7 +452,7 @@ def divergence_3d(
     """d(vx)/dx + d(vy)/dy + d(vz)/dz with each component's own ghost spec."""
     dx, dy, dz = (central_step(pad_grid(v.as_grid(), policy.velocity(a)), a) / (2.0 * vx.mesh.h)
                   for a, v in enumerate((vx, vy, vz)))
-    return _from_range(vx.mesh, dx + dy + dz)
+    return pad_range(vx.mesh.N).mesh_function(vx.mesh, dx + dy + dz)
 
 
 def smooth_3d(u: MeshFunction, spec: GhostSpec3D = MIRROR_ALL) -> MeshFunction:
@@ -462,7 +461,7 @@ def smooth_3d(u: MeshFunction, spec: GhostSpec3D = MIRROR_ALL) -> MeshFunction:
     Neighbors beyond the mesh are supplied by the ghost spec; the default
     mirror-everywhere spec preserves constants on the whole mesh.
     """
-    return _from_range(u.mesh, smooth_pad(pad_grid(u.as_grid(), spec)))
+    return pad_range(u.mesh.N).mesh_function(u.mesh, smooth_pad(pad_grid(u.as_grid(), spec)))
 
 
 def _unknowns_only(spec: GhostSpec3D) -> GhostSpec3D:

@@ -245,6 +245,19 @@ class TestOtherExperiments:
         csv = (tmp_path / "csv" / "metrics_trials.csv").read_text().splitlines()
         assert sum(",nan,nan," in line for line in csv) == len(empty)
 
+    def test_summary_is_strict_json(self, tmp_path):
+        # With k1 = k2 = 0 the errors do not fall with h, so the fitted order
+        # is NaN: null in summary.json, where a bare NaN token would fail a
+        # strict parser.
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        cfg = edited_config(tmp_path, "order1d.cfg", k1=0, k2=0)
+        out = tmp_path / "order"
+        assert run_cli("run", str(cfg), "--out", str(out)) == 0
+        summary = json.loads((out / "summary.json").read_text(), parse_constant=reject)
+        assert summary["base"]["order"] is None
+
     def test_solve3d_small_run(self, tmp_path):
         cfg = tmp_path / "tiny3d.cfg"
         cfg.write_text(TINY_3D)
@@ -355,6 +368,30 @@ class TestCompareErrors:
         pa = tmp_path / "a.json"
         pa.write_text("{broken")
         assert run_cli("compare", str(pa), str(pa)) == 2
+
+    @pytest.mark.parametrize("value", [None, "x"])
+    def test_non_numeric_field_is_parse_error(self, tmp_path, capsys, value):
+        report = ComparableReport("solve1d", "base", MonotonicityReport(1.0, 2, 0.5, 0.1, "r"))
+        payload = asdict(report)
+        payload["report"]["f_value"] = value
+        pa = tmp_path / "a.json"
+        pa.write_text(json.dumps(payload))
+        assert run_cli("compare", str(pa), str(pa)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: parse: cannot read report: ") and "report.f_value" in err
+
+    def test_non_finite_delta_is_null(self, tmp_path, capsys):
+        # inf - inf is NaN, which comparison.json and stdout write as null.
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        report = ComparableReport("solve1d", "base", MonotonicityReport(np.inf, 2, 0.5, 0.1, "r"))
+        pa = tmp_path / "a.json"
+        pa.write_text(json.dumps(asdict(report)))
+        out = tmp_path / "cmpout"
+        assert run_cli("compare", str(pa), str(pa), "--out", str(out)) == 0
+        for text in (capsys.readouterr().out, (out / "comparison.json").read_text()):
+            assert json.loads(text, parse_constant=reject)["deltas"]["f_value"] is None
 
     def test_comparison_written_to_out(self, tmp_path):
         a = ComparableReport("solve1d", "base", MonotonicityReport(1.0, 2, 0.5, 0.1, "r"))

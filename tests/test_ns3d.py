@@ -293,6 +293,17 @@ class TestSweepMatchesReference:
         assert close(ws.p_pad, pad_grid(p, policy.p))
 
     @pytest.mark.parametrize("variant", ["base", "monotonized"])
+    def test_sweeps_update_the_pads_in_place(self, variant):
+        cfg = small_config()
+        ws = _Workspace(init_field(cfg), cfg, variant, cfg.sigma_v)
+        pads = [*ws.v_pads, ws.p_pad]
+        # Checked after every sweep: two swaps of a double buffer would
+        # bring the first pads back.
+        for _ in range(50):
+            ws.sweep()
+            assert all(now is before for now, before in zip([*ws.v_pads, ws.p_pad], pads))
+
+    @pytest.mark.parametrize("variant", ["base", "monotonized"])
     @pytest.mark.parametrize("name", sorted(ORACLE_CONFIGS))
     def test_iterate_and_residual_bitwise(self, name, variant):
         cfg = ORACLE_CONFIGS[name]
