@@ -13,10 +13,13 @@ Dirichlet data at both ends. Three discrete routes are provided:
   difference operators acting through the inverse smoother. Kept as an
   independent cross-check of solve_monotonized.
 
-An analytic closed form serves as the oracle for convergence studies, and
-determinant_scan probes mesh steps where the auxiliary matrix degenerates
-while the base matrix does not. Its singular values are the absolute
-eigenvalues of the flipped matrix J A, which constant bands make symmetric.
+An analytic closed form serves as the oracle for convergence studies. It is
+one characteristic-root form with each exponential anchored at the end it
+decays toward, so steep boundary layers do not overflow and double roots
+rounded apart still fit. determinant_scan probes mesh steps where the
+auxiliary matrix degenerates while the base matrix does not. Its singular
+values are the absolute eigenvalues of the flipped matrix J A, which
+constant bands make symmetric.
 """
 
 from __future__ import annotations
@@ -289,82 +292,65 @@ def determinant_scan(
 
 @dataclass(frozen=True)
 class AnalyticSolution:
-    """Closed-form solution of the constant-coefficient problem.
+    """Closed form U = P + w1 phi1 + w2 phi2 of the constant-coefficient problem.
 
-    Evaluates U, U' and U''; construction verifies the ODE residual at
-    sampled points to 1e-9 relative scale.
+    P is a polynomial particular solution. The phi come from the roots of
+    k3 r^2 + k2 r + k1 = 0: e^{r_i (x - s_i)} for roots at least 1/(b - a)
+    apart, and e^{r1 t}, (e^{r2 t} - e^{r1 t}) / (r2 - r1) with t = x - s
+    for closer ones, which is t e^{r t} at a double root. Each exponential is
+    anchored at the end s it decays toward (b when Re r > 0, else a), so no
+    exponent exceeds 1 on [a, b] and none can overflow (Ascher, Mattheij &
+    Russell, Numerical Solution of Boundary Value Problems for ODEs, 1995,
+    ch. 3 and 10). Complex-conjugate roots take complex weights, and U is
+    the real part. Construction verifies the ODE residual at sampled points
+    to 1e-9 relative scale.
     """
 
     coefficients: SchemeCoefficients
     bc: BoundaryData1D
     domain: tuple[float, float]
-    _kind: str = field(repr=False, default="")
-    _params: tuple = field(repr=False, default=())
+    _roots: tuple = field(repr=False, default=())
+    _weights: tuple = field(repr=False, default=())
 
     def __call__(self, x) -> np.ndarray | float:
-        return self._eval(np.asarray(x, dtype=float), 0)
+        return self.derivative(x, 0)
 
     def derivative(self, x, order: int = 1) -> np.ndarray | float:
-        return self._eval(np.asarray(x, dtype=float), order)
-
-    def _eval(self, x: np.ndarray, order: int):
-        a = self.domain[0]
-        t = x - a
-        kind = self._kind
-        if kind == "exp2":
-            c1, c2, l1, l2, part = self._params
-            out = c1 * l1**order * np.exp(l1 * t) + c2 * l2**order * np.exp(l2 * t)
-            if order == 0:
-                out = out + part
-        elif kind == "exp_confluent":
-            c1, c2, lam, part = self._params
-            e = np.exp(lam * t)
-            if order == 0:
-                out = (c1 + c2 * t) * e + part
-            elif order == 1:
-                out = (c1 * lam + c2 * (1 + lam * t)) * e
-            else:
-                out = (c1 * lam**2 + c2 * (2 * lam + lam**2 * t)) * e
-        elif kind == "oscillatory":
-            c1, c2, alpha, beta, part = self._params
-            e = np.exp(alpha * t)
-            cos, sin = np.cos(beta * t), np.sin(beta * t)
-            if order == 0:
-                out = e * (c1 * cos + c2 * sin) + part
-            elif order == 1:
-                out = e * ((c1 * alpha + c2 * beta) * cos + (c2 * alpha - c1 * beta) * sin)
-            else:
-                a2b2 = alpha**2 - beta**2
-                out = e * (
-                    (c1 * a2b2 + 2 * c2 * alpha * beta) * cos
-                    + (c2 * a2b2 - 2 * c1 * alpha * beta) * sin
-                )
-        elif kind == "no_k1":
-            c1, c2, mu, slope = self._params
-            if order == 0:
-                out = c1 + c2 * np.exp(mu * t) + slope * x
-            elif order == 1:
-                out = c2 * mu * np.exp(mu * t) + slope
-            else:
-                out = c2 * mu**2 * np.exp(mu * t)
-        else:  # quadratic: k1 = k2 = 0
-            c1, c2, curv = self._params
-            if order == 0:
-                out = curv * x**2 + c1 * x + c2
-            elif order == 1:
-                out = 2 * curv * x + c1
-            else:
-                out = np.full_like(x, 2 * curv)
+        x = np.asarray(x, dtype=float)
+        phi1, phi2 = _basis(self._roots, self.domain, x, order)
+        w1, w2 = self._weights
+        p = np.polyder(_particular(self.coefficients), order)
+        out = np.polyval(p, x) + np.real(w1 * phi1 + w2 * phi2)
         return out if out.shape else float(out)
 
     def ode_residual(self, x) -> np.ndarray:
         c = self.coefficients
-        return (
-            c.k0
-            + c.k1 * self._eval(np.asarray(x, dtype=float), 0)
-            + c.k2 * self._eval(np.asarray(x, dtype=float), 1)
-            + c.k3 * self._eval(np.asarray(x, dtype=float), 2)
-        )
+        return c.k0 + c.k1 * self(x) + c.k2 * self.derivative(x, 1) + c.k3 * self.derivative(x, 2)
+
+
+def _particular(c: SchemeCoefficients) -> np.ndarray:
+    """Highest-first coefficients of a polynomial P with k0 + k1 P + k2 P' + k3 P'' = 0."""
+    if c.k1 != 0.0:
+        return np.array([-c.k0 / c.k1])
+    if c.k2 != 0.0:
+        return np.array([-c.k0 / c.k2, 0.0])
+    return np.array([-c.k0 / (2.0 * c.k3), 0.0, 0.0])
+
+
+def _basis(roots: tuple, domain: tuple[float, float], x: np.ndarray, order: int):
+    """The order-th derivatives at x of the two basis functions of roots."""
+    r1, r2 = roots
+    a, b = domain
+    t1 = x - (b if r1.real > 0 else a)
+    e1 = np.exp(r1 * t1)
+    g = r2 - r1
+    if abs(g) * (b - a) > 1.0:
+        return r1**order * e1, r2**order * np.exp(r2 * (x - (b if r2.real > 0 else a)))
+    # Close roots share r1's anchor and take (e^{r2 t} - e^{r1 t}) / (r2 - r1),
+    # which cancels nothing as r2 -> r1 and is t e^{r t} at a double root.
+    ratio = np.expm1(g * t1) / g if g else t1
+    dd = sum(r2 ** (order - 1 - k) * r1**k for k in range(order))
+    return r1**order * e1, (r2**order * ratio + dd) * e1
 
 
 def analytic_solution(
@@ -373,67 +359,26 @@ def analytic_solution(
     """Closed form of k0 + k1 U + k2 U' + k3 U'' = 0 fitted to the end values."""
     a, b = domain
     check_domain(a, b)
-    span = b - a
+    disc = c.k2**2 - 4.0 * c.k1 * c.k3
+    sq = math.sqrt(disc) if disc >= 0 else complex(0.0, math.sqrt(-disc))
+    # q keeps -k2 and sqrt(disc) from cancelling; q = 0 only when k1 = k2 = 0.
+    q = -(c.k2 + math.copysign(1.0, c.k2) * sq) / 2.0
+    roots = (q / c.k3, c.k1 / q) if q else (0.0, 0.0)
+    ends = np.array([a, b])
+    fit = np.stack(_basis(roots, domain, ends, 0), axis=1)
+    rhs = np.array([bc.u0, bc.u_np1]) - np.polyval(_particular(c), ends)
+    try:
+        weights = tuple(np.linalg.solve(fit, rhs))
+    except np.linalg.LinAlgError as exc:
+        raise ValueError(f"boundary fit is singular on [{a}, {b}]") from exc
 
-    if c.k1 != 0.0:
-        part = -c.k0 / c.k1
-        disc = c.k2**2 - 4.0 * c.k3 * c.k1
-        if disc > 0:
-            sq = math.sqrt(disc)
-            l1 = (-c.k2 + sq) / (2.0 * c.k3)
-            l2 = (-c.k2 - sq) / (2.0 * c.k3)
-            if abs(l1 - l2) <= 1e-12 * max(1.0, abs(l1), abs(l2)):
-                kind, params = _confluent(l1, part, span, bc)
-            else:
-                m = np.array([[1.0, 1.0], [math.exp(l1 * span), math.exp(l2 * span)]])
-                rhs = np.array([bc.u0 - part, bc.u_np1 - part])
-                c1, c2 = np.linalg.solve(m, rhs)
-                kind, params = "exp2", (c1, c2, l1, l2, part)
-        elif disc == 0:
-            lam = -c.k2 / (2.0 * c.k3)
-            kind, params = _confluent(lam, part, span, bc)
-        else:
-            alpha = -c.k2 / (2.0 * c.k3)
-            beta = math.sqrt(-disc) / (2.0 * abs(c.k3))
-            e = math.exp(alpha * span)
-            m = np.array(
-                [[1.0, 0.0], [e * math.cos(beta * span), e * math.sin(beta * span)]]
-            )
-            rhs = np.array([bc.u0 - part, bc.u_np1 - part])
-            try:
-                c1, c2 = np.linalg.solve(m, rhs)
-            except np.linalg.LinAlgError as exc:
-                raise ValueError(f"boundary fit is singular on [{a}, {b}]") from exc
-            kind, params = "oscillatory", (c1, c2, alpha, beta, part)
-    elif c.k2 != 0.0:
-        mu = -c.k2 / c.k3
-        slope = -c.k0 / c.k2
-        m = np.array([[1.0, 1.0], [1.0, math.exp(mu * span)]])
-        rhs = np.array([bc.u0 - slope * a, bc.u_np1 - slope * b])
-        c1, c2 = np.linalg.solve(m, rhs)
-        kind, params = "no_k1", (c1, c2, mu, slope)
-    else:
-        curv = -c.k0 / (2.0 * c.k3)
-        m = np.array([[a, 1.0], [b, 1.0]])
-        rhs = np.array([bc.u0 - curv * a**2, bc.u_np1 - curv * b**2])
-        c1, c2 = np.linalg.solve(m, rhs)
-        kind, params = "quadratic", (c1, c2, curv)
-
-    sol = AnalyticSolution(coefficients=c, bc=bc, domain=domain, _kind=kind, _params=params)
+    sol = AnalyticSolution(coefficients=c, bc=bc, domain=domain, _roots=roots, _weights=weights)
     xs = np.linspace(a, b, 41)
     scale = max(1.0, norm_c(sol(xs)))
     res = norm_c(sol.ode_residual(xs))
     if res > 1e-9 * scale * max(1.0, abs(c.k1) + abs(c.k2) + abs(c.k3)):
         raise ValueError(f"analytic form failed its residual check: {res:.3e}")
     return sol
-
-
-def _confluent(lam: float, part: float, span: float, bc: BoundaryData1D):
-    e = math.exp(lam * span)
-    m = np.array([[1.0, 0.0], [e, span * e]])
-    rhs = np.array([bc.u0 - part, bc.u_np1 - part])
-    c1, c2 = np.linalg.solve(m, rhs)
-    return "exp_confluent", (c1, c2, lam, part)
 
 
 # ---------------------------------------------------------------------------

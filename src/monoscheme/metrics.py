@@ -346,16 +346,11 @@ def report_1d(full_sequence: Sequence[float]) -> MonotonicityReport:
     two-neighbor analog of the 3D pair.
     """
     arr = np.asarray(full_sequence, dtype=float)
-    max_jumps = []
-    min_jumps = []
-    for i in range(1, len(arr) - 1):
-        if (arr[i] > arr[i - 1] and arr[i] > arr[i + 1]) or (
-            arr[i] < arr[i - 1] and arr[i] < arr[i + 1]
-        ):
-            left = abs(arr[i] - arr[i - 1])
-            right = abs(arr[i] - arr[i + 1])
-            max_jumps.append(max(left, right))
-            min_jumps.append(min(left, right))
+    prev, mid, nxt = arr[:-2], arr[1:-1], arr[2:]
+    strict = ((mid > prev) & (mid > nxt)) | ((mid < prev) & (mid < nxt))
+    # Differences only at strict extrema, where no inf - inf can arise.
+    left = np.abs(mid[strict] - prev[strict])
+    right = np.abs(mid[strict] - nxt[strict])
     osc = None
     for lo, hi in ((1, len(arr) - 2), (0, len(arr) - 1)):
         try:
@@ -365,9 +360,9 @@ def report_1d(full_sequence: Sequence[float]) -> MonotonicityReport:
             continue
     return MonotonicityReport(
         f_value=max_step_change(arr),
-        extremum_count=len(max_jumps),
-        sharpness_a=float(max(max_jumps)) if max_jumps else 0.0,
-        sharpness_b=float(max(min_jumps)) if min_jumps else 0.0,
+        extremum_count=int(strict.sum()),
+        sharpness_a=float(np.maximum(left, right).max(initial=0.0)),
+        sharpness_b=float(np.minimum(left, right).max(initial=0.0)),
         region=f"nodes 0..{len(arr) - 1}",
         oscillates=osc,
     )

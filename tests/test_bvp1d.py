@@ -379,6 +379,28 @@ class TestAnalyticSolution:
         xs = np.linspace(0, 1, 31)
         assert norm_c(sol.ode_residual(xs)) < 1e-9
 
+    @pytest.mark.parametrize("domain", [(0.0, 1.0), (-0.5, 2.0)])
+    @pytest.mark.parametrize("ks", [
+        (10.0, -5.0, 30.0, -1.0),   # distinct real roots 15 +- sqrt(220)
+        (1.0, 0.0, 2.0, 1.0),       # k1 = 0: roots 0 and -2
+        (0.0, 5.0, 1.0, 1.0),       # complex roots (-1 +- i sqrt(19)) / 2
+        (1.0, 1.0, 2.0, 1.0),       # exact double root -1
+        (1.0, 0.01, -0.2, 1.0),     # double root 0.1, rounded apart in decimals
+        (-2.0, 0.0, 0.0, 1.0),      # k1 = k2 = 0: double root 0
+        (10.0, -5.0, 30.0, -0.01),  # steep layer: a root near 3000
+    ], ids=["distinct", "k1_zero", "complex", "exact_double", "rounded_double",
+            "k1_k2_zero", "steep_layer"])
+    def test_fit_meets_both_ends_and_the_ode(self, ks, domain):
+        # Ends to 1e-12 absolute; the residual to 1e-11 of
+        # (|k1| + |k2| + |k3|) max(1, |U|), 100 times the construction check.
+        c = SchemeCoefficients(*ks)
+        sol = analytic_solution(c, BoundaryData1D(0.3, -0.7), domain)
+        assert abs(sol(domain[0]) - 0.3) <= 1e-12
+        assert abs(sol(domain[1]) + 0.7) <= 1e-12
+        xs = np.linspace(*domain, 201)
+        scale = max(1.0, norm_c(sol(xs))) * (abs(c.k1) + abs(c.k2) + abs(c.k3))
+        assert norm_c(sol.ode_residual(xs)) <= 1e-11 * scale
+
 
 class TestConvergenceOrder:
     def test_base_scheme_second_order(self):

@@ -258,6 +258,35 @@ class TestOtherExperiments:
         summary = json.loads((out / "summary.json").read_text(), parse_constant=reject)
         assert summary["base"]["order"] is None
 
+    def test_steep_layer_solve1d(self, tmp_path):
+        # k3 = -0.01 puts a characteristic root near 3000 in fig1's problem.
+        cfg = edited_config(tmp_path, "fig1.cfg", k3=-0.01)
+        out = tmp_path / "steep"
+        assert run_cli("run", str(cfg), "--out", str(out)) == 0
+        lines = (out / "solution1d.csv").read_text().splitlines()
+        assert lines[0].split(",")[-1] == "reference_analytic"
+        assert np.isfinite([float(line.split(",")[-1]) for line in lines[1:]]).all()
+
+    def test_steep_layer_order(self, tmp_path):
+        cfg = edited_config(tmp_path, "order1d.cfg", k0=10, k1=-5, k2=30, k3=-0.01)
+        out = tmp_path / "steep"
+        assert run_cli("run", str(cfg), "--out", str(out)) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        for scheme in ("base", "monotonized"):
+            assert np.isfinite(summary[scheme]["errors"]).all()
+
+    @pytest.mark.parametrize("k1, k2", [("0.01", "-0.2"), ("0.64", "-1.6"), ("1.69", "-2.6")])
+    def test_decimal_double_root_solve1d(self, tmp_path, k1, k2):
+        # U'' + k2 U' + k1 U + 1 = 0 has the double root -k2/2; typed as
+        # decimals, its roots come out 2.6e-9 to 3.0e-8 apart.
+        cfg = edited_config(tmp_path, "fig1.cfg", k0=1, k1=k1, k2=k2, k3=1,
+                            u_left=0, u_right=1)
+        out = tmp_path / "double"
+        assert run_cli("run", str(cfg), "--out", str(out)) == 0
+        # The base scheme's second-order error at 11 nodes is below 1e-3.
+        reference = json.loads((out / "summary.json").read_text())["reference"]
+        assert reference["u_analytic_distance_c"] < 1e-3
+
     def test_solve3d_small_run(self, tmp_path):
         cfg = tmp_path / "tiny3d.cfg"
         cfg.write_text(TINY_3D)
