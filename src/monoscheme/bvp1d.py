@@ -356,26 +356,37 @@ def _basis(roots: tuple, domain: tuple[float, float], x: np.ndarray, order: int)
 def analytic_solution(
     c: SchemeCoefficients, bc: BoundaryData1D, domain: tuple[float, float] = (0.0, 1.0)
 ) -> AnalyticSolution:
-    """Closed form of k0 + k1 U + k2 U' + k3 U'' = 0 fitted to the end values."""
+    """Closed form of k0 + k1 U + k2 U' + k3 U'' = 0 fitted to the end values.
+
+    Raises ValueError when the fit is singular, when a power of a root
+    overflows while the form is built or checked, or when the form fails its
+    residual check.
+    """
     a, b = domain
     check_domain(a, b)
-    disc = c.k2**2 - 4.0 * c.k1 * c.k3
-    sq = math.sqrt(disc) if disc >= 0 else complex(0.0, math.sqrt(-disc))
-    # q keeps -k2 and sqrt(disc) from cancelling; q = 0 only when k1 = k2 = 0.
-    q = -(c.k2 + math.copysign(1.0, c.k2) * sq) / 2.0
-    roots = (q / c.k3, c.k1 / q) if q else (0.0, 0.0)
-    ends = np.array([a, b])
-    fit = np.stack(_basis(roots, domain, ends, 0), axis=1)
-    rhs = np.array([bc.u0, bc.u_np1]) - np.polyval(_particular(c), ends)
     try:
+        disc = c.k2**2 - 4.0 * c.k1 * c.k3
+        sq = math.sqrt(disc) if disc >= 0 else complex(0.0, math.sqrt(-disc))
+        # q keeps -k2 and sqrt(disc) from cancelling; q = 0 only when k1 = k2 = 0.
+        q = -(c.k2 + math.copysign(1.0, c.k2) * sq) / 2.0
+        roots = (q / c.k3, c.k1 / q) if q else (0.0, 0.0)
+        ends = np.array([a, b])
+        fit = np.stack(_basis(roots, domain, ends, 0), axis=1)
+        rhs = np.array([bc.u0, bc.u_np1]) - np.polyval(_particular(c), ends)
         weights = tuple(np.linalg.solve(fit, rhs))
+        sol = AnalyticSolution(coefficients=c, bc=bc, domain=domain, _roots=roots,
+                               _weights=weights)
+        xs = np.linspace(a, b, 41)
+        scale = max(1.0, norm_c(sol(xs)))
+        res = norm_c(sol.ode_residual(xs))
     except np.linalg.LinAlgError as exc:
         raise ValueError(f"boundary fit is singular on [{a}, {b}]") from exc
-
-    sol = AnalyticSolution(coefficients=c, bc=bc, domain=domain, _roots=roots, _weights=weights)
-    xs = np.linspace(a, b, 41)
-    scale = max(1.0, norm_c(sol(xs)))
-    res = norm_c(sol.ode_residual(xs))
+    except OverflowError as exc:
+        # Between half and twice the larger root's magnitude (Fujiwara's bound).
+        size = max(abs(c.k2 / c.k3), math.sqrt(abs(c.k1 / c.k3)))
+        raise ValueError(
+            f"analytic form overflows: a characteristic root has magnitude about {size:.1e}"
+        ) from exc
     if res > 1e-9 * scale * max(1.0, abs(c.k1) + abs(c.k2) + abs(c.k3)):
         raise ValueError(f"analytic form failed its residual check: {res:.3e}")
     return sol

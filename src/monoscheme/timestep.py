@@ -16,7 +16,7 @@ The weighted step blends explicit and implicit evaluation:
 
 For the smoothed flavor the stepped variable is y = Mv, and two algebraically
 equivalent updates are provided: step_monotonized advances y and recovers
-v = M^{-1} y through one combined tridiagonal solve, while
+v = M^{-1} y through one combined banded tridiagonal solve, while
 step_monotonized_alt advances v with explicit inverse-smoothing applications
 (a fixed-point loop when sigma > 0). They must agree to solver tolerance and
 serve as each other's cross-check.
@@ -24,7 +24,6 @@ serve as each other's cross-check.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,66 +97,55 @@ class LinearMeshOperator:
 class _Stepper:
     """One weighted step, built once per (operator, config, bc) and taken per call.
 
-    bc None gives the plain flavor, where the stepped variable is u itself;
-    a bc gives the smoothed flavor, where it is y = Mv. A call maps u^n to
-    (u^{n+1}, y^{n+1}). sigma = 0 evaluates explicitly (the smoothed flavor
-    then recovers v with one inverse-smoothing solve). sigma > 0 LU-factors
-    lead - tau sigma A here, with lead the identity or the dense M, and each
-    call takes one solve of it with the right side lead u + tau sigma offset
-    + tau (1 - sigma) F(u).
+    bc None gives the plain flavor, where the stepped variable is u itself and
+    lead is the identity; a bc gives the smoothed flavor, where it is y = Mv
+    and lead is M. The step is one banded solve for every sigma:
 
-    Dense on purpose: banded forms round differently and shift
-    run_to_steady's stop count. An exactly zero pivot raises, and so does a
-    step of either kind whose result is not finite.
+        (lead - tau sigma A) u^{n+1} = lead u^n + tau sigma offset + tau (1 - sigma) F(u^n)
+
+    with lead u^n taken with zero ends, since the ends' terms sit in offset.
+    At sigma = 0 the matrix is lead itself. A call maps u^n to (u^{n+1},
+    y^{n+1}), with y^{n+1} = M u^{n+1} under bc. A singular matrix or a
+    non-finite right side or result raises StepFailureError.
     """
 
     def __init__(self, op: LinearMeshOperator, cfg: TimeStepConfig,
                  bc: BoundaryData1D | None = None):
         self.op, self.cfg, self.bc = op, cfg, bc
-        if cfg.sigma == 0.0:
-            return
-        # Imported here, as in Tridiagonal.solve: 3D and metrics runs never step.
-        import scipy.linalg
+        self.kind = "implicit" if cfg.sigma else "explicit"
+        n, a, ts = op.a.n, op.a, cfg.tau * cfg.sigma
+        self.lead = Tridiagonal(0.0, 1.0, 0.0, n) if bc is None else smoothing(n)
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.lhs = Tridiagonal(self.lead.lower - ts * a.lower, self.lead.diag - ts * a.diag,
+                                   self.lead.upper - ts * a.upper, n)
+        if not np.all(np.isfinite([self.lhs.lower, self.lhs.diag, self.lhs.upper])):
+            self.fail()
 
-        self.lead = np.eye(op.a.n) if bc is None else smoothing(op.a.n).dense()
-        lhs = self.lead - cfg.tau * cfg.sigma * op.a.dense()
-        with warnings.catch_warnings():
-            # The factorization only warns on a zero pivot; the check below raises instead.
-            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-            # check_finite=False: non-finite entries propagate, as in np.linalg.solve.
-            self.factor = scipy.linalg.lu_factor(lhs, check_finite=False)
-        zero = np.flatnonzero(np.diagonal(self.factor[0]) == 0.0)
-        if zero.size:
-            raise StepFailureError(
-                f"implicit step matrix singular: pivot {zero[0] + 1} is exactly zero",
-                float("inf"),
-            )
+    def fail(self):
+        raise StepFailureError(f"{self.kind} step produced non-finite values", float("inf"))
 
     def __call__(self, u_n: MeshFunction) -> tuple[MeshFunction, MeshFunction]:
-        op, cfg, bc, u = self.op, self.cfg, self.bc, u_n.values
-        if cfg.sigma == 0.0:
-            with np.errstate(over="ignore", invalid="ignore"):
-                lead_u = u if bc is None else smooth_1d(u_n, bc).values
-                y_next = u_n.with_values(lead_u + cfg.tau * op(u))
-            if not np.all(np.isfinite(y_next.values)):
-                raise StepFailureError("explicit step produced non-finite values", float("inf"))
-            return (y_next if bc is None else solve_smooth_1d(y_next, bc)), y_next
-        import scipy.linalg
-
+        op, cfg, u = self.op, self.cfg, u_n.values
         with np.errstate(over="ignore", invalid="ignore"):
-            lead_u = u if bc is None else self.lead @ u
-            rhs = lead_u + cfg.tau * cfg.sigma * op.offset + cfg.tau * (1.0 - cfg.sigma) * op(u)
-            u_next = u_n.with_values(scipy.linalg.lu_solve(self.factor, rhs, check_finite=False))
+            rhs = (self.lead.apply(u, _ZERO_BC) + cfg.tau * cfg.sigma * op.offset
+                   + cfg.tau * (1.0 - cfg.sigma) * op(u))
+        # The banded solve rejects a non-finite right side with a ValueError.
+        if not np.all(np.isfinite(rhs)):
+            self.fail()
+        try:
+            u_next = u_n.with_values(self.lhs.solve(rhs))
+        except np.linalg.LinAlgError as exc:
+            raise StepFailureError("implicit step matrix singular", float("inf")) from exc
         if not np.all(np.isfinite(u_next.values)):
-            raise StepFailureError("implicit step produced non-finite values", float("inf"))
-        return u_next, (u_next if bc is None else smooth_1d(u_next, bc))
+            self.fail()
+        return u_next, (u_next if self.bc is None else smooth_1d(u_next, self.bc))
 
 
 def step_base(u_n: MeshFunction, op: LinearMeshOperator, cfg: TimeStepConfig) -> MeshFunction:
     """One weighted step of du/dt = F(u).
 
-    sigma = 0 is a single explicit evaluation; sigma > 0 solves the linear
-    implicit system directly.
+    One banded solve of (I - tau sigma A) u^{n+1} = u^n + tau sigma offset
+    + tau (1 - sigma) F(u^n); at sigma = 0 the matrix is the identity.
     """
     return _Stepper(op, cfg)(u_n)[0]
 
@@ -171,8 +159,8 @@ def step_monotonized(
     """Advance (v, y = Mv) by one weighted step of dy/dt = F(Mv, D1 v, D2 v).
 
     Since y and the right side are both affine in v, the step reduces to one
-    tridiagonal-structured solve (M - tau sigma A) v^{n+1} = rhs; sigma = 0
-    instead evaluates explicitly and performs one inverse-smoothing solve.
+    banded tridiagonal solve (M - tau sigma A) v^{n+1} = rhs; at sigma = 0
+    that is one inverse-smoothing solve.
     """
     return _Stepper(aux_op, cfg, bc)(v_n)
 

@@ -275,6 +275,18 @@ class TestOtherExperiments:
         for scheme in ("base", "monotonized"):
             assert np.isfinite(summary[scheme]["errors"]).all()
 
+    @pytest.mark.parametrize("name, magnitude",
+                             [("fig1.cfg", "3.0e+161"), ("order1d.cfg", "1.0e+160")],
+                             ids=["solve1d", "order"])
+    def test_overflowing_root_exit_3(self, tmp_path, capsys, name, magnitude):
+        # k3 = 1e-160 puts a characteristic root near k2/k3, whose square
+        # overflows when the analytic form checks its residual.
+        cfg = edited_config(tmp_path, name, k3="1e-160")
+        assert run_cli("run", str(cfg), "--out", str(tmp_path / "o")) == 3
+        err = capsys.readouterr().err
+        assert err == ("error: validation: analytic form overflows: a characteristic root has "
+                       f"magnitude about {magnitude}\n")
+
     @pytest.mark.parametrize("k1, k2", [("0.01", "-0.2"), ("0.64", "-1.6"), ("1.69", "-2.6")])
     def test_decimal_double_root_solve1d(self, tmp_path, k1, k2):
         # U'' + k2 U' + k1 U + 1 = 0 has the double root -k2/2; typed as

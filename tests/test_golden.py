@@ -2,8 +2,8 @@
 
 The hashes pin the bundled fig2_n10 flow cell, a seeded `metrics` run, the
 fig1 solve written as csv and as json-lines, the bundled order1d,
-timestep1d and scan configs, and `compare` of fig1's base and monotonized
-reports. A refactor must keep them; a change that moves them on purpose
+timestep1d and scan configs, a `timestep` run at n = 400, and `compare` of
+fig1's base and monotonized reports. A refactor must keep them; a change that moves them on purpose
 updates them and says why. They were checked to be identical under 1 and 2
 BLAS threads.
 """
@@ -16,6 +16,15 @@ import pytest
 from monoscheme.cli import main
 
 METRICS_CFG = "[experiment]\nkind = metrics\n[metrics]\ntrials = 60\nmax_n = 6\n"
+
+# The line1d benchmark's timestep input set 3: fig1's coefficients at n = 400.
+TIMESTEP400_CFG = (
+    "[experiment]\nkind = timestep\n"
+    "[problem]\nk0 = 10\nk1 = -5\nk2 = 30\nk3 = -1\na = 0\nb = 1\nn = 400\n"
+    "u_left = -0.8287016657127513\nu_right = -0.5263789868078006\n"
+    "[stepping]\ntau = 0.01\nsigma = 1\nsteady_tol = 1e-10\nmax_steps = 1000\n"
+    "snapshot_every = 10\n"
+)
 
 GOLDEN = {
     # Re-pinned when the flow sweep folded its constants into its
@@ -68,12 +77,21 @@ GOLDEN = {
         "determinant_scan.csv": "7bbafc975f3b2de8a58d4c3cd518a805c3bc4921e606066ecc6a538fafaae9c2",
         "summary.json": "de19bafaafc6cb2a33947e0cde29c14af2895afe0d09f05ed03f2179c661b1cf",
     },
-    # Re-pinned when the time step's F became bvp1d's scheme matrix over h^2:
-    # the snapshots moved by at most 6.4e-16, the step count did not.
+    # Re-pinned when every time step became one banded Tridiagonal solve in
+    # place of a dense LU: the snapshots moved by at most 1.7e-16,
+    # final_update went 2.4633e-13 -> 2.4639e-13, form_agreement.sigma_1
+    # 5.33e-15 -> 5.83e-15, and the step count stayed at 7.
     "timestep1d": {
-        "snapshots.csv": "484a2f56951811a347c80df056c29c405b541f9c22bfddf9f6e5be1906d9520a",
-        "summary.json": "1e725b6bad7f1099d960fea8065c744686fae0f2f111e4ef103ad8253e9f478f",
-        "trajectory.csv": "6725a697de57e5bf9c91a0cdc28f85cbc75270a986c77b027bf0e0e82672d5c0",
+        "snapshots.csv": "85647c8892943c2bb1cb2b0a76245f50dd8ece32fdd3843b212b6109118f4887",
+        "summary.json": "d448faa8dc939c844ca1ed1b8f859000cfcf939da40c293059d59d75821e229e",
+        "trajectory.csv": "3e30da4ab601c6fc3bddb2f7a1b932ccf6b86ee4c3da47886d9b4c9da8030d53",
+    },
+    # 119 steps. The dense LU it replaced gave 119 steps under 1 BLAS
+    # thread and 120 under 2, so this entry pins thread independence.
+    "timestep400": {
+        "snapshots.csv": "848dd8e8b1049fdb5cf4d3dbdfa2abeff9b3f0e7e8b851cdf8f96d0b7b6efdef",
+        "summary.json": "c23cb5eb0f6a1e24a342861a3bff49487da8932d9d1f0d88de751980bc4cba01",
+        "trajectory.csv": "bb263e1c23c7b1fa1667b682c7800dedd193cc77b18744da8bbf6e1f17bbac6c",
     },
 }
 
@@ -88,6 +106,10 @@ def test_run_outputs_match_golden_hashes(name, tmp_path):
         cfg = tmp_path / "metrics.cfg"
         cfg.write_text(METRICS_CFG)
         argv = ["run", str(cfg), "--seed", "7"]
+    elif name == "timestep400":
+        cfg = tmp_path / "timestep400.cfg"
+        cfg.write_text(TIMESTEP400_CFG)
+        argv = ["run", str(cfg)]
     elif name == "fig1_jsonl":
         argv = ["run", "fig1.cfg", "--format", "jsonl"]
     else:
