@@ -333,7 +333,7 @@ def run_solve1d(cfg: ConfigView, seed: int, tol: float | None) -> RunOutput:
 
 def run_solve3d(cfg: ConfigView, seed: int, tol: float | None) -> RunOutput:
     sec = cfg.section("flow")
-    kwargs = dict(
+    flow = FlowConfig(
         L=sec.real("L"), N=sec.integer("N"), rho=sec.real("rho"), nu=sec.real("nu"),
         p0=sec.real("p0"), p1=sec.real("p1"),
         hole_lo=sec.integer("hole_lo"), hole_hi=sec.integer("hole_hi"),
@@ -342,10 +342,6 @@ def run_solve3d(cfg: ConfigView, seed: int, tol: float | None) -> RunOutput:
         sigma_v=sec.real("sigma_v", None),
         sigma_p=sec.real("sigma_p", None),
     )
-    try:
-        flow = FlowConfig(**kwargs)
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from exc
 
     msec = cfg.section("metrics")
     c_lo, c_hi = msec.integer("central_lo"), msec.integer("central_hi")

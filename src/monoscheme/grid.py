@@ -125,20 +125,25 @@ Mesh = Union[Mesh1D, Mesh3D]
 class MeshFunction:
     """Scalar values on a mesh: one per interior node (1D) or per cell (3D).
 
-    3D values are stored flat, i-fastest (flat = i + N*j + N*N*k).
-    The value array is frozen; operations return new MeshFunctions.
+    Built from the flat vector (n values in 1D, N^3 in 3D) or, in 3D, from
+    the (N, N, N) grid indexed [i, j, k] that as_grid returns; a strided or
+    broadcast view will do. The values are copied once, stored flat,
+    i-fastest (flat = i + N*j + N*N*k), and frozen, so they share no memory
+    with the input; operations return new MeshFunctions.
     """
 
     mesh: Mesh
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float).copy()
-        expected = self.mesh.n if isinstance(self.mesh, Mesh1D) else self.mesh.cell_count
-        if vals.shape != (expected,):
-            raise ValueError(f"expected {expected} values, got shape {vals.shape}")
+        # The one copy is column-major, so its flat ravel below is a view.
+        vals = np.array(self.values, dtype=float, order="F")
+        m = self.mesh
+        shapes = [(m.n,)] if isinstance(m, Mesh1D) else [(m.cell_count,), (m.N,) * 3]
+        if vals.shape not in shapes:
+            raise ValueError(f"expected shape {' or '.join(map(str, shapes))}, got {vals.shape}")
         vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "values", vals.ravel(order="F"))
 
     def as_grid(self) -> np.ndarray:
         """3D values as an (N, N, N) array indexed [i, j, k]."""
@@ -146,10 +151,6 @@ class MeshFunction:
             raise TypeError("as_grid is only defined for 3D mesh functions")
         N = self.mesh.N
         return self.values.reshape((N, N, N), order="F")
-
-    @classmethod
-    def from_grid(cls, mesh: Mesh3D, grid: np.ndarray) -> "MeshFunction":
-        return cls(mesh, np.asarray(grid, dtype=float).reshape(-1, order="F"))
 
     def with_values(self, values: np.ndarray) -> "MeshFunction":
         return MeshFunction(self.mesh, values)
@@ -186,7 +187,7 @@ def sample(mesh: Mesh, f: Callable[..., float]) -> MeshFunction:
     except (TypeError, ValueError):
         pass
     else:
-        return MeshFunction.from_grid(mesh, grid)
+        return MeshFunction(mesh, grid)
     vals = np.empty(N**3, dtype=float)
     for k in range(N):
         for j in range(N):

@@ -69,10 +69,11 @@ def oscillates_point_to_point(u: Sequence[float], k: int = 0, l: int | None = No
         raise IndexError(f"interval {k}..{l} outside sequence of {len(arr)} points")
     if l - k < 2:
         raise UndefinedIntervalError(f"interval {k}..{l} has fewer than 3 points")
-    d = np.diff(arr[k : l + 1])
-    if np.any(d == 0.0):
-        return False
-    return bool(np.all(d[:-1] * d[1:] < 0.0))
+    seg = arr[k : l + 1]
+    # Each step's sign from comparisons, so no product of steps can overflow;
+    # a tie or a NaN gives 0 and breaks the alternation.
+    sign = (seg[1:] > seg[:-1]).astype(int) - (seg[1:] < seg[:-1])
+    return bool(np.all(sign[:-1] * sign[1:] < 0))
 
 
 def max_step_change(u: Sequence[float], k: int = 0, l: int | None = None) -> float:

@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .grid import BoundaryData1D, Mesh1D, Mesh3D, MeshFunction, norm_c
+from .grid import BoundaryData1D, Mesh1D, MeshFunction, norm_c
 
 
 class SolverError(RuntimeError):
@@ -360,7 +360,8 @@ class PadRange:
     range is a range vector. Besides the cells the range holds the y and z
     ghost faces and the y-z ghost edges of each interior x-plane; the values
     a kernel computes there are thrown away. `ghosts` indexes those
-    positions in a range vector.
+    positions in a range vector, and `cells` views its cells as the
+    [i, j, k] grid that MeshFunction takes and copies once.
     """
 
     def __init__(self, N: int):
@@ -387,10 +388,6 @@ class PadRange:
         """The (N, N, N) view of a range vector's cells; no copy."""
         strides = tuple(vec.itemsize * s for s in self._shifts)
         return np.ndarray((self.N,) * 3, vec.dtype, vec, 0, strides)
-
-    def mesh_function(self, mesh: Mesh3D, vec: np.ndarray) -> MeshFunction:
-        """The mesh function of a range vector's cells, as a copy."""
-        return MeshFunction.from_grid(mesh, self.cells(vec))
 
 
 @functools.lru_cache(maxsize=64)
@@ -435,7 +432,7 @@ def gradient_3d(u: MeshFunction, axis: int, spec: GhostSpec3D) -> MeshFunction:
     """
     step = central_step(pad_grid(u.as_grid(), spec), axis)
     step /= 2.0 * u.mesh.h
-    return pad_range(u.mesh.N).mesh_function(u.mesh, step)
+    return MeshFunction(u.mesh, pad_range(u.mesh.N).cells(step))
 
 
 def laplacian_3d(u: MeshFunction, spec: GhostSpec3D) -> MeshFunction:
@@ -443,7 +440,7 @@ def laplacian_3d(u: MeshFunction, spec: GhostSpec3D) -> MeshFunction:
     pad, rng = pad_grid(u.as_grid(), spec), pad_range(u.mesh.N)
     lap = add_neighbors(pad, -6.0 * rng.of(pad))
     lap /= u.mesh.h * u.mesh.h
-    return rng.mesh_function(u.mesh, lap)
+    return MeshFunction(u.mesh, rng.cells(lap))
 
 
 def divergence_3d(
@@ -452,7 +449,7 @@ def divergence_3d(
     """d(vx)/dx + d(vy)/dy + d(vz)/dz with each component's own ghost spec."""
     dx, dy, dz = (central_step(pad_grid(v.as_grid(), policy.velocity(a)), a) / (2.0 * vx.mesh.h)
                   for a, v in enumerate((vx, vy, vz)))
-    return pad_range(vx.mesh.N).mesh_function(vx.mesh, dx + dy + dz)
+    return MeshFunction(vx.mesh, pad_range(vx.mesh.N).cells(dx + dy + dz))
 
 
 def smooth_3d(u: MeshFunction, spec: GhostSpec3D = MIRROR_ALL) -> MeshFunction:
@@ -461,7 +458,8 @@ def smooth_3d(u: MeshFunction, spec: GhostSpec3D = MIRROR_ALL) -> MeshFunction:
     Neighbors beyond the mesh are supplied by the ghost spec; the default
     mirror-everywhere spec preserves constants on the whole mesh.
     """
-    return pad_range(u.mesh.N).mesh_function(u.mesh, smooth_pad(pad_grid(u.as_grid(), spec)))
+    smoothed = smooth_pad(pad_grid(u.as_grid(), spec))
+    return MeshFunction(u.mesh, pad_range(u.mesh.N).cells(smoothed))
 
 
 def _unknowns_only(spec: GhostSpec3D) -> GhostSpec3D:

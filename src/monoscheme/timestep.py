@@ -24,6 +24,7 @@ serve as each other's cross-check.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,9 +88,13 @@ class LinearMeshOperator:
         smoothed: bool = False,
     ) -> "LinearMeshOperator":
         """F = k0 + k1 u + k2 D1 u + k3 D2 u (or with Mu in the k1 term): the
-        stationary scheme's matrix and end-value terms over h^2, plus k0."""
+        stationary scheme's matrix and end-value terms over h^2, plus k0.
+        Raises ValueError when 1/h^2 is not finite."""
+        h2 = mesh.h * mesh.h
+        s = 1.0 / h2 if h2 else math.inf
+        if not math.isfinite(s):
+            raise ValueError(f"mesh step h = {mesh.h:.3e} is too small: 1/h^2 is not finite")
         t = scheme_matrix(c, mesh, smoothed)
-        s = 1.0 / (mesh.h * mesh.h)
         a = Tridiagonal(t.lower * s, t.diag * s, t.upper * s, mesh.n)
         return cls(a, c.k0 * np.ones(mesh.n) + t.offset(bc) * s)
 

@@ -401,6 +401,16 @@ class TestAnalyticSolution:
         scale = max(1.0, norm_c(sol(xs))) * (abs(c.k1) + abs(c.k2) + abs(c.k3))
         assert norm_c(sol.ode_residual(xs)) <= 1e-11 * scale
 
+    @pytest.mark.parametrize("ks, miss", [
+        ((1.0, 1e-15, 1e-12, 1.0), "5.000e-02"),
+        ((1.0, 1e-7, 1e-4, 1.0), "2.608e-09"),
+    ], ids=["k1_1e-15", "k1_1e-7"])
+    def test_missed_end_value_raises(self, ks, miss):
+        # P = -k0/k1 is huge, and U = P + w1 phi1 + w2 phi2 cancels it: the
+        # form passes its residual check but misses the end values.
+        with pytest.raises(ValueError, match=f"misses its end values by {miss}"):
+            analytic_solution(SchemeCoefficients(*ks), BoundaryData1D(0.3, -0.7))
+
 
 class TestConvergenceOrder:
     def test_base_scheme_second_order(self):

@@ -287,6 +287,33 @@ class TestOtherExperiments:
         assert err == ("error: validation: analytic form overflows: a characteristic root has "
                        f"magnitude about {magnitude}\n")
 
+    @pytest.mark.parametrize("name", ["fig1.cfg", "order1d.cfg"], ids=["solve1d", "order"])
+    def test_missed_end_value_exit_3(self, tmp_path, capsys, name):
+        # A tiny k1 makes the analytic form cancel a particular part of -1e15.
+        cfg = edited_config(tmp_path, name, k0=1, k1="1e-15", k2="1e-12", k3=1,
+                            u_left="0.3", u_right="-0.7")
+        out = tmp_path / "o"
+        assert run_cli("run", str(cfg), "--out", str(out)) == 3
+        err = capsys.readouterr().err
+        assert err == "error: validation: analytic form misses its end values by 5.000e-02\n"
+        assert not (out / "summary.json").exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("b, h", [("1e-300", "1.000e-301"), ("1e-160", "1.000e-161")])
+    def test_tiny_domain_timestep_exit_3(self, tmp_path, capsys, b, h):
+        # h^2 underflows to 0 at b = 1e-300, and 1/h^2 overflows at b = 1e-160.
+        cfg = edited_config(tmp_path, "timestep1d.cfg", b=b)
+        assert run_cli("run", str(cfg), "--out", str(tmp_path / "o")) == 3
+        err = capsys.readouterr().err
+        assert err == f"error: validation: mesh step h = {h} is too small: 1/h^2 is not finite\n"
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("name", ["fig1.cfg", "order1d.cfg", "scan.cfg"])
+    @pytest.mark.parametrize("b", ["1e-300", "1e-160"])
+    def test_tiny_domain_other_kinds_run(self, tmp_path, name, b):
+        cfg = edited_config(tmp_path, name, b=b)
+        assert run_cli("run", str(cfg), "--out", str(tmp_path / "o")) == 0
+
     @pytest.mark.parametrize("k1, k2", [("0.01", "-0.2"), ("0.64", "-1.6"), ("1.69", "-2.6")])
     def test_decimal_double_root_solve1d(self, tmp_path, k1, k2):
         # U'' + k2 U' + k1 U + 1 = 0 has the double root -k2/2; typed as

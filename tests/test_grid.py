@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from monoscheme.grid import (
     unflatten_index,
     with_boundary,
 )
+from monoscheme.stencils import pad_range
 
 
 class TestMesh1D:
@@ -137,8 +139,67 @@ class TestMeshFunction:
         mesh = Mesh3D(1.0, 4)
         values = np.random.default_rng(0).standard_normal(64)
         mf = MeshFunction(mesh, values)
-        again = MeshFunction.from_grid(mesh, mf.as_grid())
+        again = MeshFunction(mesh, mf.as_grid())
         assert np.array_equal(again.values, values)
+
+
+N_IN = 6
+MESH_IN = Mesh3D(1.0, N_IN)
+RANGE_IN = pad_range(N_IN)
+
+
+def _inputs():
+    """The accepted input forms, each with its mesh: flat vectors and
+    (N, N, N) [i, j, k] grids, contiguous, strided and broadcast."""
+    rng = np.random.default_rng(7)
+    grid = rng.standard_normal((N_IN,) * 3)
+    return {
+        "flat_1d": (Mesh1D(0.0, 1.0, 9), rng.standard_normal(9)),
+        "flat_3d": (MESH_IN, rng.standard_normal(N_IN**3)),
+        "as_grid": (MESH_IN, MeshFunction(MESH_IN, grid.ravel(order="F")).as_grid()),
+        "cells": (MESH_IN, RANGE_IN.cells(rng.standard_normal(RANGE_IN.size))),
+        "broadcast": (MESH_IN, np.broadcast_to(rng.standard_normal(N_IN)[:, None, None],
+                                               (N_IN,) * 3)),
+    }
+
+
+class TestOneCopy:
+    """MeshFunction takes the flat vector or the [i, j, k] grid and copies once."""
+
+    @pytest.mark.parametrize("name", list(_inputs()))
+    def test_values_are_a_frozen_column_major_copy(self, name):
+        mesh, data = _inputs()[name]
+        mf = MeshFunction(mesh, data)
+        assert np.array_equal(mf.values, np.ravel(data, order="F"))
+        assert mf.values.shape == (data.size,)
+        assert not np.shares_memory(mf.values, data)
+        assert not mf.values.flags.writeable
+        with pytest.raises(ValueError):
+            mf.values[0] = 1.0
+
+    @pytest.mark.parametrize("mesh, shape", [
+        (MESH_IN, (N_IN**2, N_IN)),
+        (MESH_IN, (N_IN, N_IN)),
+        (Mesh1D(0.0, 1.0, 9), (9, 1)),
+        (Mesh1D(0.0, 1.0, 8), (2, 2, 2)),
+    ])
+    def test_other_shapes_raise(self, mesh, shape):
+        with pytest.raises(ValueError, match="expected shape"):
+            MeshFunction(mesh, np.zeros(shape))
+
+    def test_strided_view_costs_one_array(self):
+        # Measured with numpy 2.4: the values array plus 480 bytes of overhead.
+        N = 20
+        rng = pad_range(N)
+        cells = rng.cells(np.random.default_rng(1).standard_normal(rng.size))
+        MeshFunction(Mesh3D(1.0, N), cells)  # warm up any first-call allocation
+        tracemalloc.start()
+        try:
+            MeshFunction(Mesh3D(1.0, N), cells)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= N**3 * 8 + 2048
 
 
 class TestSample:

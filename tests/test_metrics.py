@@ -70,6 +70,22 @@ class TestOscillationDetector:
         assert not oscillates_point_to_point(seq, 0, 6)
         assert oscillates_point_to_point(seq, 3, 6)
 
+    @pytest.mark.filterwarnings("error")
+    def test_huge_steps_do_not_overflow(self):
+        # The product of the steps 2e200 and -2e200 overflows.
+        assert oscillates_point_to_point([0, 1e200, -1e200, 1e200])
+        assert report_1d([0.0, 1e200, -1e200, 1e200, 0.0]).oscillates
+
+    def test_tiny_steps_alternate(self):
+        # The product of the steps 2e-200 and -2e-200 underflows to zero.
+        assert oscillates_point_to_point([0, 1e-200, -1e-200, 1e-200])
+
+    @pytest.mark.filterwarnings("error")
+    def test_nan_and_infinite_steps(self):
+        assert not oscillates_point_to_point([0, np.nan, 0, 1])
+        assert oscillates_point_to_point([0, np.inf, 0, np.inf])
+        assert not oscillates_point_to_point([np.inf, np.inf, 0, 1])
+
 
 class TestMaxStepChange:
     def test_examples(self):
@@ -117,19 +133,19 @@ class TestExtrema3D:
         mesh = Mesh3D(1.0, 5)
         g = np.zeros((5, 5, 5))
         g[2, 2, 2] = 1.0
-        assert count_extrema_3d(MeshFunction.from_grid(mesh, g)) == 1
+        assert count_extrema_3d(MeshFunction(mesh, g)) == 1
 
     def test_linear_field_has_none(self):
         mesh = Mesh3D(1.0, 6)
         g = np.fromfunction(lambda i, j, k: i * 1.0, (6, 6, 6))
-        assert count_extrema_3d(MeshFunction.from_grid(mesh, g)) == 0
+        assert count_extrema_3d(MeshFunction(mesh, g)) == 0
 
     def test_ties_are_not_extrema(self):
         mesh = Mesh3D(1.0, 5)
         g = np.zeros((5, 5, 5))
         g[2, 2, 2] = 1.0
         g[3, 2, 2] = 1.0  # plateau pair: neither cell strictly exceeds all six
-        assert count_extrema_3d(MeshFunction.from_grid(mesh, g)) == 0
+        assert count_extrema_3d(MeshFunction(mesh, g)) == 0
 
     def test_empty_region_counts_zero(self):
         mesh = Mesh3D(1.0, 5)
@@ -155,11 +171,11 @@ class TestSharpness:
         mesh = Mesh3D(1.0, 5)
         g = np.zeros((5, 5, 5))
         g[2, 2, 2] = 1.0
-        u = MeshFunction.from_grid(mesh, g)
+        u = MeshFunction(mesh, g)
         assert sharpness_metrics(u, [(2, 2, 2)]) == (1.0, 1.0)
         g2 = g.copy()
         g2[3, 2, 2] = 0.8  # neighbor jumps (1, 1, 1, 1, 1, 0.2)
-        u2 = MeshFunction.from_grid(mesh, g2)
+        u2 = MeshFunction(mesh, g2)
         a, b = sharpness_metrics(u2, [(2, 2, 2)])
         assert a == pytest.approx(1.0)
         assert b == pytest.approx(0.2)

@@ -138,7 +138,7 @@ def reference_state(cfg, sweeps, monotonized):
 
 def as_field(cfg, v, p):
     mesh = cfg.mesh
-    return FlowField(*(MeshFunction.from_grid(mesh, g) for g in (*v, p)))
+    return FlowField(*(MeshFunction(mesh, g) for g in (*v, p)))
 
 
 ORACLE_CONFIGS = {
@@ -291,6 +291,16 @@ class TestSweepMatchesReference:
         for a in range(3):
             assert close(ws.v_pads[a], pad_grid(v[a], policy.velocity(a)))
         assert close(ws.p_pad, pad_grid(p, policy.p))
+
+    @pytest.mark.parametrize("variant", ["base", "monotonized"])
+    def test_sweep_buffers_start_on_64_bytes(self, variant):
+        cfg = small_config()
+        # Odd-sized allocations in between shift the heap's 16-byte offsets.
+        spaces = [(_Workspace(init_field(cfg), cfg, variant, cfg.sigma_v), np.empty(2 * k + 1))
+                  for k in range(4)]
+        for ws, _ in spaces:
+            buffers = [*ws.steps, *ws.lap, *(ws.w or ()), ws.inc, ws.term]
+            assert all(b.ctypes.data % 64 == 0 and b.shape == (ws.range.size,) for b in buffers)
 
     @pytest.mark.parametrize("variant", ["base", "monotonized"])
     def test_sweeps_update_the_pads_in_place(self, variant):

@@ -222,7 +222,7 @@ class TestSmooth3D:
         mesh = Mesh3D(1.0, 5)
         g = np.zeros((5, 5, 5))
         g[2, 2, 2] = 1.0
-        u = MeshFunction.from_grid(mesh, g)
+        u = MeshFunction(mesh, g)
         out = smooth_3d(u).as_grid()
         assert out[2, 2, 2] == pytest.approx(0.5)
 
@@ -605,7 +605,7 @@ class TestStencilProperties:
     def test_smoother_zeroes_interior_checkerboard(self, N, amp):
         mesh = Mesh3D(1.0, N)
         i, j, k = np.indices((N, N, N))
-        u = MeshFunction.from_grid(mesh, amp * (-1.0) ** (i + j + k))
+        u = MeshFunction(mesh, amp * (-1.0) ** (i + j + k))
         out = smooth_3d(u).as_grid()[1:-1, 1:-1, 1:-1]
         assert np.max(np.abs(out)) <= 4 * np.finfo(float).eps * abs(amp)
 
