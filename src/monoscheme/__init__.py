@@ -40,7 +40,6 @@ from .stencils import (
     solve_smooth_3d,
 )
 from .metrics import (
-    DampingBoundInputs,
     DampingCheck,
     MonotonicityReport,
     check_damping_bound,

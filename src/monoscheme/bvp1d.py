@@ -31,7 +31,9 @@ from typing import Sequence
 import numpy as np
 
 from .grid import BoundaryData1D, Mesh1D, MeshFunction, check_domain, norm_c
-from .stencils import SingularOperatorError, Tridiagonal, smooth_1d, smoothing, solve_smooth_1d
+from .stencils import (
+    SingularOperatorError, SolverError, Tridiagonal, smooth_1d, smoothing, solve_smooth_1d,
+)
 
 
 class SingularSchemeError(SingularOperatorError):
@@ -102,11 +104,15 @@ def scheme_matrix(c: SchemeCoefficients, mesh: Mesh1D, monotonized: bool) -> Tri
 def _solve_scheme(
     c: SchemeCoefficients, a: Tridiagonal, mesh: Mesh1D, bc: BoundaryData1D
 ) -> np.ndarray:
-    """Banded solve of a u = -h^2 k0 with the end-value terms moved right."""
-    rhs = np.full(mesh.n, -mesh.h * mesh.h * c.k0) - a.offset(bc)
+    """Banded solve of a u = -h^2 k0 with the end-value terms moved right.
+    A band or right side that overflows raises SolverError."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        rhs = np.full(mesh.n, -mesh.h * mesh.h * c.k0) - a.offset(bc)
+    if not (np.isfinite([a.lower, a.diag, a.upper]).all() and np.isfinite(rhs).all()):
+        raise SolverError(f"scheme overflows at h={mesh.h}: its band or right side is not finite")
     try:
         return a.solve(rhs)
-    except (np.linalg.LinAlgError, ValueError) as exc:
+    except np.linalg.LinAlgError as exc:
         raise SingularSchemeError(f"scheme matrix singular at h={mesh.h}: {exc}", mesh.h) from exc
 
 
@@ -365,22 +371,24 @@ def analytic_solution(
     a, b = domain
     check_domain(a, b)
     try:
-        disc = c.k2**2 - 4.0 * c.k1 * c.k3
-        sq = math.sqrt(disc) if disc >= 0 else complex(0.0, math.sqrt(-disc))
-        # q keeps -k2 and sqrt(disc) from cancelling; q = 0 only when k1 = k2 = 0.
-        q = -(c.k2 + math.copysign(1.0, c.k2) * sq) / 2.0
-        roots = (q / c.k3, c.k1 / q) if q else (0.0, 0.0)
-        ends = np.array([a, b])
-        fit = np.stack(_basis(roots, domain, ends, 0), axis=1)
-        rhs = np.array([bc.u0, bc.u_np1]) - np.polyval(_particular(c), ends)
-        weights = tuple(np.linalg.solve(fit, rhs))
-        sol = AnalyticSolution(coefficients=c, bc=bc, domain=domain, _roots=roots,
-                               _weights=weights)
-        xs = np.linspace(a, b, 41)
-        vals = sol(xs)
-        scale = max(1.0, norm_c(vals))
-        res = norm_c(sol.ode_residual(xs))
-        miss = max(abs(vals[0] - bc.u0), abs(vals[-1] - bc.u_np1))
+        # The checks below report a non-finite value, so numpy need not warn of one.
+        with np.errstate(over="ignore", invalid="ignore"):
+            disc = c.k2**2 - 4.0 * c.k1 * c.k3
+            sq = math.sqrt(disc) if disc >= 0 else complex(0.0, math.sqrt(-disc))
+            # q keeps -k2 and sqrt(disc) from cancelling; q = 0 only when k1 = k2 = 0.
+            q = -(c.k2 + math.copysign(1.0, c.k2) * sq) / 2.0
+            roots = (q / c.k3, c.k1 / q) if q else (0.0, 0.0)
+            ends = np.array([a, b])
+            fit = np.stack(_basis(roots, domain, ends, 0), axis=1)
+            rhs = np.array([bc.u0, bc.u_np1]) - np.polyval(_particular(c), ends)
+            weights = tuple(np.linalg.solve(fit, rhs))
+            sol = AnalyticSolution(coefficients=c, bc=bc, domain=domain, _roots=roots,
+                                   _weights=weights)
+            xs = np.linspace(a, b, 41)
+            vals = sol(xs)
+            scale = max(1.0, norm_c(vals))
+            res = norm_c(sol.ode_residual(xs))
+            miss = max(abs(vals[0] - bc.u0), abs(vals[-1] - bc.u_np1))
     except np.linalg.LinAlgError as exc:
         raise ValueError(f"boundary fit is singular on [{a}, {b}]") from exc
     except OverflowError as exc:
@@ -389,7 +397,7 @@ def analytic_solution(
         raise ValueError(
             f"analytic form overflows: a characteristic root has magnitude about {size:.1e}"
         ) from exc
-    if res > 1e-9 * scale * max(1.0, abs(c.k1) + abs(c.k2) + abs(c.k3)):
+    if not res <= 1e-9 * scale * max(1.0, abs(c.k1) + abs(c.k2) + abs(c.k3)):
         raise ValueError(f"analytic form failed its residual check: {res:.3e}")
     # Sound forms meet their ends to 1.4e-13 relative (6000 random problems);
     # a small nonzero k1 makes P = -k0/k1 huge, and its cancellation shows here.

@@ -114,30 +114,27 @@ class SectionView:
         self._s = section
         self._name = name
 
-    def _get(self, key: str, default=_REQUIRED):
+    def _value(self, key: str, default, parse):
         if key in self._s:
-            return self._s[key]
+            return parse(self._s[key])
         if default is _REQUIRED:
             raise ConfigParseError(f"missing key {key!r} in [{self._name}]")
-        return None
+        return default
 
     def real(self, key: str, default=_REQUIRED) -> float | None:
-        raw = self._get(key, default)
-        return default if raw is None else _parse_real(raw)
+        return self._value(key, default, _parse_real)
 
     def integer(self, key: str, default=_REQUIRED) -> int | None:
-        raw = self._get(key, default)
-        return default if raw is None else _parse_int(raw)
+        return self._value(key, default, _parse_int)
 
     def text(self, key: str, default=_REQUIRED) -> str | None:
-        raw = self._get(key, default)
-        return default if raw is None else raw.strip()
+        return self._value(key, default, str.strip)
 
     def reals(self, key: str) -> list[float]:
-        return [_parse_real(tok) for tok in self._get(key).split()]
+        return self._value(key, _REQUIRED, lambda raw: [_parse_real(t) for t in raw.split()])
 
     def integers(self, key: str) -> list[int]:
-        return [_parse_int(tok) for tok in self._get(key).split()]
+        return self._value(key, _REQUIRED, lambda raw: [_parse_int(t) for t in raw.split()])
 
 
 def load_config(path: str) -> ConfigView:
@@ -193,10 +190,25 @@ def write_table(path: Path, header: list[str], rows: list[tuple], fmt: str) -> N
                 fh.write(json.dumps(_strict(dict(zip(header, row))), sort_keys=True) + "\n")
 
 
+def _rows(*columns) -> list[tuple]:
+    """Table rows from equal-length columns; each value a Python int, float
+    or bool, as str and json write them."""
+    return list(zip(*(np.asarray(col).tolist() for col in columns)))
+
+
+def _ratio(num, den) -> float | None:
+    """num / den, or None when den is 0."""
+    return num / den if den else None
+
+
 def write_json(path: Path, payload: dict) -> None:
     with open(path, "w") as fh:
         json.dump(_strict(payload), fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+#: The MonotonicityReport fields that compare subtracts; central reports skip f_value.
+_COMPARED = ("f_value", "extremum_count", "sharpness_a", "sharpness_b")
 
 
 @dataclass(frozen=True)
@@ -215,7 +227,7 @@ class ComparableReport:
         compare subtracts must be a number; TypeError names one that is not."""
         def report(part: str) -> MonotonicityReport:
             rep = MonotonicityReport(**d[part])
-            for key in ("f_value", "extremum_count", "sharpness_a", "sharpness_b"):
+            for key in _COMPARED:
                 _number(getattr(rep, key), f"{part}.{key}")
             return rep
 
@@ -302,11 +314,7 @@ def run_solve1d(cfg: ConfigView, seed: int, tol: float | None) -> RunOutput:
                                     ("auxiliary", v_full, mono.v.values),
                                     ("monotonized", y_full, mono.y.values))
     }
-    rows = [
-        (float(xs[i]), float(base.u.values[i]), float(mono.v.values[i]),
-         float(mono.y.values[i]), float(ref[i]), float(exact[i]))
-        for i in range(mesh.n)
-    ]
+    rows = _rows(xs, base.u.values, mono.v.values, mono.y.values, ref, exact)
     header = ["x", "u", "v", "y", "reference_dense", "reference_analytic"]
     summary = {
         "coefficients": asdict(c),
@@ -399,15 +407,12 @@ def run_solve3d(cfg: ConfigView, seed: int, tol: float | None) -> RunOutput:
             for label, r in (("base", base), ("monotonized", mono))
         },
         "velocity_extremum_counts": vel_counts,
-        "velocity_extremum_ratio_y_over_u": (
-            vel_counts["monotonized"] / vel_counts["base"] if vel_counts["base"] else None
-        ),
-        "extremum_ratio_y_over_u": (count_y / count_u) if count_u else None,
+        "velocity_extremum_ratio_y_over_u": _ratio(vel_counts["monotonized"],
+                                                   vel_counts["base"]),
+        "extremum_ratio_y_over_u": _ratio(count_y, count_u),
         "central_region_sharpness_a": central_region_a,
-        "central_sharpness_ratio_a": (
-            central_region_a["monotonized"] / central_region_a["base"]
-            if central_region_a["base"] else None
-        ),
+        "central_sharpness_ratio_a": _ratio(central_region_a["monotonized"],
+                                            central_region_a["base"]),
         "profile_max_step": {
             "base": max_step_change([v for _, v in prof_base]),
             "monotonized": max_step_change([v for _, v in prof_mono]),
@@ -471,9 +476,8 @@ def _field_rows(fld) -> list[tuple]:
     """(i, j, k, vx, vy, vz, p) records in flat-index order."""
     N = fld.mesh.N
     flat = np.arange(fld.mesh.cell_count)
-    columns = (flat % N, flat // N % N, flat // (N * N),
-               fld.vx.values, fld.vy.values, fld.vz.values, fld.p.values)
-    return list(zip(*(col.tolist() for col in columns)))
+    return _rows(flat % N, flat // N % N, flat // (N * N),
+                 fld.vx.values, fld.vy.values, fld.vz.values, fld.p.values)
 
 
 def _brute_extrema(u: MeshFunction) -> list[tuple[int, int, int]]:
@@ -508,10 +512,7 @@ def run_order(cfg: ConfigView, seed: int, tol: float | None) -> RunOutput:
     ns = cfg.section("study").integers("n_values")
     est_base = convergence_order(c, bc, "base", ns, domain)
     est_mono = convergence_order(c, bc, "monotonized", ns, domain)
-    rows = [
-        (ns[i], est_base.hs[i], est_base.errors[i], est_mono.errors[i])
-        for i in range(len(ns))
-    ]
+    rows = _rows(ns, est_base.hs, est_base.errors, est_mono.errors)
     summary = {
         "coefficients": asdict(c),
         "base": asdict(est_base),
@@ -633,12 +634,7 @@ def compare_reports(path_a: str, path_b: str) -> dict:
             f"reports come from different experiments: {a.experiment} vs {b.experiment}"
         )
     ra, rb = a.report, b.report
-    deltas = {
-        "f_value": rb.f_value - ra.f_value,
-        "extremum_count": rb.extremum_count - ra.extremum_count,
-        "sharpness_a": rb.sharpness_a - ra.sharpness_a,
-        "sharpness_b": rb.sharpness_b - ra.sharpness_b,
-    }
+    deltas = {key: getattr(rb, key) - getattr(ra, key) for key in _COMPARED}
     if a.reference_distance_c is not None and b.reference_distance_c is not None:
         deltas["reference_distance_c"] = b.reference_distance_c - a.reference_distance_c
     out = {
@@ -646,15 +642,11 @@ def compare_reports(path_a: str, path_b: str) -> dict:
         "left": a.label,
         "right": b.label,
         "deltas": deltas,
-        "extremum_ratio": (
-            rb.extremum_count / ra.extremum_count if ra.extremum_count else None
-        ),
+        "extremum_ratio": _ratio(rb.extremum_count, ra.extremum_count),
     }
     if a.central is not None and b.central is not None:
         out["central_deltas"] = {
-            "extremum_count": b.central.extremum_count - a.central.extremum_count,
-            "sharpness_a": b.central.sharpness_a - a.central.sharpness_a,
-            "sharpness_b": b.central.sharpness_b - a.central.sharpness_b,
+            key: getattr(b.central, key) - getattr(a.central, key) for key in _COMPARED[1:]
         }
     return out
 

@@ -110,14 +110,14 @@ def _full_neighbor_box(N: int, region: Region3D) -> tuple[slice, slice, slice]:
     return tuple(slice(max(lo, 1), max(lo, 1, min(hi, N - 2) + 1)) for lo, hi in region)
 
 
-def _extrema_masks(
-    u: MeshFunction, region: Region3D
-) -> tuple[tuple[slice, slice, slice], np.ndarray, np.ndarray]:
-    """The full-neighbor box of region and its strict-max and strict-min
-    masks, which have the box's shape."""
+def _extrema(
+    u: MeshFunction, region: Region3D | None
+) -> tuple[tuple[slice, slice, slice], np.ndarray]:
+    """The full-neighbor box of region (None: the interior) and the mask of
+    its strict extrema, which has the box's shape."""
     if not isinstance(u.mesh, Mesh3D):
         raise TypeError("extremum counting is defined for 3D mesh functions")
-    box = _full_neighbor_box(u.mesh.N, region)
+    box = _full_neighbor_box(u.mesh.N, _region_or_interior(u, region))
     g = u.as_grid()
     center = g[box]
     is_max = np.ones(center.shape, dtype=bool)
@@ -128,16 +128,16 @@ def _extrema_masks(
             nbr[axis] = slice(box[axis].start + shift, box[axis].stop + shift)
             is_max &= center > g[tuple(nbr)]
             is_min &= center < g[tuple(nbr)]
-    return box, is_max, is_min
+    return box, is_max | is_min
 
 
-def _extremum_index(u: MeshFunction, region: Region3D) -> np.ndarray:
+def _extremum_index(u: MeshFunction, region: Region3D | None) -> np.ndarray:
     """(m, 3) array of the (i, j, k) cells counted by count_extrema_3d, in
     flat-index order."""
-    box, is_max, is_min = _extrema_masks(u, region)
+    box, mask = _extrema(u, region)
     # Nonzero over the transposed mask walks k slowest and i fastest, which
     # is flat-index order (flat = i + N*j + N*N*k).
-    kk, jj, ii = np.nonzero((is_max | is_min).T)
+    kk, jj, ii = np.nonzero(mask.T)
     return np.stack([ii + box[0].start, jj + box[1].start, kk + box[2].start], axis=1)
 
 
@@ -149,14 +149,12 @@ def count_extrema_3d(u: MeshFunction, region: Region3D | None = None) -> int:
     neighbor set (mesh-edge cells) are excluded, so the default region is the
     interior. An empty region yields zero.
     """
-    region = _region_or_interior(u, region)
-    _, is_max, is_min = _extrema_masks(u, region)
-    return int(np.count_nonzero(is_max) + np.count_nonzero(is_min))
+    return int(np.count_nonzero(_extrema(u, region)[1]))
 
 
 def extremum_cells(u: MeshFunction, region: Region3D | None = None) -> list[tuple[int, int, int]]:
     """The (i, j, k) triples counted by count_extrema_3d, in flat-index order."""
-    return list(map(tuple, _extremum_index(u, _region_or_interior(u, region)).tolist()))
+    return list(map(tuple, _extremum_index(u, region).tolist()))
 
 
 def _sharpness(g: np.ndarray, idx: np.ndarray) -> tuple[float, float]:
@@ -209,53 +207,40 @@ def sharpness_metrics(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DampingBoundInputs:
-    """Quantities entering the damping-ratio interval.
-
-    delta: roughness of the base solution, f(u) > 0.
-    k: damping factor of the smoother on the base solution, f(Mu)/f(u).
-    epsilon: C-norm distance between base and auxiliary solutions.
-    lipschitz: Lipschitz constant of f (2 for max_step_change).
-    norm_m: C-norm of the smoothing operator (1 for the averaging smoothers).
-    """
-
-    delta: float
-    k: float
-    epsilon: float
-    lipschitz: float = STEP_CHANGE_LIPSCHITZ
-    norm_m: float = 1.0
-
-    def __post_init__(self):
-        if not self.delta > 0:
-            raise ValueError(f"delta must be positive, got {self.delta}")
-        if not 0 < self.k < 1:
-            raise ValueError(f"k must lie in (0, 1), got {self.k}")
-        if not self.epsilon > 0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
-
-
-def damping_bound_interval(inp: DampingBoundInputs) -> tuple[float, float]:
+def damping_bound_interval(
+    delta: float,
+    k: float,
+    epsilon: float,
+    lipschitz: float = STEP_CHANGE_LIPSCHITZ,
+    norm_m: float = 1.0,
+) -> tuple[float, float]:
     """Open interval (lo, hi) containing f(Mv)/delta.
 
         lo = (k*delta - K*||M||*eps) / (delta + eps)
         hi = (k*delta + K*||M||*eps) / (delta - eps)
 
-    Requires the premises K*||M||*eps < k*delta and eps < delta; violation
-    raises with the failing inequality spelled out.
+    delta is the base solution's roughness f(u) > 0, k the smoother's
+    damping factor f(Mu)/f(u), epsilon > 0 the C-norm distance between the
+    base and auxiliary solutions, lipschitz the Lipschitz constant K of f
+    (2 for max_step_change) and norm_m the C-norm of the smoother (1 for the
+    averaging smoothers). An input out of range raises ValueError; a failing
+    premise K*||M||*eps < k*delta or eps < delta raises
+    PremiseViolationError with the inequality spelled out.
     """
-    spread = inp.lipschitz * inp.norm_m * inp.epsilon
-    if not spread < inp.k * inp.delta:
+    if not delta > 0:
+        raise ValueError(f"delta must be positive, got {delta}")
+    if not 0 < k < 1:
+        raise ValueError(f"k must lie in (0, 1), got {k}")
+    if not epsilon > 0:
+        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    spread = lipschitz * norm_m * epsilon
+    if not spread < k * delta:
         raise PremiseViolationError(
-            f"premise K*||M||*eps < k*delta fails: {spread:.6g} >= {inp.k * inp.delta:.6g}"
+            f"premise K*||M||*eps < k*delta fails: {spread:.6g} >= {k * delta:.6g}"
         )
-    if not inp.epsilon < inp.delta:
-        raise PremiseViolationError(
-            f"premise eps < delta fails: {inp.epsilon:.6g} >= {inp.delta:.6g}"
-        )
-    lo = (inp.k * inp.delta - spread) / (inp.delta + inp.epsilon)
-    hi = (inp.k * inp.delta + spread) / (inp.delta - inp.epsilon)
-    return lo, hi
+    if not epsilon < delta:
+        raise PremiseViolationError(f"premise eps < delta fails: {epsilon:.6g} >= {delta:.6g}")
+    return (k * delta - spread) / (delta + epsilon), (k * delta + spread) / (delta - epsilon)
 
 
 @dataclass(frozen=True)
@@ -308,11 +293,8 @@ def check_damping_bound(
             premises_hold=True, inside=bool(k1 == k),
         )
     try:
-        inputs = DampingBoundInputs(
-            delta=delta, k=k, epsilon=eps, lipschitz=lipschitz, norm_m=norm_m
-        )
-        lo, hi = damping_bound_interval(inputs)
-    except (ValueError, PremiseViolationError) as exc:
+        lo, hi = damping_bound_interval(delta, k, eps, lipschitz, norm_m)
+    except ValueError as exc:  # a PremiseViolationError is one
         return DampingCheck(
             delta=delta, k=k, epsilon=eps, k1=k1, lo=float("nan"), hi=float("nan"),
             premises_hold=False, inside=False, failed_premise=str(exc),
@@ -390,7 +372,6 @@ def report_3d(u: MeshFunction, region: Region3D | None = None) -> MonotonicityRe
 
 
 __all__ = [
-    "DampingBoundInputs",
     "DampingCheck",
     "DegenerateInputError",
     "EmptySetError",

@@ -250,14 +250,17 @@ class GhostPlan:
         self.N = N
         parts = {kind: [] for kind in _KINDS}  # per kind: (ghosts, edges, inners, values)
         for side, (face, rule) in enumerate(zip(FACES, spec.rules())):
-            steps = _face_steps(face, rule, N)
+            covered = np.zeros(N * N, dtype=bool)  # the patch's tangential cells, row-major
+            if rule.patch is not None:
+                lo, hi = rule.patch_lo, rule.patch_hi
+                if hi >= N:
+                    raise ValueError(f"{face} patch {lo}..{hi} outside cells 0..{N - 1}")
+                covered.reshape(N, N)[lo : hi + 1, lo : hi + 1] = True
             layer = _layer_indices(side // 2, side % 2, N)
-            last = np.zeros((N, N), dtype=np.intp)  # the last step that writes each ghost
-            for i, (_, lo, top) in enumerate(steps):
-                last[lo : top + 1, lo : top + 1] = i
-            for i, (ghost, _, _) in enumerate(steps):
-                keep = (last == i).ravel()
-                parts[ghost.kind].append((*(a[keep] for a in layer), np.full(keep.sum(), ghost.value)))
+            for ghost, keep in ((rule.base, ~covered), (rule.patch, covered)):
+                if ghost is not None:
+                    indices = (a[keep] for a in layer)
+                    parts[ghost.kind].append((*indices, np.full(keep.sum(), ghost.value)))
         joined = {kind: [np.concatenate(col) for col in zip(*p)] for kind, p in parts.items() if p}
         ghosts, _, _, values = joined.pop("value", (np.empty(0, dtype=np.intp),) * 4)
         written = values.view(np.int64) != 0  # the zero pad already holds the +0.0 ghosts
@@ -285,19 +288,6 @@ class GhostPlan:
                 flat[ghosts] = out
             else:
                 flat[ghosts] = flat[edges]
-
-
-def _face_steps(face: str, rule: FaceRule, N: int) -> list[tuple[FaceGhost, int, int]]:
-    """(ghost, lo, hi) for a face's base rule and then its patch, which
-    covers tangential cells lo..hi."""
-    steps = [(rule.base, 0, N - 1)]
-    if rule.patch is not None:
-        if rule.patch_hi >= N:
-            raise ValueError(
-                f"{face} patch {rule.patch_lo}..{rule.patch_hi} outside cells 0..{N - 1}"
-            )
-        steps.append((rule.patch, rule.patch_lo, rule.patch_hi))
-    return steps
 
 
 def _layer_indices(axis: int, hi: int, N: int) -> tuple[np.ndarray, ...]:

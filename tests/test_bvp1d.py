@@ -412,6 +412,14 @@ class TestAnalyticSolution:
             analytic_solution(SchemeCoefficients(*ks), BoundaryData1D(0.3, -0.7))
 
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_nan_residual_raises(self):
+        # k0 = 1e308 makes U overflow, and the residual inf - inf is NaN.
+        with pytest.raises(ValueError, match="failed its residual check: nan"):
+            analytic_solution(SchemeCoefficients(1e308, -5.0, 30.0, -1e-10),
+                              BoundaryData1D(0.5, 0.5))
+
+
 class TestConvergenceOrder:
     def test_base_scheme_second_order(self):
         c = SchemeCoefficients(1.0, -1.0, 1.0, 1.0)

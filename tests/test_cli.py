@@ -299,6 +299,22 @@ class TestOtherExperiments:
         assert not (out / "summary.json").exists()
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("values, message", [
+        ({"k0": "1e308", "k3": "-1e-10"}, "failed its residual check: nan"),
+        ({"k3": "5e-324"}, "failed its residual check: nan"),
+        ({"k3": "-1e-300", "u_left": "1e300", "u_right": "-1e300"},
+         "overflows: a characteristic root has magnitude about 3.0e+301"),
+    ], ids=["nan_residual", "k3_5e-324", "k3_-1e-300"])
+    def test_non_finite_analytic_form_exit_3(self, tmp_path, capsys, values, message):
+        # Each form overflows while it is built or checked; the run stops
+        # with one error line, no numpy warning and no file written.
+        cfg = edited_config(tmp_path, "fig1.cfg", **values)
+        out = tmp_path / "o"
+        assert run_cli("run", str(cfg), "--out", str(out)) == 3
+        assert capsys.readouterr().err == f"error: validation: analytic form {message}\n"
+        assert not any(out.iterdir())
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("b, h", [("1e-300", "1.000e-301"), ("1e-160", "1.000e-161")])
     def test_tiny_domain_timestep_exit_3(self, tmp_path, capsys, b, h):
         # h^2 underflows to 0 at b = 1e-300, and 1/h^2 overflows at b = 1e-160.
@@ -400,6 +416,22 @@ class TestSolverFailureExit:
         err = capsys.readouterr().err
         assert err == "error: solver: implicit step produced non-finite values\n"
         assert not (out / "summary.json").exists()
+
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("values, h", [
+        ({"k1": "-1e300", "u_left": "1e300", "u_right": "-1e300"}, "0.1"),
+        ({"k0": "1e308", "b": "1e11", "u_left": "1e300"}, "10000000000.0"),
+    ], ids=["end_terms", "inf_minus_inf"])
+    def test_overflowing_scheme_exit_4(self, tmp_path, capsys, values, h):
+        # The end-value terms overflow (the monotonized scheme's h^2 k1/4
+        # times 1e300), or -h^2 k0 and an end term are both -inf, whose
+        # difference is NaN; neither matrix is singular.
+        cfg = edited_config(tmp_path, "fig1.cfg", **values)
+        assert run_cli("run", str(cfg), "--out", str(tmp_path / "o")) == 4
+        err = capsys.readouterr().err
+        assert err == (f"error: solver: scheme overflows at h={h}: its band or right side "
+                       "is not finite\n")
 
 
 class TestOptionalFlowKeys:

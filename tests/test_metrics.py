@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from monoscheme.grid import Mesh3D, MeshFunction, norm_c
 from monoscheme.metrics import (
-    DampingBoundInputs,
     DegenerateInputError,
     EmptySetError,
     PremiseViolationError,
@@ -166,6 +165,19 @@ class TestExtrema3D:
         )
 
 
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(data=st.data(), N=st.integers(2, 6))
+    def test_count_cells_and_report_agree(self, data, N):
+        # Small integer values make ties; regions may be empty or reach past
+        # the mesh on either side.
+        values = data.draw(st.lists(st.integers(-2, 2), min_size=N**3, max_size=N**3))
+        u = MeshFunction(Mesh3D(1.0, N), np.asarray(values, dtype=float))
+        bounds = st.tuples(st.integers(-2, N + 1), st.integers(0, N + 1))
+        region = data.draw(st.none() | st.tuples(bounds, bounds, bounds))
+        count = count_extrema_3d(u, region)
+        assert count == len(extremum_cells(u, region)) == report_3d(u, region).extremum_count
+
+
 class TestSharpness:
     def test_spike_examples(self):
         mesh = Mesh3D(1.0, 5)
@@ -221,31 +233,48 @@ class TestSharpness:
 
 class TestDampingInterval:
     def test_spec_point(self):
-        lo, hi = damping_bound_interval(DampingBoundInputs(delta=1.0, k=0.5, epsilon=0.01))
+        lo, hi = damping_bound_interval(delta=1.0, k=0.5, epsilon=0.01)
         assert lo == pytest.approx(0.48 / 1.01)
         assert hi == pytest.approx(0.52 / 0.99)
 
     def test_collapse_as_epsilon_vanishes(self):
-        lo, hi = damping_bound_interval(DampingBoundInputs(delta=1.0, k=0.5, epsilon=1e-12))
+        lo, hi = damping_bound_interval(delta=1.0, k=0.5, epsilon=1e-12)
         assert lo == pytest.approx(0.5, abs=1e-10)
         assert hi == pytest.approx(0.5, abs=1e-10)
 
     def test_premise_violation_named(self):
         with pytest.raises(PremiseViolationError, match="K"):
-            damping_bound_interval(DampingBoundInputs(delta=1.0, k=0.1, epsilon=0.2))
+            damping_bound_interval(delta=1.0, k=0.1, epsilon=0.2)
 
     def test_monotone_widening_in_epsilon(self):
         eps_values = np.linspace(1e-6, 0.05, 20)
         lows, highs = [], []
         for eps in eps_values:
-            lo, hi = damping_bound_interval(DampingBoundInputs(delta=1.0, k=0.5, epsilon=eps))
+            lo, hi = damping_bound_interval(delta=1.0, k=0.5, epsilon=eps)
             lows.append(lo)
             highs.append(hi)
         assert all(a >= b for a, b in zip(lows, lows[1:]))
         assert all(a <= b for a, b in zip(highs, highs[1:]))
 
+    @pytest.mark.parametrize("inputs, message", [
+        ((0.0, 0.5, 0.1), "delta must be positive, got 0.0"),
+        ((-1.0, 0.5, 0.1), "delta must be positive, got -1.0"),
+        ((np.nan, 0.5, 0.1), "delta must be positive, got nan"),
+        ((1.0, 0.0, 0.1), "k must lie in (0, 1), got 0.0"),
+        ((1.0, 1.0, 0.1), "k must lie in (0, 1), got 1.0"),
+        ((1.0, np.nan, 0.1), "k must lie in (0, 1), got nan"),
+        ((1.0, 0.5, 0.0), "epsilon must be positive, got 0.0"),
+        ((1.0, 0.5, -0.1), "epsilon must be positive, got -0.1"),
+        ((1.0, 0.5, np.nan), "epsilon must be positive, got nan"),
+    ])
+    def test_inputs_out_of_range_raise(self, inputs, message):
+        with pytest.raises(ValueError) as info:
+            damping_bound_interval(*inputs)
+        assert str(info.value) == message
+        assert not isinstance(info.value, PremiseViolationError)
+
     def test_interval_is_positive_and_ordered(self):
-        lo, hi = damping_bound_interval(DampingBoundInputs(delta=2.0, k=0.7, epsilon=0.1))
+        lo, hi = damping_bound_interval(delta=2.0, k=0.7, epsilon=0.1)
         assert 0 < lo < hi
 
 
@@ -282,6 +311,21 @@ class TestCheckDampingBound:
         chk = check_damping_bound(u, v, _smooth_full)
         assert not chk.premises_hold
         assert chk.failed_premise
+
+    @pytest.mark.parametrize("v_shift, kwargs, message", [
+        (np.linspace(0, 3.0, 5), {}, "premise K*||M||*eps < k*delta fails: 6 >= 0.25"),
+        (np.full(5, 0.5), {"lipschitz": 0.1},
+         "premise eps < delta fails: 0.5 >= 0.5"),
+        (np.full(5, 0.1), {"smooth": lambda seq: seq}, "k must lie in (0, 1), got 1.0"),
+    ], ids=["spread", "eps_delta", "k_one"])
+    def test_failed_premise_texts(self, v_shift, kwargs, message):
+        # Each text names the first hypothesis that fails, as
+        # damping_bound_interval raises it.
+        u = np.array([0.0, 0.5, 0.0, 0.5, 0.0])
+        smooth = kwargs.pop("smooth", _smooth_full)
+        chk = check_damping_bound(u, u + v_shift, smooth, **kwargs)
+        assert not chk.premises_hold and not chk.inside
+        assert chk.failed_premise == message
 
     def test_roundtrip_dict(self):
         u = np.array([(-1.0) ** i for i in range(12)])

@@ -538,6 +538,20 @@ class TestStencilProperties:
         ghost_plan(spec, N).refill(pad)
         assert np.array_equal(pad, brute_pad(grid, spec))
 
+    @pytest.mark.parametrize("N", [2, 3, 4])
+    @pytest.mark.parametrize("span", ["whole_face", "first_cell", "last_cell"])
+    @pytest.mark.parametrize("patch_kind", ["value", "mirror", "extrapolate"])
+    @pytest.mark.parametrize("base_kind", ["value", "mirror", "extrapolate"])
+    def test_explicit_patches_pad_like_per_cell_ghosts(self, base_kind, patch_kind, span, N):
+        # The patch edges the random specs reach only by chance: a patch over
+        # the whole face, and one cell at either corner of it.
+        lo, hi = {"whole_face": (0, N - 1), "first_cell": (0, 0), "last_cell": (N - 1, N - 1)}[span]
+        rule = FaceRule(FaceGhost(base_kind, 1.5 if base_kind == "value" else 0.0),
+                        FaceGhost(patch_kind, -2.5 if patch_kind == "value" else 0.0), lo, hi)
+        spec = GhostSpec3D(*(rule for _ in FACES))
+        grid = np.random.default_rng(N).standard_normal((N, N, N))
+        assert np.array_equal(pad_grid(grid, spec), brute_pad(grid, spec))
+
     def test_single_cell_pads_like_per_cell_ghosts(self):
         spec = GhostSpec3D(FaceRule(FaceGhost("value", 2.5)),
                            *(FaceRule(FaceGhost("mirror")) for _ in FACES[1:]))
