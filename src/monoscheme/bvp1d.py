@@ -263,14 +263,16 @@ def determinant_scan(
     (h = (b-a)/(n+1) with integer n >= 1). A row is flagged when the
     auxiliary matrix is near-singular while the base one is not;
     near-singularity is data here, not a failure. The matrices do not
-    depend on the end values. Every h must be positive and finite, and the
-    domain finite and nonempty; ValueError is raised before any matrix is
-    built otherwise.
+    depend on the end values. Every h must be positive and finite, near_tol
+    finite and at least 0, and the domain finite and nonempty; ValueError is
+    raised before any matrix is built otherwise.
     """
+    # Each condition below is false for NaN as well as for the out-of-range values.
     for h_req in h_values:
-        # False for NaN as well as for h <= 0 and h = inf.
         if not 0.0 < h_req < math.inf:
-            raise ValueError(f"mesh steps must be positive and finite, got {h_req}")
+            raise ValueError(f"h_values must be positive and finite, got {h_req}")
+    if not 0.0 <= near_tol < math.inf:
+        raise ValueError(f"near_tol must be finite and at least 0, got {near_tol}")
     a, b = domain
     check_domain(a, b)
     rows = []

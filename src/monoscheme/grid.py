@@ -55,10 +55,6 @@ class Mesh1D:
     def h(self) -> float:
         return (self.b - self.a) / (self.n + 1)
 
-    def x(self, i: int) -> float:
-        """Node coordinate, i = 0..n+1 (0 and n+1 are the boundary nodes)."""
-        return self.a + i * self.h
-
     def interior_x(self) -> np.ndarray:
         """Coordinates of the n interior nodes."""
         return self.a + self.h * np.arange(1, self.n + 1)
@@ -89,10 +85,6 @@ class Mesh3D:
     @property
     def cell_count(self) -> int:
         return self.N**3
-
-    def center(self, i: int, j: int, k: int) -> tuple[float, float, float]:
-        h = self.h
-        return ((i + 0.5) * h, (j + 0.5) * h, (k + 0.5) * h)
 
     def axis_centers(self) -> np.ndarray:
         """The N cell-center coordinates shared by all three axes."""

@@ -104,10 +104,11 @@ def _region_or_interior(u: MeshFunction, region: Region3D | None) -> Region3D:
     return region
 
 
-def _full_neighbor_box(N: int, region: Region3D) -> tuple[slice, slice, slice]:
-    """Slices of the (N, N, N) grid holding the cells of region that have all
-    six neighbors in the mesh; an axis with no such cell gets an empty slice."""
-    return tuple(slice(max(lo, 1), max(lo, 1, min(hi, N - 2) + 1)) for lo, hi in region)
+def _box(region: Region3D, first: int, last: int) -> tuple[slice, slice, slice]:
+    """Slices of the (N, N, N) grid holding the cells of region whose every
+    index lies in first..last; an axis with no such cell gets an empty slice.
+    first..last = 1..N-2 are the cells with all six neighbors in the mesh."""
+    return tuple(slice(max(lo, first), max(lo, first, min(hi, last) + 1)) for lo, hi in region)
 
 
 def _extrema(
@@ -117,7 +118,7 @@ def _extrema(
     its strict extrema, which has the box's shape."""
     if not isinstance(u.mesh, Mesh3D):
         raise TypeError("extremum counting is defined for 3D mesh functions")
-    box = _full_neighbor_box(u.mesh.N, _region_or_interior(u, region))
+    box = _box(_region_or_interior(u, region), 1, u.mesh.N - 2)
     g = u.as_grid()
     center = g[box]
     is_max = np.ones(center.shape, dtype=bool)
@@ -187,7 +188,7 @@ def sharpness_metrics(
     if isinstance(cells, tuple) and len(cells) == 3 and all(
         isinstance(r, tuple) and len(r) == 2 for r in cells
     ):
-        box = _full_neighbor_box(N, cells)
+        box = _box(cells, 1, N - 2)
         idx = np.argwhere(np.ones(g[box].shape, dtype=bool)) + [s.start for s in box]
     else:
         idx = np.asarray(list(cells))
@@ -352,13 +353,14 @@ def report_1d(full_sequence: Sequence[float]) -> MonotonicityReport:
 
 
 def report_3d(u: MeshFunction, region: Region3D | None = None) -> MonotonicityReport:
-    """Monotonicity report for a 3D mesh function over a region."""
+    """Monotonicity report for a 3D mesh function over a region: f_value over
+    the region's cells in the mesh, the extrema over its full-neighbor cells."""
     region = _region_or_interior(u, region)
     idx = _extremum_index(u, region)
     g = u.as_grid()
     a, b = _sharpness(g, idx) if len(idx) else (0.0, 0.0)
     (i0, i1), (j0, j1), (k0, k1) = region
-    sub = g[max(i0, 0) : i1 + 1, max(j0, 0) : j1 + 1, max(k0, 0) : k1 + 1]
+    sub = g[_box(region, 0, u.mesh.N - 1)]
     steps = [np.abs(np.diff(sub, axis=ax)) for ax in range(3)]
     f_val = max((float(s.max()) for s in steps if s.size), default=0.0)
     return MonotonicityReport(

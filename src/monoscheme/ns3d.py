@@ -180,12 +180,6 @@ class FlowField:
     def mesh(self) -> Mesh3D:
         return self.vx.mesh
 
-    def concatenated(self) -> np.ndarray:
-        """All unknowns as one vector (vx, vy, vz, p blocks in order)."""
-        return np.concatenate(
-            [self.vx.values, self.vy.values, self.vz.values, self.p.values]
-        )
-
     def velocity(self, axis: int) -> MeshFunction:
         return (self.vx, self.vy, self.vz)[axis]
 

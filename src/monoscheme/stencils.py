@@ -453,7 +453,11 @@ def smooth_3d(u: MeshFunction, spec: GhostSpec3D = MIRROR_ALL) -> MeshFunction:
 
 
 def _unknowns_only(spec: GhostSpec3D) -> GhostSpec3D:
-    """The spec with every ghost value set to zero: the smoother's linear part."""
+    """The spec with every ghost value set to zero: the smoother's linear
+    part. An extrapolation ghost has no place in it and raises ValueError."""
+    if spec.has_extrapolation():
+        raise ValueError("extrapolation ghosts are not part of the smoothing operator")
+
     def zeroed(rule: FaceRule) -> FaceRule:
         patch = None if rule.patch is None else replace(rule.patch, value=0.0)
         return replace(rule, base=replace(rule.base, value=0.0), patch=patch)
@@ -537,24 +541,20 @@ def solve_smooth_3d(
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
     if max_iters < 1:
         raise ValueError(f"max_iters must be at least 1, got {max_iters!r}")
-    if spec.has_extrapolation():
-        raise ValueError("extrapolation ghosts make the smoothing system asymmetric")
+    linear = _unknowns_only(spec)
     ghosts = [g for rule in spec.rules() for g in (rule.base, rule.patch) if g is not None]
     if not all(math.isfinite(g.value) for g in ghosts):
         raise ValueError("spec ghost values must be finite")
     if not np.isfinite(b.values).all():
         raise ValueError("b must be finite")
 
-    # Split off the affine ghost contribution smooth(0): A x = smooth(x) with
-    # every value ghost set to zero. Applying A that way keeps no affine
-    # array and no difference in the working set.
-    zero = b.with_values(np.zeros_like(b.values))
-    r = b.values - smooth_3d(zero, spec).values
-    linear = _unknowns_only(spec)
-    precondition = _SeparableInverse(spec, b.mesh.N)
+    # A x = smooth(x) with every value ghost set to zero: the affine ghost
+    # part stays in the residual b - smooth(x), so applying A keeps no affine
+    # array and no difference in the working set. The zero residual sends the
+    # first pass, at x = 0, through the from-scratch check that starts PCG.
     x = np.zeros_like(b.values)
-    p = precondition(r).copy()
-    rz = float(r @ p)
+    r = np.zeros_like(x)
+    precondition = _SeparableInverse(spec, b.mesh.N)
     for _ in range(max_iters):
         if norm_c(r) <= tol:
             r = b.values - smooth_3d(b.with_values(x), spec).values
@@ -605,8 +605,6 @@ def operator_norm_c(op) -> float:
         return float(rows.max())
 
     mesh, spec = op
-    if spec.has_extrapolation():
-        raise ValueError("extrapolation ghosts are not part of the smoothing operator")
     # Every coefficient is nonnegative, so a row's absolute sum is M applied
     # to ones once the affine "value" ghosts are set to zero.
     ones = MeshFunction(mesh, np.ones(mesh.cell_count))

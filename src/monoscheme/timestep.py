@@ -76,10 +76,6 @@ class LinearMeshOperator:
         return self.a.apply(u, _ZERO_BC) + self.offset
 
     @classmethod
-    def zero(cls, mesh: Mesh1D) -> "LinearMeshOperator":
-        return cls(Tridiagonal(0.0, 0.0, 0.0, mesh.n), np.zeros(mesh.n))
-
-    @classmethod
     def from_coefficients(
         cls,
         c: SchemeCoefficients,
@@ -270,12 +266,9 @@ def run_to_steady(
         if snapshot_every and step % snapshot_every == 0:
             snapshots.append((t, v.values.copy(), y.values.copy()))
         if update <= steady_tol:
-            return SteadyStateResult(
-                v=v, y=y, steps=step, final_update=update, converged=True,
-                history=tuple(history), snapshots=tuple(snapshots),
-            )
+            break
     return SteadyStateResult(
-        v=v, y=y, steps=max_steps, final_update=update, converged=False,
+        v=v, y=y, steps=step, final_update=update, converged=bool(update <= steady_tol),
         history=tuple(history), snapshots=tuple(snapshots),
     )
 

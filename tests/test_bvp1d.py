@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from monoscheme import bvp1d
 from monoscheme.grid import BoundaryData1D, Mesh1D, norm_c, with_boundary
 from monoscheme.bvp1d import (
     OrderEstimate,
@@ -197,7 +198,8 @@ class TestDeterminantScan:
     def test_empty_list(self):
         assert determinant_scan(OSCILLATORY, []) == []
 
-    def test_flags_singular_step_at_constructed_resonance(self):
+    @staticmethod
+    def resonance():
         # With k2 = 0 the smoothed matrix is the symmetric tridiagonal
         # (s + k3, 2s - 2k3, s + k3), s = h^2 k1 / 4, with eigenvalues
         # 2s - 2k3 + 2(s + k3) cos(j pi / (n+1)). Choosing
@@ -207,12 +209,23 @@ class TestDeterminantScan:
         h = 1.0 / (n + 1)
         cos_t = np.cos(7 * np.pi / (n + 1))  # exactly 1/2
         k1 = 4.0 * (1.0 - cos_t) / ((1.0 + cos_t) * h * h)
-        c = SchemeCoefficients(0.0, k1, 0.0, 1.0)
+        return SchemeCoefficients(0.0, k1, 0.0, 1.0), h
+
+    def test_flags_singular_step_at_constructed_resonance(self):
+        c, h = self.resonance()
         rows = determinant_scan(c, [h], near_tol=1e-10)
-        assert rows[0].n == n
+        assert rows[0].n == 20
         assert rows[0].indicator_monotonized <= 1e-10
         assert rows[0].indicator_base > 1e-6
         assert rows[0].flagged
+
+    @pytest.mark.parametrize("near_tol", [float("nan"), -1.0, float("inf")])
+    def test_rejects_near_tol_out_of_range(self, monkeypatch, near_tol):
+        # Unchecked, each of these left the resonance unflagged.
+        c, h = self.resonance()
+        monkeypatch.setattr(bvp1d, "scheme_matrix", lambda *args: pytest.fail("built a matrix"))
+        with pytest.raises(ValueError, match="near_tol"):
+            determinant_scan(c, [h], near_tol=near_tol)
 
     def test_rejects_nonpositive_h(self):
         for bad in (-0.1, 0.0, float("inf"), float("nan")):

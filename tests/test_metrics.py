@@ -351,3 +351,31 @@ class TestReports:
         assert MonotonicityReport(**asdict(rep)) == rep
         assert rep.sharpness_b <= rep.sharpness_a
         assert rep.extremum_count >= 0
+
+    @pytest.mark.parametrize("region, want", [
+        # An upper bound below -1 once sliced from the end of the axis and
+        # read rows i = 0..2.
+        (((0, -3), (0, 4), (0, 4)), 0.0),
+        (((3, 1), (0, 4), (0, 4)), 0.0),
+        (((0, 2), (0, 4), (0, 4)), 122.0**2 - 97.0**2),
+        (((-9, 9), (0, 4), (0, 4)), 124.0**2 - 99.0**2),
+    ])
+    def test_report_3d_f_value_stays_in_the_mesh(self, region, want):
+        u = MeshFunction(Mesh3D(1.0, 5), np.arange(125.0) ** 2)
+        assert report_3d(u, region).f_value == want
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(data=st.data(), N=st.integers(2, 5))
+    def test_report_3d_f_value_matches_brute_force(self, data, N):
+        # Bounds reach past the mesh on either side, and ranges may be inverted.
+        g = np.asarray(data.draw(st.lists(st.integers(-9, 9), min_size=N**3, max_size=N**3)),
+                       dtype=float).reshape((N, N, N), order="F")
+        bound = st.integers(-3, N + 2)
+        region = data.draw(st.tuples(*[st.tuples(bound, bound)] * 3))
+        inside = [range(max(lo, 0), min(hi, N - 1) + 1) for lo, hi in region]
+        steps = [abs(g[i + d, j + e, k + f] - g[i, j, k])
+                 for i in inside[0] for j in inside[1] for k in inside[2]
+                 for d, e, f in ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+                 if i + d in inside[0] and j + e in inside[1] and k + f in inside[2]]
+        u = MeshFunction(Mesh3D(1.0, N), g)
+        assert report_3d(u, region).f_value == max(steps, default=0.0)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from monoscheme import stencils
 from monoscheme.grid import BoundaryData1D, Mesh1D, Mesh3D, MeshFunction, norm_c, sample
 from monoscheme.stencils import (
     FACES,
@@ -326,8 +327,22 @@ class TestSolveSmooth3D:
     def test_rejects_extrapolation_spec(self):
         mesh = Mesh3D(1.0, 4)
         spec = GhostSpec3D.uniform(FaceGhost("extrapolate"))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="extrapolation"):
             solve_smooth_3d(_mesh_fn(mesh, np.zeros(64)), spec)
+
+    def test_ghost_part_alone_solves_to_exact_zeros(self, monkeypatch):
+        # b = smooth(0) is the ghost values' affine part: the first
+        # from-scratch residual at x = 0 is exactly zero, and that one apply
+        # is the whole solve.
+        value, mirror = FaceRule(FaceGhost("value", 0.7)), FaceRule(FaceGhost("mirror"))
+        spec = GhostSpec3D(value, mirror, value, value, mirror, value)
+        b = smooth_3d(_mesh_fn(Mesh3D(1.0, 5), np.zeros(125)), spec)
+        applies = []
+        monkeypatch.setattr(stencils, "smooth_3d",
+                            lambda *args: applies.append(args) or smooth_3d(*args))
+        x = solve_smooth_3d(b, spec)
+        assert np.array_equal(x.values, np.zeros(125))
+        assert len(applies) == 1
 
 
 class TestDenseCrossCheck:

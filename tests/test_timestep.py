@@ -19,6 +19,7 @@ MESH = Mesh1D(0.0, 1.0, 9)
 BC = BoundaryData1D(0.5, 0.5)
 RNG = np.random.default_rng(99)
 V0 = MeshFunction(MESH, RNG.standard_normal(9))
+ZERO_OP = LinearMeshOperator(Tridiagonal(0.0, 0.0, 0.0, 9), np.zeros(9))
 FIG1 = SchemeCoefficients(10.0, -5.0, 30.0, -1.0)
 
 
@@ -73,7 +74,7 @@ class TestStepBase:
     @pytest.mark.parametrize("sigma", [0.0, 0.5, 1.0])
     def test_zero_operator_is_fixed(self, sigma):
         cfg = TimeStepConfig(tau=0.3, sigma=sigma)
-        out = step_base(V0, LinearMeshOperator.zero(MESH), cfg)
+        out = step_base(V0, ZERO_OP, cfg)
         assert np.allclose(out.values, V0.values, atol=1e-14)
 
     def test_explicit_linear_decay(self):
@@ -118,7 +119,7 @@ class TestStepMonotonized:
     @pytest.mark.parametrize("sigma", [0.0, 0.5, 1.0])
     def test_zero_operator(self, sigma):
         cfg = TimeStepConfig(tau=0.4, sigma=sigma)
-        v1, y1 = step_monotonized(V0, LinearMeshOperator.zero(MESH), BC, cfg)
+        v1, y1 = step_monotonized(V0, ZERO_OP, BC, cfg)
         assert np.allclose(v1.values, V0.values, atol=1e-13)
         assert np.allclose(y1.values, smooth_1d(V0, BC).values, atol=1e-13)
 
@@ -211,6 +212,7 @@ class TestSteadyState:
         out = run_to_steady(v_init, aux, BC, cfg, steady_tol=1e-15, max_steps=3)
         assert not out.converged
         assert out.steps == 3
+        assert out.final_update == out.history[-1][1]
 
     @pytest.mark.parametrize("key, value", [
         ("max_steps", 0), ("max_steps", -2), ("record_every", 0), ("snapshot_every", -1),
