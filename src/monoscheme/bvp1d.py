@@ -101,19 +101,27 @@ def scheme_matrix(c: SchemeCoefficients, mesh: Mesh1D, monotonized: bool) -> Tri
                        side + c.k3 + h * c.k2 / 2.0, mesh.n)
 
 
+def _residual(c: SchemeCoefficients, a: Tridiagonal, mesh: Mesh1D, bc: BoundaryData1D,
+              unknown: np.ndarray) -> float:
+    return norm_c(a.apply(unknown, bc) + mesh.h**2 * c.k0)
+
+
 def _solve_scheme(
-    c: SchemeCoefficients, a: Tridiagonal, mesh: Mesh1D, bc: BoundaryData1D
-) -> np.ndarray:
-    """Banded solve of a u = -h^2 k0 with the end-value terms moved right.
+    c: SchemeCoefficients, mesh: Mesh1D, bc: BoundaryData1D, monotonized: bool
+) -> tuple[np.ndarray, float]:
+    """Banded solve of a u = -h^2 k0 with the end-value terms moved right, a
+    the scheme_matrix, and the solution's scheme residual under that same a.
     A band or right side that overflows raises SolverError."""
+    a = scheme_matrix(c, mesh, monotonized)
     with np.errstate(over="ignore", invalid="ignore"):
         rhs = np.full(mesh.n, -mesh.h * mesh.h * c.k0) - a.offset(bc)
     if not (np.isfinite([a.lower, a.diag, a.upper]).all() and np.isfinite(rhs).all()):
         raise SolverError(f"scheme overflows at h={mesh.h}: its band or right side is not finite")
     try:
-        return a.solve(rhs)
+        u = a.solve(rhs)
     except np.linalg.LinAlgError as exc:
         raise SingularSchemeError(f"scheme matrix singular at h={mesh.h}: {exc}", mesh.h) from exc
+    return u, _residual(c, a, mesh, bc, u)
 
 
 def scheme_residual(
@@ -124,8 +132,7 @@ def scheme_residual(
     monotonized: bool,
 ) -> float:
     """C-norm of the scheme equations evaluated at the given unknown vector."""
-    a = scheme_matrix(c, mesh, monotonized)
-    return norm_c(a.apply(unknown, bc) + mesh.h**2 * c.k0)
+    return _residual(c, scheme_matrix(c, mesh, monotonized), mesh, bc, unknown)
 
 
 # ---------------------------------------------------------------------------
@@ -135,8 +142,7 @@ def scheme_residual(
 
 def solve_base(c: SchemeCoefficients, mesh: Mesh1D, bc: BoundaryData1D) -> Bvp1dSolution:
     """Direct banded solve of the plain central-difference scheme."""
-    u = _solve_scheme(c, scheme_matrix(c, mesh, False), mesh, bc)
-    res = scheme_residual(c, mesh, bc, u, monotonized=False)
+    u, res = _solve_scheme(c, mesh, bc, monotonized=False)
     return Bvp1dSolution(
         mesh=mesh, bc=bc, scheme="base", residual_c_norm=res, u=MeshFunction(mesh, u)
     )
@@ -149,10 +155,9 @@ def solve_monotonized(c: SchemeCoefficients, mesh: Mesh1D, bc: BoundaryData1D) -
     matrix stays tridiagonal. A singular auxiliary matrix is a legitimate
     math case at particular mesh steps and is reported as such.
     """
-    v = _solve_scheme(c, scheme_matrix(c, mesh, True), mesh, bc)
+    v, res = _solve_scheme(c, mesh, bc, monotonized=True)
     vf = MeshFunction(mesh, v)
     y = smooth_1d(vf, bc)
-    res = scheme_residual(c, mesh, bc, v, monotonized=True)
     return Bvp1dSolution(
         mesh=mesh, bc=bc, scheme="monotonized", residual_c_norm=res, v=vf, y=y
     )

@@ -26,6 +26,7 @@ import configparser
 import json
 import math
 import sys
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from importlib import resources
@@ -172,11 +173,21 @@ def _strict(payload):
     return payload
 
 
+@contextmanager
+def _writing(path: Path):
+    """path open for writing; a file that cannot be written is a validation error."""
+    try:
+        with open(path, "w") as fh:
+            yield fh
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc.strerror}") from exc
+
+
 def write_table(path: Path, header: list[str], rows: list[tuple], fmt: str) -> None:
     """Write rows as csv or json-lines; callers name the file `<stem>.<fmt>`."""
     if fmt not in TABLE_FORMATS:
         raise ValueError(f"unknown table format {fmt!r}")
-    with open(path, "w") as fh:
+    with _writing(path) as fh:
         if fmt == "csv":
             fh.write(",".join(header) + "\n")
             # str of a Python float is its shortest round-trip repr.
@@ -198,7 +209,7 @@ def _ratio(num, den) -> float | None:
 
 
 def write_json(path: Path, payload: dict) -> None:
-    with open(path, "w") as fh:
+    with _writing(path) as fh:
         json.dump(_strict(payload), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -326,8 +337,8 @@ def run_solve1d(cfg: ConfigView, seed: int, tol: float | None) -> RunOutput:
         "damping_check": asdict(damping),
         "reference": {
             "dense_points": dense_points,
-            "u_distance_c": norm_c(base.u.values - ref),
-            "y_distance_c": norm_c(mono.y.values - ref),
+            "u_distance_c": reports["base"].reference_distance_c,
+            "y_distance_c": reports["monotonized"].reference_distance_c,
             "u_analytic_distance_c": norm_c(base.u.values - exact),
             "y_analytic_distance_c": norm_c(mono.y.values - exact),
         },
@@ -377,7 +388,7 @@ def run_solve3d(cfg: ConfigView, seed: int, tol: float | None) -> RunOutput:
         )
         vel_counts[label] = sum(r.extremum_count for r in per_var[:3])
         central_region_a[label] = sharpness_metrics(fld.vx, central)[0]
-        profiles[label] = [v for _, v in centerline_profile(fld, flow, "vx")]
+        profiles[label] = centerline_profile(fld, flow)
         field_tables[f"field_{label}"] = (["i", "j", "k", "vx", "vy", "vz", "p"], _field_rows(fld))
 
     rows = list(zip(flow.mesh.axis_centers().tolist(), *profiles.values()))
@@ -462,10 +473,8 @@ def run_metrics(cfg: ConfigView, seed: int, tol: float | None) -> RunOutput:
 
 def _field_rows(fld) -> list[tuple]:
     """(i, j, k, vx, vy, vz, p) records in flat-index order."""
-    N = fld.mesh.N
-    flat = np.arange(fld.mesh.cell_count)
-    return _rows(flat % N, flat // N % N, flat // (N * N),
-                 fld.vx.values, fld.vy.values, fld.vz.values, fld.p.values)
+    ijk = np.unravel_index(np.arange(fld.mesh.cell_count), (fld.mesh.N,) * 3, order="F")
+    return _rows(*ijk, fld.vx.values, fld.vy.values, fld.vz.values, fld.p.values)
 
 
 def _brute_extrema(u: MeshFunction) -> list[tuple[int, int, int]]:
@@ -693,10 +702,9 @@ def main(argv=None) -> int:
         if args.command == "run":
             return _run(args)
         result = compare_reports(args.report_a, args.report_b)
-        text = json.dumps(_strict(result), indent=2, sort_keys=True)
         if args.out:
-            (_output_dir(args.out) / "comparison.json").write_text(text + "\n")
-        print(text)
+            write_json(_output_dir(args.out) / "comparison.json", result)
+        print(json.dumps(_strict(result), indent=2, sort_keys=True))
         return 0
     except ConfigParseError as exc:
         print(f"error: parse: {exc}", file=sys.stderr)

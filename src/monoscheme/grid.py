@@ -171,23 +171,13 @@ def sample(mesh: Mesh, f: Callable[..., float]) -> MeshFunction:
     if isinstance(mesh, Mesh1D):
         vals = np.array([f(x) for x in mesh.interior_x()], dtype=float)
         return MeshFunction(mesh, vals)
-    N = mesh.N
     centers = mesh.axis_centers()
+    axes = (centers[:, None, None], centers[None, :, None], centers[None, None, :])
     try:
-        grid = f(centers[:, None, None], centers[None, :, None], centers[None, None, :])
-        grid = np.broadcast_to(np.asarray(grid, dtype=float), (N, N, N))
+        grid = np.broadcast_to(np.asarray(f(*axes), dtype=float), (mesh.N,) * 3)
     except (TypeError, ValueError):
-        pass
-    else:
-        return MeshFunction(mesh, grid)
-    vals = np.empty(N**3, dtype=float)
-    for k in range(N):
-        for j in range(N):
-            base = N * j + N * N * k
-            zk, yj = centers[k], centers[j]
-            for i in range(N):
-                vals[base + i] = f(centers[i], yj, zk)
-    return MeshFunction(mesh, vals)
+        grid = np.vectorize(f, otypes=[float])(*axes)
+    return MeshFunction(mesh, grid)
 
 
 def with_boundary(u: MeshFunction, bc: BoundaryData1D) -> np.ndarray:

@@ -76,20 +76,16 @@ def oscillates_point_to_point(u: Sequence[float], k: int = 0, l: int | None = No
     return bool(np.all(sign[:-1] * sign[1:] < 0))
 
 
-def max_step_change(u: Sequence[float], k: int = 0, l: int | None = None) -> float:
-    """max |u_{i+1} - u_i| over i = k..l-1.
+def max_step_change(u: Sequence[float]) -> float:
+    """max |u_{i+1} - u_i| over the whole sequence.
 
     Satisfies |f(u) - f(v)| <= 2 ||u - v||_C: each step change moves by at
     most twice the pointwise perturbation.
     """
     arr = np.asarray(u, dtype=float)
-    if l is None:
-        l = len(arr) - 1
-    if l <= k:
-        raise ValueError(f"need l > k, got k={k}, l={l}")
-    if not (0 <= k and l < len(arr)):
-        raise IndexError(f"interval {k}..{l} outside sequence of {len(arr)} points")
-    return float(np.max(np.abs(np.diff(arr[k : l + 1]))))
+    if len(arr) < 2:
+        raise ValueError(f"need at least 2 points, got {len(arr)}")
+    return float(np.max(np.abs(np.diff(arr))))
 
 
 # ---------------------------------------------------------------------------

@@ -156,11 +156,6 @@ class FlowConfig:
         return (self.sigma_v * 6.0 * self.nu / h2,
                 abs(self.sigma_p) * self.sigma_v / (self.rho * h2))
 
-    @property
-    def hole_center_row(self) -> int:
-        # Even-sized holes straddle two center rows; the lower one is used.
-        return (self.hole_lo + self.hole_hi) // 2
-
 
 @dataclass(frozen=True)
 class FlowField:
@@ -419,18 +414,11 @@ def solve_steady(cfg: FlowConfig, variant: str = "base") -> SolutionReport:
     )
 
 
-def centerline_profile(
-    field: FlowField, cfg: FlowConfig, component: str = "vx"
-) -> list[tuple[float, float]]:
-    """The chosen velocity component along the x-row of cells through the
-    hole centers (j = k = the lower median hole row)."""
-    if component not in ("vx", "vy", "vz"):
-        raise ValueError(f"unknown component {component!r}")
-    g = getattr(field, component).as_grid()
-    row = cfg.hole_center_row
-    mesh = field.mesh
-    xs = mesh.axis_centers()
-    return [(float(xs[i]), float(g[i, row, row])) for i in range(mesh.N)]
+def centerline_profile(field: FlowField, cfg: FlowConfig) -> list[float]:
+    """vx along the x-row of cells through the hole centers, at i = 0..N-1.
+    An even-sized hole straddles two center rows; j = k = the lower one."""
+    row = (cfg.hole_lo + cfg.hole_hi) // 2
+    return field.vx.as_grid()[:, row, row].tolist()
 
 
 __all__ = [

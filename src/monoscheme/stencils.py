@@ -208,11 +208,10 @@ class GhostSpec3D:
     def rules(self) -> tuple[FaceRule, ...]:
         return (self.xlo, self.xhi, self.ylo, self.yhi, self.zlo, self.zhi)
 
-    def has_extrapolation(self) -> bool:
-        return any(
-            r.base.kind == "extrapolate" or (r.patch is not None and r.patch.kind == "extrapolate")
-            for r in self.rules()
-        )
+
+def _ghosts(spec: GhostSpec3D) -> list[FaceGhost]:
+    """Every rule of the spec: each face's base, then its patch if it has one."""
+    return [g for r in spec.rules() for g in (r.base, r.patch) if g is not None]
 
 
 MIRROR_ALL = GhostSpec3D.uniform(FaceGhost("mirror"))
@@ -245,7 +244,7 @@ class GhostPlan:
     """
 
     def __init__(self, spec: GhostSpec3D, N: int):
-        if N == 1 and spec.has_extrapolation():
+        if N == 1 and any(g.kind == "extrapolate" for g in _ghosts(spec)):
             raise ValueError("extrapolation needs N >= 2 cells per axis")
         self.N = N
         parts = {kind: [] for kind in _KINDS}  # per kind: (ghosts, edges, inners, values)
@@ -307,8 +306,7 @@ def ghost_plan(spec: GhostSpec3D, N: int) -> GhostPlan:
     FaceGhost("value", -0.0) equals FaceGhost("value", 0.0) but writes
     another sign bit, so the cache key holds the sign of every ghost value.
     """
-    ghosts = (g for r in spec.rules() for g in (r.base, r.patch) if g is not None)
-    return _compiled_plan(spec, tuple(math.copysign(1.0, g.value) for g in ghosts), N)
+    return _compiled_plan(spec, tuple(math.copysign(1.0, g.value) for g in _ghosts(spec)), N)
 
 
 @functools.lru_cache(maxsize=64)
@@ -455,7 +453,7 @@ def smooth_3d(u: MeshFunction, spec: GhostSpec3D = MIRROR_ALL) -> MeshFunction:
 def _unknowns_only(spec: GhostSpec3D) -> GhostSpec3D:
     """The spec with every ghost value set to zero: the smoother's linear
     part. An extrapolation ghost has no place in it and raises ValueError."""
-    if spec.has_extrapolation():
+    if any(g.kind == "extrapolate" for g in _ghosts(spec)):
         raise ValueError("extrapolation ghosts are not part of the smoothing operator")
 
     def zeroed(rule: FaceRule) -> FaceRule:
@@ -542,8 +540,7 @@ def solve_smooth_3d(
     if max_iters < 1:
         raise ValueError(f"max_iters must be at least 1, got {max_iters!r}")
     linear = _unknowns_only(spec)
-    ghosts = [g for rule in spec.rules() for g in (rule.base, rule.patch) if g is not None]
-    if not all(math.isfinite(g.value) for g in ghosts):
+    if not all(math.isfinite(g.value) for g in _ghosts(spec)):
         raise ValueError("spec ghost values must be finite")
     if not np.isfinite(b.values).all():
         raise ValueError("b must be finite")

@@ -18,8 +18,8 @@ For the smoothed flavor the stepped variable is y = Mv, and two algebraically
 equivalent updates are provided: step_monotonized advances y and recovers
 v = M^{-1} y through one combined banded tridiagonal solve, while
 step_monotonized_alt advances v with explicit inverse-smoothing applications
-(a fixed-point loop when sigma > 0). They must agree to solver tolerance and
-serve as each other's cross-check.
+(a fixed-point loop, one pass at sigma = 0). They must agree to solver
+tolerance and serve as each other's cross-check.
 """
 
 from __future__ import annotations
@@ -175,8 +175,8 @@ def step_monotonized_alt(
     """Same step in the rearranged form v^{n+1} = v^n + tau M^{-1}[weighted F].
 
     The inverse smoothing acts on an increment, so its solve carries zero
-    boundary data. sigma > 0 runs a fixed-point loop; failure to
-    contract within max_inner raises with the last update size.
+    boundary data. A fixed-point loop, one pass at sigma = 0, solves for
+    v^{n+1}; failure to contract within max_inner raises with the last update size.
     """
     v = v_n.values
 
@@ -184,18 +184,14 @@ def step_monotonized_alt(
         return solve_smooth_1d(v_n.with_values(w), _ZERO_BC).values
 
     f_n = aux_op(v)
-    if cfg.sigma == 0.0:
-        v_next = v + cfg.tau * minv_increment(f_n)
-        vf = v_n.with_values(v_next)
-        return vf, smooth_1d(vf, bc)
-
     # Contraction requires tau*sigma*||M^{-1} A|| < 1; the inverse smoothing
     # amplifies stiff operators by O(n^2), so tau must be small here.
     guess = v + cfg.tau * minv_increment(f_n)  # explicit predictor
     update = float("inf")
     for _ in range(cfg.max_inner):
+        # At sigma = 0 F(guess) is not formed: 0 * F(guess) is NaN where it overflows.
         with np.errstate(over="ignore", invalid="ignore"):
-            weighted = cfg.sigma * aux_op(guess) + (1.0 - cfg.sigma) * f_n
+            weighted = cfg.sigma * aux_op(guess) + (1.0 - cfg.sigma) * f_n if cfg.sigma else f_n
         if not np.all(np.isfinite(weighted)):
             raise StepFailureError(
                 "fixed-point step diverged (tau too large for the rearranged form)",

@@ -105,6 +105,26 @@ class TestConfigLoading:
         assert err.count("\n") == 1
         assert taken.read_text() == "not a directory\n"
 
+    @pytest.mark.parametrize("blocked", ["report_base.json", "solution1d.csv", "summary.json"])
+    def test_run_unwritable_file_is_validation_error(self, tmp_path, capsys, blocked):
+        out = tmp_path / "out"
+        (out / blocked).mkdir(parents=True)
+        assert run_cli("run", "fig1.cfg", "--out", str(out)) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: validation: cannot write {out / blocked}: ")
+        assert err.count("\n") == 1
+
+    def test_compare_unwritable_file_is_validation_error(self, tmp_path, capsys):
+        report = tmp_path / "report.json"
+        report.write_text(json.dumps(asdict(
+            ComparableReport("solve1d", "base", MonotonicityReport(1.0, 2, 0.5, 0.1, "r")))))
+        blocked = tmp_path / "cmp" / "comparison.json"
+        blocked.mkdir(parents=True)
+        assert run_cli("compare", str(report), str(report), "--out", str(blocked.parent)) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: validation: cannot write {blocked}: ")
+        assert captured.err.count("\n") == 1 and captured.out == ""
+
     def test_unknown_kind_is_validation_error(self, tmp_path):
         cfg = tmp_path / "weird.cfg"
         cfg.write_text("[experiment]\nkind = paint\n")

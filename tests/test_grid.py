@@ -240,6 +240,21 @@ class TestSample:
 
         assert np.array_equal(sample(mesh, f).values, self.per_cell(mesh, f))
 
+    @pytest.mark.parametrize("N", range(2, 9))
+    def test_scalar_only_callable_is_bitwise_the_array_call(self, N):
+        a, b, c = np.random.default_rng(N).uniform(1.0, 3.0, 3)
+
+        def f(x, y, z):
+            return np.sin(a * x) * np.cos(b * y) + c * z * z
+
+        def scalar_only(x, y, z):
+            if np.ndim(x) or np.ndim(y) or np.ndim(z):
+                raise TypeError("scalars only")
+            return f(x, y, z)
+
+        mesh = Mesh3D(1.0, N)
+        assert sample(mesh, scalar_only).values.tobytes() == sample(mesh, f).values.tobytes()
+
     def test_constant_and_single_axis_results_broadcast(self):
         mesh = Mesh3D(1.0, 3)
         assert np.all(sample(mesh, lambda x, y, z: 2.5).values == 2.5)

@@ -94,7 +94,9 @@ class TestMaxStepChange:
 
     def test_requires_interval(self):
         with pytest.raises(ValueError):
-            max_step_change([1.0], 0, 0)
+            max_step_change([1.0])
+        with pytest.raises(ValueError):
+            max_step_change([])
 
     def test_lipschitz_bound_random_pairs(self):
         for _ in range(200):

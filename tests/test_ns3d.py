@@ -450,8 +450,8 @@ class TestSolveSteady:
         # the smoothed answer's centerline is measurably less steppy
         from monoscheme.metrics import max_step_change
 
-        f_base = max_step_change([v for _, v in centerline_profile(base.field, cfg, "vx")])
-        f_mono = max_step_change([v for _, v in centerline_profile(mono.y, cfg, "vx")])
+        f_base = max_step_change(centerline_profile(base.field, cfg))
+        f_mono = max_step_change(centerline_profile(mono.y, cfg))
         assert f_mono < f_base
 
 
@@ -459,29 +459,20 @@ class TestCenterline:
     def test_zero_flow_profile(self):
         cfg = small_config(p0=1.0, p1=1.0)
         rep = solve_steady(cfg)
-        prof = centerline_profile(rep.field, cfg, "vx")
+        prof = centerline_profile(rep.field, cfg)
         assert len(prof) == cfg.N
-        assert all(v == 0.0 for _, v in prof)
+        assert all(v == 0.0 for v in prof)
 
     def test_row_selection_documented_tie(self):
         cfg = FlowConfig(L=1.0, N=20, rho=1.0, nu=1.0, p0=1.0, p1=0.0,
                          hole_lo=5, hole_hi=14)
         # even-sized hole: rows 9 and 10 tie; the lower median is used
-        assert cfg.hole_center_row == 9
-
-    def test_profile_x_coordinates(self):
-        cfg = small_config()
-        f = init_field(cfg)
-        prof = centerline_profile(f, cfg, "vx")
-        xs = [x for x, _ in prof]
-        h = cfg.L / cfg.N
-        assert xs[0] == pytest.approx(h / 2)
-        assert xs[-1] == pytest.approx(cfg.L - h / 2)
-
-    def test_rejects_unknown_component(self):
-        cfg = small_config()
-        with pytest.raises(ValueError):
-            centerline_profile(init_field(cfg), cfg, "speed")
+        grid = np.zeros((cfg.N,) * 3)
+        grid[:, 9, 9] = np.arange(cfg.N)
+        grid[:, 10, 10] = -1.0
+        zero = MeshFunction(cfg.mesh, np.zeros((cfg.N,) * 3))
+        field = FlowField(MeshFunction(cfg.mesh, grid), zero, zero, zero)
+        assert centerline_profile(field, cfg) == list(range(cfg.N))
 
 
 class TestBoundaryPolicy:

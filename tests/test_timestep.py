@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from monoscheme.grid import BoundaryData1D, Mesh1D, MeshFunction, norm_c
 from monoscheme.bvp1d import SchemeCoefficients, scheme_matrix, solve_monotonized
-from monoscheme.stencils import Tridiagonal, smooth_1d, smoothing
+from monoscheme.stencils import Tridiagonal, smooth_1d, smoothing, solve_smooth_1d
 from monoscheme.timestep import (
     LinearMeshOperator,
     StepFailureError,
@@ -148,6 +148,35 @@ class TestStepMonotonized:
         cfg = TimeStepConfig(tau=1e-3, sigma=1.0)
         v1, y1 = step_monotonized(V0, aux, BC, cfg)
         assert np.array_equal(y1.values, smooth_1d(v1, BC).values)
+
+
+class TestAltStepAtSigmaZero:
+    """At sigma = 0 the rearranged step is the explicit predictor v + tau M^{-1} F(v)."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(data=st.data(), k=st.tuples(MAGNITUDE, MAGNITUDE, MAGNITUDE,
+                                       MAGNITUDE.filter(lambda x: x != 0.0)),
+           n=st.integers(1, 40), tau=st.floats(1e-8, 1e-2))
+    def test_equals_explicit_predictor_bitwise(self, data, k, n, tau):
+        mesh = Mesh1D(0.0, 1.0, n)
+        bc = BoundaryData1D(data.draw(MAGNITUDE), data.draw(MAGNITUDE))
+        op = LinearMeshOperator.from_coefficients(SchemeCoefficients(*k), mesh, bc, smoothed=True)
+        v = MeshFunction(mesh, data.draw(st.lists(MAGNITUDE, min_size=n, max_size=n)))
+        v1, y1 = step_monotonized_alt(v, op, bc, TimeStepConfig(tau=tau, sigma=0.0))
+        increment = solve_smooth_1d(v.with_values(op(v.values)), BoundaryData1D(0.0, 0.0))
+        assert v1.values.tobytes() == (v.values + tau * increment.values).tobytes()
+        assert y1.values.tobytes() == smooth_1d(v1, bc).values.tobytes()
+
+    def test_steps_where_the_operator_overflows_at_the_predictor(self):
+        mesh, bc = Mesh1D(0.0, 1.0, 5), BoundaryData1D(0.0, 0.0)
+        op = LinearMeshOperator.from_coefficients(SchemeCoefficients(0.0, 0.0, 0.0, -1.0), mesh, bc,
+                                                  smoothed=True)
+        v = MeshFunction(mesh, np.full(5, 1e306))
+        v1, _ = step_monotonized_alt(v, op, bc, TimeStepConfig(tau=1.0, sigma=0.0))
+        increment = solve_smooth_1d(v.with_values(op(v.values)), bc)
+        assert v1.values.tobytes() == (v.values + increment.values).tobytes()
+        with np.errstate(over="ignore"):
+            assert not np.isfinite(op(v1.values)).all()
 
 
 class TestFormEquivalence:
