@@ -106,21 +106,25 @@ def _residual(c: SchemeCoefficients, a: Tridiagonal, mesh: Mesh1D, bc: BoundaryD
     return norm_c(a.apply(unknown, bc) + mesh.h**2 * c.k0)
 
 
+def _at_step(h: float, solve):
+    """solve(), naming the mesh step h in the error it raises if it breaks down."""
+    try:
+        return solve()
+    except (SingularOperatorError, np.linalg.LinAlgError) as exc:
+        raise SingularSchemeError(f"scheme matrix singular at h={h}: {exc}", h) from exc
+    except SolverError as exc:
+        raise SolverError(f"scheme overflows at h={h}: {exc}") from exc
+
+
 def _solve_scheme(
     c: SchemeCoefficients, mesh: Mesh1D, bc: BoundaryData1D, monotonized: bool
 ) -> tuple[np.ndarray, float]:
     """Banded solve of a u = -h^2 k0 with the end-value terms moved right, a
-    the scheme_matrix, and the solution's scheme residual under that same a.
-    A band or right side that overflows raises SolverError."""
+    the scheme_matrix, and the solution's scheme residual under that same a."""
     a = scheme_matrix(c, mesh, monotonized)
     with np.errstate(over="ignore", invalid="ignore"):
         rhs = np.full(mesh.n, -mesh.h * mesh.h * c.k0) - a.offset(bc)
-    if not (np.isfinite([a.lower, a.diag, a.upper]).all() and np.isfinite(rhs).all()):
-        raise SolverError(f"scheme overflows at h={mesh.h}: its band or right side is not finite")
-    try:
-        u = a.solve(rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSchemeError(f"scheme matrix singular at h={mesh.h}: {exc}", mesh.h) from exc
+    u = _at_step(mesh.h, lambda: a.solve(rhs))
     return u, _residual(c, a, mesh, bc, u)
 
 
@@ -188,10 +192,7 @@ def solve_monotonized_inverse(
 
     full = h * h * c.k1 * np.eye(n) + d_mat @ minv
     rhs = -(h * h * c.k0) * np.ones(n) - d_aff + d_mat @ (minv @ m_aff)
-    try:
-        y = np.linalg.solve(full, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSchemeError(f"scheme matrix singular at h={h}: {exc}", h) from exc
+    y = _at_step(h, lambda: np.linalg.solve(full, rhs))
     yf = MeshFunction(mesh, y)
     v = solve_smooth_1d(yf, bc)
     res = scheme_residual(c, mesh, bc, v.values, monotonized=True)
@@ -244,6 +245,7 @@ def _singularity_indicator(a: Tridiagonal) -> float:
     # Imported here for the reason given in Tridiagonal.solve.
     from scipy.linalg import eigvals_banded
 
+    a._require_finite()
     ab = _persymmetric_band(a)
     largest = float(np.abs(ab).max())
     if largest == 0.0:
@@ -284,8 +286,9 @@ def determinant_scan(
     for h_req in h_values:
         n = max(1, round((b - a) / h_req) - 1)
         mesh = Mesh1D(a, b, n)
-        ind_base = _singularity_indicator(scheme_matrix(c, mesh, False))
-        ind_mono = _singularity_indicator(scheme_matrix(c, mesh, True))
+        ind_base, ind_mono = (
+            _at_step(mesh.h, lambda: _singularity_indicator(scheme_matrix(c, mesh, mono)))
+            for mono in (False, True))
         rows.append(
             DeterminantScanRow(
                 h=mesh.h,

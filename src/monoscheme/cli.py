@@ -391,7 +391,7 @@ def run_solve3d(cfg: ConfigView, seed: int, tol: float | None) -> RunOutput:
         profiles[label] = centerline_profile(fld, flow)
         field_tables[f"field_{label}"] = (["i", "j", "k", "vx", "vy", "vz", "p"], _field_rows(fld))
 
-    rows = list(zip(flow.mesh.axis_centers().tolist(), *profiles.values()))
+    rows = _rows(flow.mesh.axis_centers(), *profiles.values())
     tables = {"centerline": (["x", "vx_base", "vx_auxiliary", "vx_monotonized"], rows),
               **field_tables}
     count_u = reports["base"].report.extremum_count
@@ -430,8 +430,7 @@ def run_metrics(cfg: ConfigView, seed: int, tol: float | None) -> RunOutput:
         raise ValidationError(f"max_n must be at least 3, got {max_n}")
     rng = np.random.default_rng(seed)
 
-    rows = []
-    mismatches = 0
+    records = []
     for t in range(trials):
         n = int(rng.integers(3, max_n + 1))
         mesh = Mesh3D(1.0, n)
@@ -444,8 +443,9 @@ def run_metrics(cfg: ConfigView, seed: int, tol: float | None) -> RunOutput:
             a, b = sharpness_metrics(u, cells)
             a2, b2 = _brute_sharpness(u, cells)
             ok = ok and a == a2 and b == b2
-        mismatches += 0 if ok else 1
-        rows.append((t, n, mine, len(cells), a, b, bool(ok)))
+        records.append((t, n, mine, len(cells), a, b, ok))
+    rows = _rows(*zip(*records))
+    mismatches = sum(not row[-1] for row in rows)
 
     lipschitz_ok = True
     worst = 0.0
@@ -527,10 +527,8 @@ def run_scan_det(cfg: ConfigView, seed: int, tol: float | None) -> RunOutput:
         raise ValidationError("h_values must list at least one mesh step")
     near_tol = scan.real("near_tol", 1e-10)
     rows_obj = determinant_scan(c, h_values, domain, near_tol)
-    rows = [
-        (r.h, r.n, r.indicator_base, r.indicator_monotonized, r.flagged) for r in rows_obj
-    ]
     header = ["h", "n", "indicator_base", "indicator_monotonized", "flagged"]
+    rows = _rows(*([getattr(r, key) for r in rows_obj] for key in header))
     summary = {
         "coefficients": asdict(c),
         "near_tol": near_tol,
@@ -574,15 +572,11 @@ def run_timestep(cfg: ConfigView, seed: int, tol: float | None) -> RunOutput:
         v2, y2 = step_monotonized_alt(v0, aux_op, bc, pc)
         agreements[f"sigma_{sigma:g}"] = norm_c(v1.values - v2.values)
 
-    tables = {"trajectory": (["t", "update_c_norm"], [(t, u) for t, u in result.history])}
+    tables = {"trajectory": (["t", "update_c_norm"], _rows(*zip(*result.history)))}
     if result.snapshots:
-        xs = mesh.interior_x()
-        snap_rows = [
-            (t, float(xs[i]), float(v[i]), float(y[i]))
-            for t, v, y in result.snapshots
-            for i in range(mesh.n)
-        ]
-        tables["snapshots"] = (["t", "x", "v", "y"], snap_rows)
+        ts, vs, ys = map(np.array, zip(*result.snapshots))
+        tables["snapshots"] = (["t", "x", "v", "y"], _rows(
+            np.repeat(ts, mesh.n), np.tile(mesh.interior_x(), len(ts)), vs.ravel(), ys.ravel()))
     summary = {
         "coefficients": asdict(c),
         "tau": ts_cfg.tau,

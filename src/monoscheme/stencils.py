@@ -87,20 +87,36 @@ class Tridiagonal:
         m[idx[:-1], idx[1:]] = self.upper
         return m
 
+    def _require_finite(self, rhs: np.ndarray = ()) -> None:
+        """solve's first check, which the determinant scan shares."""
+        if not (np.isfinite([self.lower, self.diag, self.upper]).all() and np.isfinite(rhs).all()):
+            raise SolverError("its band or right side is not finite")
+
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """x with dense() @ x = rhs (rhs may hold several columns); raises
-        numpy's LinAlgError on a singular matrix."""
+        """x with dense() @ x = rhs (rhs may hold several columns). Every 1D route
+        breaks down here: a band, right side or answer that is not finite raises
+        SolverError, a singular matrix SingularOperatorError."""
         # Imported here, not at module level: 3D and metrics runs never
         # solve a band, and importing scipy.linalg costs about 0.28 s and
         # 28 MB of resident memory (2 vCPUs, scipy 1.17), as much as the
         # rest of the program's start-up.
         import scipy.linalg
 
+        self._require_finite(rhs)
+        if self.n == 1 and self.diag == 0.0:  # scipy divides by a 1 x 1 band unchecked
+            raise SingularOperatorError("singular matrix")
         ab = np.zeros((3, self.n))
         ab[0, 1:] = self.upper
         ab[1, :] = self.diag
         ab[2, :-1] = self.lower
-        return scipy.linalg.solve_banded((1, 1), ab, rhs)
+        try:
+            with np.errstate(over="ignore"):
+                x = scipy.linalg.solve_banded((1, 1), ab, rhs, check_finite=False)
+        except np.linalg.LinAlgError as exc:
+            raise SingularOperatorError(str(exc)) from exc
+        if not np.isfinite(x).all():
+            raise SolverError("its answer is not finite")
+        return x
 
 
 def first_difference(mesh: Mesh1D) -> Tridiagonal:
@@ -138,15 +154,11 @@ def smooth_1d(u: MeshFunction, bc: BoundaryData1D) -> MeshFunction:
 def solve_smooth_1d(b: MeshFunction, bc: BoundaryData1D) -> MeshFunction:
     """Direct tridiagonal solve of smooth_1d(a, bc) = b.
 
-    The interior matrix has eigenvalues 1/2 + cos(theta)/2 > 0, so a singular
-    factorization indicates a bug rather than a legitimate math case.
+    The interior matrix has eigenvalues 1/2 + cos(theta)/2 > 0, so it is
+    never singular; b or its end values overflowing raises SolverError.
     """
     m = smoothing(b.mesh.n)
-    try:
-        a = m.solve(b.values - m.offset(bc))
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - indicates a bug
-        raise SingularOperatorError(f"smoothing solve failed: {exc}") from exc
-    return b.with_values(a)
+    return b.with_values(m.solve(b.values - m.offset(bc)))
 
 
 # ---------------------------------------------------------------------------

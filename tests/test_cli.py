@@ -125,6 +125,21 @@ class TestConfigLoading:
         assert captured.err.startswith(f"error: validation: cannot write {blocked}: ")
         assert captured.err.count("\n") == 1 and captured.out == ""
 
+    @pytest.mark.parametrize("name, pattern, replacement, named", [
+        ("fig1.cfg", r"^k0 = .*$", "k0 = abc", "not a number: 'abc'"),
+        ("fig1.cfg", r"^k1 = .*$", "k1 = 1/0", "not a number: '1/0'"),
+        ("fig1.cfg", r"^n = .*$", "n = 2.5", "not an integer: '2.5'"),
+        ("fig1.cfg", r"^k3 = .*\n", "", "missing key 'k3' in [problem]"),
+        ("scan.cfg", r"^\[scan\]\n", "", "missing [scan] section"),
+    ])
+    def test_bad_entry_is_parse_error(self, tmp_path, capsys, name, pattern, replacement, named):
+        text, count = re.subn(pattern, replacement, load_config_text(name), flags=re.M)
+        assert count == 1
+        cfg = tmp_path / name
+        cfg.write_text(text)
+        assert run_cli("run", str(cfg), "--out", str(tmp_path / "o")) == 2
+        assert capsys.readouterr().err == f"error: parse: {named}\n"
+
     def test_unknown_kind_is_validation_error(self, tmp_path):
         cfg = tmp_path / "weird.cfg"
         cfg.write_text("[experiment]\nkind = paint\n")
@@ -453,6 +468,21 @@ class TestSolverFailureExit:
         assert err == (f"error: solver: scheme overflows at h={h}: its band or right side "
                        "is not finite\n")
 
+    @pytest.mark.parametrize("name, values, message", [
+        ("scan.cfg", {"k2": "1e308", "k3": "1.7e308"},
+         "scheme overflows at h=0.25: its band or right side is not finite"),
+        ("timestep1d.cfg", {"k2": "1e308", "k3": "1.7e308"},
+         "implicit step produced non-finite values"),
+        ("fig1.cfg", {"n": "1", "k1": "8", "k2": "0", "k3": "1"},
+         "scheme matrix singular at h=0.5: singular matrix"),
+    ], ids=["scan_band", "timestep_band", "single_node_singular"])
+    def test_breakdown_of_the_banded_rule_exit_4(self, tmp_path, capsys, name, values, message):
+        # 2 k3 overflows the diagonal of every scheme matrix, and at n = 1,
+        # h = 1/2, the diagonal h^2 k1 - 2 k3 is 0.
+        cfg = edited_config(tmp_path, name, **values)
+        assert run_cli("run", str(cfg), "--out", str(tmp_path / "o")) == 4
+        assert capsys.readouterr().err == f"error: solver: {message}\n"
+
 
 class TestOptionalFlowKeys:
     """sigma_v/sigma_p are optional; when given they must be finite numbers."""
@@ -526,6 +556,19 @@ def test_fig2_n10_reports_roundtrip(tmp_path):
     out = tmp_path / "fig2_n10"
     assert run_cli("run", "fig2_n10.cfg", "--out", str(out)) == 0
     assert_reports_roundtrip(out)
+
+
+def test_compare_solve3d_reports_diffs_the_central_region(tmp_path, capsys):
+    out = tmp_path / "fig2_n10"
+    assert run_cli("run", "fig2_n10.cfg", "--tol", "1e-2", "--out", str(out)) == 0
+    capsys.readouterr()
+    assert run_cli("compare", str(out / "report_base.json"),
+                   str(out / "report_monotonized.json")) == 0
+    central = json.loads(capsys.readouterr().out)["central_deltas"]
+    assert sorted(central) == ["extremum_count", "sharpness_a", "sharpness_b"]
+    base, mono = (json.loads((out / f"report_{label}.json").read_text())["central"]
+                  for label in ("base", "monotonized"))
+    assert central["extremum_count"] == mono["extremum_count"] - base["extremum_count"]
 
 
 # One small config per experiment kind: a bundled name or the config's text.

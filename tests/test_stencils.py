@@ -14,6 +14,8 @@ from monoscheme.stencils import (
     GhostSpec3D,
     IterationFailureError,
     MIRROR_ALL,
+    SingularOperatorError,
+    SolverError,
     Tridiagonal,
     add_neighbors,
     central_step,
@@ -762,6 +764,20 @@ class TestTridiagonalProperties:
     def test_operator_norm_is_dense_row_sum(self, t):
         expected = np.abs(t.dense()).sum(axis=1).max()
         assert operator_norm_c(t) == pytest.approx(expected, rel=4 * EPS, abs=0.0)
+
+    @pytest.mark.parametrize("t, rhs, error, message", [
+        (Tridiagonal(1.0, math.inf, 1.0, 3), np.ones(3), SolverError, "band or right side"),
+        (Tridiagonal(math.nan, 2.0, 1.0, 1), np.ones(1), SolverError, "band or right side"),
+        (Tridiagonal(1.0, 4.0, 1.0, 3), np.array([1.0, -math.inf, 1.0]), SolverError,
+         "band or right side"),
+        (Tridiagonal(1.0, 0.0, 1.0, 3), np.ones(3), SingularOperatorError, "singular matrix"),
+        (Tridiagonal(1.0, 0.0, 1.0, 1), np.ones(1), SingularOperatorError, "singular matrix"),
+        (Tridiagonal(0.0, 1e-300, 0.0, 2), np.full(2, 1e300), SolverError, "answer"),
+        (Tridiagonal(0.0, 1e-300, 0.0, 1), np.full(1, 1e300), SolverError, "answer"),
+    ])
+    def test_solve_breakdown_raises_without_warning(self, t, rhs, error, message):
+        with pytest.raises(error, match=message):
+            t.solve(rhs)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_offset_keeps_both_end_values(self, n):

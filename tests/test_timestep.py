@@ -178,6 +178,19 @@ class TestAltStepAtSigmaZero:
         with np.errstate(over="ignore"):
             assert not np.isfinite(op(v1.values)).all()
 
+    @pytest.mark.parametrize("value, tau", [(3e306, 1e-3), (1e300, 1e10)],
+                             ids=["operator", "predictor"])
+    def test_overflow_diverges_at_once(self, value, tau):
+        # F(v) overflows, or v + tau M^{-1} F(v) does: "diverged", not "stalled"
+        # after max_inner passes, and no RuntimeWarning.
+        mesh, bc = Mesh1D(0.0, 1.0, 5), BoundaryData1D(0.0, 0.0)
+        op = LinearMeshOperator.from_coefficients(SchemeCoefficients(0.0, 0.0, 0.0, -1.0), mesh, bc,
+                                                  smoothed=True)
+        v = MeshFunction(mesh, np.full(5, value))
+        with pytest.raises(StepFailureError, match="diverged") as info:
+            step_monotonized_alt(v, op, bc, TimeStepConfig(tau=tau, sigma=0.0))
+        assert info.value.residual == float("inf")
+
 
 class TestFormEquivalence:
     @pytest.mark.parametrize("sigma", [0.0, 1.0])
