@@ -333,7 +333,7 @@ def run_solve1d(cfg: ConfigView, seed: int, tol: float | None) -> RunOutput:
             "inverse_route": inv.residual_c_norm,
         },
         "route_agreement_c": norm_c(inv.y.values - mono.y.values),
-        "closeness_u_v_relative": norm_c(base.u.values - mono.v.values) / norm_c(base.u.values),
+        "closeness_u_v_relative": _ratio(norm_c(base.u.values - mono.v.values), norm_c(base.u.values)),
         "damping_check": asdict(damping),
         "reference": {
             "dense_points": dense_points,

@@ -20,11 +20,11 @@ the two solutions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .grid import Mesh3D, MeshFunction, norm_c
+from .grid import MeshFunction, norm_c
 
 #: Lipschitz constant of max_step_change in the C-norm.
 STEP_CHANGE_LIPSCHITZ = 2.0
@@ -56,9 +56,9 @@ class DegenerateInputError(ValueError):
 def oscillates_point_to_point(u: Sequence[float], k: int = 0, l: int | None = None) -> bool:
     """True iff u alternates strict local maxima and minima on k..l.
 
-    Every interior index of one parity must be a strict local minimum and
-    every index of the other parity a strict local maximum; equivalently the
-    consecutive differences on the interval are nonzero and alternate sign.
+    Every inner index of k..l must be a strict local extremum, by the rule the
+    3D counts use; equivalently the consecutive differences on the interval are nonzero and
+    alternate sign. A tie or a NaN breaks the alternation.
     """
     arr = np.asarray(u, dtype=float)
     if l is None:
@@ -69,11 +69,7 @@ def oscillates_point_to_point(u: Sequence[float], k: int = 0, l: int | None = No
         raise IndexError(f"interval {k}..{l} outside sequence of {len(arr)} points")
     if l - k < 2:
         raise UndefinedIntervalError(f"interval {k}..{l} has fewer than 3 points")
-    seg = arr[k : l + 1]
-    # Each step's sign from comparisons, so no product of steps can overflow;
-    # a tie or a NaN gives 0 and breaks the alternation.
-    sign = (seg[1:] > seg[:-1]).astype(int) - (seg[1:] < seg[:-1])
-    return bool(np.all(sign[:-1] * sign[1:] < 0))
+    return bool(_extrema(arr, (slice(k + 1, l),)).all())
 
 
 def max_step_change(u: Sequence[float]) -> float:
@@ -85,57 +81,77 @@ def max_step_change(u: Sequence[float]) -> float:
     arr = np.asarray(u, dtype=float)
     if len(arr) < 2:
         raise ValueError(f"need at least 2 points, got {len(arr)}")
-    return float(np.max(np.abs(np.diff(arr))))
+    return _largest_step(arr)
 
 
 # ---------------------------------------------------------------------------
-# 3D extrema and sharpness
+# The three measures, for an array of any dimension, and their 3D forms
 # ---------------------------------------------------------------------------
 
 
-def _region_or_interior(u: MeshFunction, region: Region3D | None) -> Region3D:
-    N = u.mesh.N
-    if region is None:
-        return ((1, N - 2), (1, N - 2), (1, N - 2))
-    return region
+def _box(region: Sequence[tuple[int, int]], shape: tuple[int, ...], margin: int) -> tuple[slice, ...]:
+    """Slices of a grid of the given shape holding the cells of region, one
+    (lo, hi) pair per axis, that lie at least margin cells inside every face;
+    an axis with no such cell gets an empty slice. Margin 1 gives the cells
+    with both neighbors along every axis, margin 0 the cells in the grid."""
+    return tuple(slice(max(lo, margin), max(lo, margin, min(hi, n - 1 - margin) + 1))
+                 for (lo, hi), n in zip(region, shape))
 
 
-def _box(region: Region3D, first: int, last: int) -> tuple[slice, slice, slice]:
-    """Slices of the (N, N, N) grid holding the cells of region whose every
-    index lies in first..last; an axis with no such cell gets an empty slice.
-    first..last = 1..N-2 are the cells with all six neighbors in the mesh."""
-    return tuple(slice(max(lo, first), max(lo, first, min(hi, last) + 1)) for lo, hi in region)
+def _neighbors(g: np.ndarray, at: tuple) -> Iterator[np.ndarray]:
+    """g at the 2 * g.ndim axis neighbors of the cells at, a tuple of one
+    slice or one index array per axis."""
+    for axis in range(g.ndim):
+        for shift in (1, -1):
+            nbr, a = list(at), at[axis]
+            nbr[axis] = slice(a.start + shift, a.stop + shift) if isinstance(a, slice) else a + shift
+            yield g[tuple(nbr)]
 
 
-def _extrema(
-    u: MeshFunction, region: Region3D | None
-) -> tuple[tuple[slice, slice, slice], np.ndarray]:
-    """The full-neighbor box of region (None: the interior) and the mask of
-    its strict extrema, which has the box's shape."""
-    if not isinstance(u.mesh, Mesh3D):
-        raise TypeError("extremum counting is defined for 3D mesh functions")
-    box = _box(_region_or_interior(u, region), 1, u.mesh.N - 2)
-    g = u.as_grid()
+def _extrema(g: np.ndarray, box: tuple[slice, ...]) -> np.ndarray:
+    """Mask, of g[box]'s shape, of its strict extrema: the cells strictly
+    greater than every axis neighbor or strictly less than every one. Every
+    cell of box must have both neighbors along each axis."""
     center = g[box]
     is_max = np.ones(center.shape, dtype=bool)
     is_min = np.ones(center.shape, dtype=bool)
-    for axis in range(3):
-        for shift in (1, -1):
-            nbr = list(box)
-            nbr[axis] = slice(box[axis].start + shift, box[axis].stop + shift)
-            is_max &= center > g[tuple(nbr)]
-            is_min &= center < g[tuple(nbr)]
-    return box, is_max | is_min
+    for nbr in _neighbors(g, box):
+        is_max &= center > nbr
+        is_min &= center < nbr
+    return is_max | is_min
 
 
-def _extremum_index(u: MeshFunction, region: Region3D | None) -> np.ndarray:
-    """(m, 3) array of the (i, j, k) cells counted by count_extrema_3d, in
-    flat-index order."""
-    box, mask = _extrema(u, region)
-    # Nonzero over the transposed mask walks k slowest and i fastest, which
-    # is flat-index order (flat = i + N*j + N*N*k).
-    kk, jj, ii = np.nonzero(mask.T)
-    return np.stack([ii + box[0].start, jj + box[1].start, kk + box[2].start], axis=1)
+def _extremum_index(g: np.ndarray, region: Sequence[tuple[int, int]]) -> np.ndarray:
+    """(m, g.ndim) array of the strict extrema among region's full-neighbor
+    cells, first axis fastest: flat-index order for a 3D grid."""
+    box = _box(region, g.shape, 1)
+    # argwhere over the transposed mask walks the last axis slowest; reversed
+    # columns give (i, j, k) with i fastest (flat = i + N*j + N*N*k).
+    return np.argwhere(_extrema(g, box).T)[:, ::-1] + [s.start for s in box]
+
+
+def _sharpness(g: np.ndarray, idx: np.ndarray) -> tuple[float, float]:
+    """(a, b) over the full-neighbor cells idx, an (m, g.ndim) array, of g;
+    (0, 0) when m = 0."""
+    at = tuple(idx.T)
+    c = g[at]
+    jumps = np.abs(np.stack([c - nbr for nbr in _neighbors(g, at)]))
+    # fmax passes over a cell whose jumps hold a NaN, so a and b stay numbers.
+    a = np.fmax.reduce(jumps.max(axis=0), initial=0.0)
+    b = np.fmax.reduce(jumps.min(axis=0), initial=0.0)
+    return float(a), float(b)
+
+
+def _largest_step(g: np.ndarray) -> float:
+    """max over the axes of |step to the next cell| in g; 0 when it has none."""
+    steps = (np.abs(np.diff(g, axis=axis)) for axis in range(g.ndim))
+    return max((float(s.max()) for s in steps if s.size), default=0.0)
+
+
+def _grid_region(u: MeshFunction, region: Region3D | None) -> tuple[np.ndarray, Region3D]:
+    """u's (N, N, N) grid (TypeError for a 1D u) and region, None giving the interior."""
+    g = u.as_grid()
+    return g, (((1, len(g) - 2),) * 3 if region is None else region)
 
 
 def count_extrema_3d(u: MeshFunction, region: Region3D | None = None) -> int:
@@ -146,27 +162,13 @@ def count_extrema_3d(u: MeshFunction, region: Region3D | None = None) -> int:
     neighbor set (mesh-edge cells) are excluded, so the default region is the
     interior. An empty region yields zero.
     """
-    return int(np.count_nonzero(_extrema(u, region)[1]))
+    g, region = _grid_region(u, region)
+    return int(np.count_nonzero(_extrema(g, _box(region, g.shape, 1))))
 
 
 def extremum_cells(u: MeshFunction, region: Region3D | None = None) -> list[tuple[int, int, int]]:
     """The (i, j, k) triples counted by count_extrema_3d, in flat-index order."""
-    return list(map(tuple, _extremum_index(u, region).tolist()))
-
-
-def _sharpness(g: np.ndarray, idx: np.ndarray) -> tuple[float, float]:
-    """(a, b) over the full-neighbor cells idx, an (m, 3) array, of grid g."""
-    i, j, k = idx.T
-    c = g[i, j, k]
-    jumps = np.abs(np.stack([
-        c - g[i + 1, j, k], c - g[i - 1, j, k],
-        c - g[i, j + 1, k], c - g[i, j - 1, k],
-        c - g[i, j, k + 1], c - g[i, j, k - 1],
-    ]))
-    # fmax passes over a cell whose jumps hold a NaN, so a and b stay numbers.
-    a = np.fmax.reduce(jumps.max(axis=0), initial=0.0)
-    b = np.fmax.reduce(jumps.min(axis=0), initial=0.0)
-    return float(a), float(b)
+    return list(map(tuple, _extremum_index(*_grid_region(u, region)).tolist()))
 
 
 def sharpness_metrics(
@@ -178,13 +180,12 @@ def sharpness_metrics(
     S may be given as explicit (i, j, k) triples or as a region, in which
     case every full-neighbor cell of the region belongs to S.
     """
-    if not isinstance(u.mesh, Mesh3D):
-        raise TypeError("sharpness metrics are defined for 3D mesh functions")
-    N, g = u.mesh.N, u.as_grid()
+    g = u.as_grid()
+    N = len(g)
     if isinstance(cells, tuple) and len(cells) == 3 and all(
         isinstance(r, tuple) and len(r) == 2 for r in cells
     ):
-        box = _box(cells, 1, N - 2)
+        box = _box(cells, g.shape, 1)
         idx = np.argwhere(np.ones(g[box].shape, dtype=bool)) + [s.start for s in box]
     else:
         idx = np.asarray(list(cells))
@@ -319,54 +320,37 @@ class MonotonicityReport:
     oscillates: bool | None = None
 
 
+def _report(g: np.ndarray, region: Sequence[tuple[int, int]], label: str,
+            oscillates: bool | None = None) -> MonotonicityReport:
+    """f_value over region's cells of g, the strict extrema and their
+    sharpness over its full-neighbor cells."""
+    idx = _extremum_index(g, region)
+    a, b = _sharpness(g, idx)
+    return MonotonicityReport(_largest_step(g[_box(region, g.shape, 0)]), len(idx), a, b,
+                              label, oscillates)
+
+
 def report_1d(full_sequence: Sequence[float]) -> MonotonicityReport:
     """Monotonicity report for a full 1D node sequence (boundary included).
 
-    Oscillation is detected over the interior nodes 1..n; sharpness uses the
-    two-neighbor analog of the 3D pair.
+    Oscillation is detected over the interior nodes 1..n, and is None when
+    there are fewer than three of them; sharpness uses the two-neighbor
+    analog of the 3D pair.
     """
     arr = np.asarray(full_sequence, dtype=float)
-    prev, mid, nxt = arr[:-2], arr[1:-1], arr[2:]
-    strict = ((mid > prev) & (mid > nxt)) | ((mid < prev) & (mid < nxt))
-    # Differences only at strict extrema, where no inf - inf can arise.
-    left = np.abs(mid[strict] - prev[strict])
-    right = np.abs(mid[strict] - nxt[strict])
-    osc = None
-    for lo, hi in ((1, len(arr) - 2), (0, len(arr) - 1)):
-        try:
-            osc = oscillates_point_to_point(arr, lo, hi)
-            break
-        except UndefinedIntervalError:
-            continue
-    return MonotonicityReport(
-        f_value=max_step_change(arr),
-        extremum_count=int(strict.sum()),
-        sharpness_a=float(np.maximum(left, right).max(initial=0.0)),
-        sharpness_b=float(np.minimum(left, right).max(initial=0.0)),
-        region=f"nodes 0..{len(arr) - 1}",
-        oscillates=osc,
-    )
+    n = len(arr) - 2
+    if n < 0:
+        raise ValueError(f"need at least 2 points, got {len(arr)}")
+    osc = oscillates_point_to_point(arr, 1, n) if n >= 3 else None
+    return _report(arr, ((0, n + 1),), f"nodes 0..{n + 1}", osc)
 
 
 def report_3d(u: MeshFunction, region: Region3D | None = None) -> MonotonicityReport:
     """Monotonicity report for a 3D mesh function over a region: f_value over
     the region's cells in the mesh, the extrema over its full-neighbor cells."""
-    region = _region_or_interior(u, region)
-    idx = _extremum_index(u, region)
-    g = u.as_grid()
-    a, b = _sharpness(g, idx) if len(idx) else (0.0, 0.0)
+    g, region = _grid_region(u, region)
     (i0, i1), (j0, j1), (k0, k1) = region
-    sub = g[_box(region, 0, u.mesh.N - 1)]
-    steps = [np.abs(np.diff(sub, axis=ax)) for ax in range(3)]
-    f_val = max((float(s.max()) for s in steps if s.size), default=0.0)
-    return MonotonicityReport(
-        f_value=f_val,
-        extremum_count=len(idx),
-        sharpness_a=a,
-        sharpness_b=b,
-        region=f"cells [{i0}..{i1}]x[{j0}..{j1}]x[{k0}..{k1}]",
-        oscillates=None,
-    )
+    return _report(g, region, f"cells [{i0}..{i1}]x[{j0}..{j1}]x[{k0}..{k1}]")
 
 
 __all__ = [

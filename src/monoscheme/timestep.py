@@ -97,43 +97,34 @@ class LinearMeshOperator:
             return cls(a, c.k0 * np.ones(mesh.n) + t.offset(bc) * s)
 
 
-class _Stepper:
-    """One weighted step, built once per (operator, config, bc) and taken per call.
+def _step(u_n: MeshFunction, op: LinearMeshOperator, cfg: TimeStepConfig,
+          bc: BoundaryData1D | None = None) -> tuple[MeshFunction, MeshFunction]:
+    """One weighted step, mapping u^n to (u^{n+1}, y^{n+1}).
 
     bc None gives the plain flavor, where the stepped variable is u itself and
-    lead is the identity; a bc gives the smoothed flavor, where it is y = Mv
-    and lead is M. The step is one banded solve for every sigma:
+    lead is the identity; a bc gives the smoothed flavor, where it is y = Mv,
+    lead is M and y^{n+1} = M u^{n+1}. The step is one banded solve for every sigma:
 
         (lead - tau sigma A) u^{n+1} = lead u^n + tau sigma offset + tau (1 - sigma) F(u^n)
 
     with lead u^n taken with zero ends, since the ends' terms sit in offset.
-    At sigma = 0 the matrix is lead itself. A call maps u^n to (u^{n+1},
-    y^{n+1}), with y^{n+1} = M u^{n+1} under bc. A singular matrix or a
-    non-finite band, right side or result raises StepFailureError.
+    At sigma = 0 the matrix is lead itself. A singular matrix or a non-finite
+    band, right side or result raises StepFailureError.
     """
-
-    def __init__(self, op: LinearMeshOperator, cfg: TimeStepConfig,
-                 bc: BoundaryData1D | None = None):
-        self.op, self.cfg, self.bc = op, cfg, bc
-        self.kind = "implicit" if cfg.sigma else "explicit"
-        n, a, ts = op.a.n, op.a, cfg.tau * cfg.sigma
-        self.lead = Tridiagonal(0.0, 1.0, 0.0, n) if bc is None else smoothing(n)
-        with np.errstate(over="ignore", invalid="ignore"):
-            self.lhs = Tridiagonal(self.lead.lower - ts * a.lower, self.lead.diag - ts * a.diag,
-                                   self.lead.upper - ts * a.upper, n)
-
-    def __call__(self, u_n: MeshFunction) -> tuple[MeshFunction, MeshFunction]:
-        op, cfg, u = self.op, self.cfg, u_n.values
-        with np.errstate(over="ignore", invalid="ignore"):
-            rhs = (self.lead.apply(u, _ZERO_BC) + cfg.tau * cfg.sigma * op.offset
-                   + cfg.tau * (1.0 - cfg.sigma) * op(u))
-        try:
-            u_next = u_n.with_values(self.lhs.solve(rhs))
-        except SingularOperatorError as exc:
-            raise StepFailureError("implicit step matrix singular", math.inf) from exc
-        except SolverError as exc:
-            raise StepFailureError(f"{self.kind} step produced non-finite values", math.inf) from exc
-        return u_next, (u_next if self.bc is None else smooth_1d(u_next, self.bc))
+    n, a, ts, u = op.a.n, op.a, cfg.tau * cfg.sigma, u_n.values
+    lead = Tridiagonal(0.0, 1.0, 0.0, n) if bc is None else smoothing(n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        lhs = Tridiagonal(lead.lower - ts * a.lower, lead.diag - ts * a.diag,
+                          lead.upper - ts * a.upper, n)
+        rhs = lead.apply(u, _ZERO_BC) + ts * op.offset + cfg.tau * (1.0 - cfg.sigma) * op(u)
+    try:
+        u_next = u_n.with_values(lhs.solve(rhs))
+    except SingularOperatorError as exc:
+        raise StepFailureError("implicit step matrix singular", math.inf) from exc
+    except SolverError as exc:
+        kind = "implicit" if cfg.sigma else "explicit"
+        raise StepFailureError(f"{kind} step produced non-finite values", math.inf) from exc
+    return u_next, (u_next if bc is None else smooth_1d(u_next, bc))
 
 
 def step_base(u_n: MeshFunction, op: LinearMeshOperator, cfg: TimeStepConfig) -> MeshFunction:
@@ -142,7 +133,7 @@ def step_base(u_n: MeshFunction, op: LinearMeshOperator, cfg: TimeStepConfig) ->
     One banded solve of (I - tau sigma A) u^{n+1} = u^n + tau sigma offset
     + tau (1 - sigma) F(u^n); at sigma = 0 the matrix is the identity.
     """
-    return _Stepper(op, cfg)(u_n)[0]
+    return _step(u_n, op, cfg)[0]
 
 
 def step_monotonized(
@@ -157,7 +148,7 @@ def step_monotonized(
     banded tridiagonal solve (M - tau sigma A) v^{n+1} = rhs; at sigma = 0
     that is one inverse-smoothing solve.
     """
-    return _Stepper(aux_op, cfg, bc)(v_n)
+    return _step(v_n, aux_op, cfg, bc)
 
 
 def step_monotonized_alt(
@@ -236,14 +227,13 @@ def run_to_steady(
     # False for NaN as well as for negative values.
     if not steady_tol >= 0.0:
         raise ValueError(f"steady_tol must be at least 0, got {steady_tol}")
-    advance = _Stepper(aux_op, cfg, bc)
     v = v0
     y = smooth_1d(v0, bc)
     history: list[tuple[float, float]] = []
     snapshots: list[tuple[float, np.ndarray, np.ndarray]] = []
     t = 0.0
     for step in range(1, max_steps + 1):
-        v_next, y_next = advance(v)
+        v_next, y_next = _step(v, aux_op, cfg, bc)
         update = norm_c(v_next.values - v.values)
         t += cfg.tau
         if step % record_every == 0:

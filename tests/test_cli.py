@@ -377,6 +377,23 @@ class TestOtherExperiments:
         reference = json.loads((out / "summary.json").read_text())["reference"]
         assert reference["u_analytic_distance_c"] < 1e-3
 
+    def test_zero_base_answer_gives_null_closeness(self, tmp_path):
+        # U'' = 0 from 1 to -1: the base answer at the one interior node is 0,
+        # so the closeness relative to it is undefined.
+        cfg = edited_config(tmp_path, "fig1.cfg", k0=0, k1=0, k2=0, k3=1, n=1,
+                            u_left=1, u_right=-1)
+        out = tmp_path / "zero"
+        assert run_cli("run", str(cfg), "--out", str(out)) == 0
+        assert json.loads((out / "summary.json").read_text())["closeness_u_v_relative"] is None
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_oscillation_is_null_below_three_interior_nodes(self, tmp_path, n):
+        cfg = edited_config(tmp_path, "fig1.cfg", n=n)
+        out = tmp_path / "short"
+        assert run_cli("run", str(cfg), "--out", str(out)) == 0
+        reports = json.loads((out / "summary.json").read_text())["reports"]
+        assert [r["report"]["oscillates"] for r in reports.values()] == [None] * 3
+
     def test_solve3d_small_run(self, tmp_path):
         cfg = tmp_path / "tiny3d.cfg"
         cfg.write_text(TINY_3D)

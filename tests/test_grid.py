@@ -104,6 +104,11 @@ class TestFlatIndex:
         with pytest.raises(IndexError):
             flat_index(0, -1, 0, 4)
 
+    @pytest.mark.parametrize("p", [-1, 27])
+    def test_unflatten_out_of_range(self, p):
+        with pytest.raises(IndexError, match=r"flat index -?\d+ outside 0..26"):
+            unflatten_index(p, 3)
+
     @pytest.mark.parametrize("N", [2, 3, 5, 8])
     def test_roundtrip_is_identity(self, N):
         for p in range(N**3):
@@ -131,6 +136,10 @@ class TestMeshFunction:
         mf = MeshFunction(mesh, np.zeros(3))
         with pytest.raises(ValueError):
             mf.values[0] = 1.0
+
+    def test_grid_view_needs_3d(self):
+        with pytest.raises(TypeError, match="as_grid is only defined for 3D"):
+            MeshFunction(Mesh1D(0.0, 1.0, 3), np.zeros(3)).as_grid()
 
     def test_grid_roundtrip(self):
         mesh = Mesh3D(1.0, 4)
@@ -273,6 +282,10 @@ class TestBoundaryData:
         mf = MeshFunction(mesh, [1.0, 2.0])
         full = with_boundary(mf, BoundaryData1D(0.0, 3.0))
         assert np.array_equal(full, [0.0, 1.0, 2.0, 3.0])
+
+    def test_with_boundary_needs_1d(self):
+        with pytest.raises(TypeError, match="with_boundary is only defined for 1D"):
+            with_boundary(MeshFunction(Mesh3D(1.0, 2), np.zeros(8)), BoundaryData1D(0.0, 0.0))
 
 
 def test_norm_c():

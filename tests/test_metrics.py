@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from monoscheme.grid import Mesh3D, MeshFunction, norm_c
+from monoscheme.grid import Mesh1D, Mesh3D, MeshFunction, norm_c
 from monoscheme.metrics import (
     DegenerateInputError,
     EmptySetError,
@@ -84,6 +84,29 @@ class TestOscillationDetector:
         assert not oscillates_point_to_point([0, np.nan, 0, 1])
         assert oscillates_point_to_point([0, np.inf, 0, np.inf])
         assert not oscillates_point_to_point([np.inf, np.inf, 0, 1])
+
+    @pytest.mark.parametrize("k, l, error, message", [
+        (3, 2, ValueError, "need k <= l"),
+        (0, 5, IndexError, "outside sequence of 5 points"),
+        (-1, 3, IndexError, "outside sequence of 5 points"),
+    ])
+    def test_bad_interval_raises(self, k, l, error, message):
+        with pytest.raises(error, match=message):
+            oscillates_point_to_point([0.0, 1.0, 0.0, 1.0, 0.0], k, l)
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_matches_the_step_sign_formula(self, data):
+        # The rule "every inner node is a strict extremum" against the formula
+        # it replaced: consecutive step signs, from comparisons, alternate.
+        special = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, np.inf, -np.inf, np.nan,
+                                   1e308, -1e308, 5e-324])
+        seq = np.array(data.draw(st.lists(special | st.floats(), min_size=3, max_size=9)))
+        k = data.draw(st.integers(0, len(seq) - 3))
+        l = data.draw(st.integers(k + 2, len(seq) - 1))
+        seg = seq[k : l + 1]
+        sign = (seg[1:] > seg[:-1]).astype(int) - (seg[1:] < seg[:-1])
+        assert oscillates_point_to_point(seq, k, l) == bool(np.all(sign[:-1] * sign[1:] < 0))
 
 
 class TestMaxStepChange:
@@ -232,6 +255,20 @@ class TestSharpness:
         cells = [(i, j, k) for i in (1, 2, 3) for j in (1, 2, 3) for k in (1, 2, 3)]
         assert (a, b) == brute_sharpness(u.as_grid(), cells)
 
+    def test_pairs_are_not_cells(self):
+        u = MeshFunction(Mesh3D(1.0, 5), RNG.standard_normal(125))
+        with pytest.raises(ValueError, match=r"cells must be \(i, j, k\) triples"):
+            sharpness_metrics(u, [(2, 2), (3, 3)])
+
+
+@pytest.mark.parametrize("measure", [
+    count_extrema_3d, extremum_cells, report_3d, lambda u: sharpness_metrics(u, [(1, 1, 1)]),
+], ids=["count_extrema_3d", "extremum_cells", "report_3d", "sharpness_metrics"])
+def test_3d_measures_reject_a_1d_function(measure):
+    u = MeshFunction(Mesh1D(0.0, 1.0, 5), np.arange(5.0))
+    with pytest.raises(TypeError, match="defined for 3D mesh functions"):
+        measure(u)
+
 
 class TestDampingInterval:
     def test_spec_point(self):
@@ -329,6 +366,10 @@ class TestCheckDampingBound:
         assert not chk.premises_hold and not chk.inside
         assert chk.failed_premise == message
 
+    def test_shape_mismatch_raises(self):
+        with pytest.raises(ValueError, match=r"shape mismatch: \(5,\) vs \(4,\)"):
+            check_damping_bound(np.zeros(5), np.zeros(4), _smooth_full)
+
     def test_roundtrip_dict(self):
         u = np.array([(-1.0) ** i for i in range(12)])
         chk = check_damping_bound(u, u + 1e-3, _smooth_full)
@@ -343,6 +384,11 @@ class TestReports:
         assert rep.oscillates
         assert rep.f_value == 1.0
         assert rep.extremum_count == 3
+
+    @pytest.mark.parametrize("n, want", [(0, None), (1, None), (2, None), (3, True)])
+    def test_report_1d_oscillation_needs_three_interior_nodes(self, n, want):
+        # The ends never take part: nodes 0..n+1 alternate for every n.
+        assert report_1d([(-1.0) ** i for i in range(n + 2)]).oscillates is want
 
     def test_report_3d_roundtrip(self):
         mesh = Mesh3D(1.0, 5)

@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from monoscheme.grid import MeshFunction, norm_c
+from monoscheme.grid import Mesh3D, MeshFunction, norm_c
 from monoscheme.metrics import count_extrema_3d
 from monoscheme.ns3d import (
     FlowConfig,
@@ -174,6 +174,22 @@ class TestFlowConfig:
     def test_rejects_nan_and_inf(self, key, value):
         with pytest.raises(ValueError, match=f"^{key} must be positive and finite"):
             small_config(**{key: value})
+
+    @pytest.mark.parametrize("over, message", [
+        ({"max_iters": 0}, "max_iters must be at least 1, got 0"),
+        ({"sigma_v": 0.0}, "sigma_v must be positive"),
+        ({"sigma_v": -1e-9}, "sigma_v must be positive"),
+    ])
+    def test_rejects_out_of_range(self, over, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            small_config(**over)
+
+
+def test_flow_field_needs_one_mesh():
+    a, b = Mesh3D(1.0, 4), Mesh3D(2.0, 4)
+    zero = np.zeros(64)
+    with pytest.raises(ValueError, match="all four fields must share one mesh"):
+        FlowField(*(MeshFunction(a, zero) for _ in range(3)), MeshFunction(b, zero))
 
 
 class TestInitField:

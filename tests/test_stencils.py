@@ -513,6 +513,10 @@ class TestPatchRanges:
         with pytest.raises(ValueError, match="patch range"):
             FaceRule(FaceGhost("value", 0.0), FaceGhost("mirror"), patch_lo=3, patch_hi=2)
 
+    def test_unknown_ghost_kind_rejected(self):
+        with pytest.raises(ValueError, match="unknown ghost kind 'bogus'"):
+            FaceGhost("bogus")
+
     def test_patch_beyond_mesh_rejected(self):
         rule = FaceRule(FaceGhost("value", 0.0), FaceGhost("mirror"), patch_lo=1, patch_hi=4)
         spec = GhostSpec3D(rule, *(FaceRule(FaceGhost("mirror")) for _ in FACES[1:]))
