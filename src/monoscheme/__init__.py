@@ -9,7 +9,6 @@ oscillation the smoothing removes.
 
 from .grid import (
     BoundaryData1D,
-    InvalidMeshError,
     Mesh1D,
     Mesh3D,
     MeshFunction,
@@ -24,7 +23,6 @@ from .stencils import (
     FaceGhost,
     FaceRule,
     GhostSpec3D,
-    IterationFailureError,
     MIRROR_ALL,
     SolverError,
     Tridiagonal,

@@ -36,14 +36,6 @@ from .stencils import (
 )
 
 
-class SingularSchemeError(SingularOperatorError):
-    """The assembled scheme matrix is singular at this mesh step."""
-
-    def __init__(self, message: str, h: float):
-        super().__init__(message)
-        self.h = h
-
-
 @dataclass(frozen=True)
 class SchemeCoefficients:
     """The four finite reals of k0 + k1*U + k2*U' + k3*U''= 0; k3 != 0 keeps
@@ -111,7 +103,7 @@ def _at_step(h: float, solve):
     try:
         return solve()
     except (SingularOperatorError, np.linalg.LinAlgError) as exc:
-        raise SingularSchemeError(f"scheme matrix singular at h={h}: {exc}", h) from exc
+        raise SingularOperatorError(f"scheme matrix singular at h={h}: {exc}") from exc
     except SolverError as exc:
         raise SolverError(f"scheme overflows at h={h}: {exc}") from exc
 
@@ -486,7 +478,6 @@ __all__ = [
     "DeterminantScanRow",
     "OrderEstimate",
     "SchemeCoefficients",
-    "SingularSchemeError",
     "analytic_solution",
     "convergence_order",
     "determinant_scan",

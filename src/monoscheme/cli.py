@@ -15,8 +15,9 @@ report JSON per solution variant, and a machine-readable summary.json.
 Runners return their outputs as a `RunOutput`; `_run` alone writes them.
 Identical configs produce bitwise-identical outputs.
 
-Exit codes: 0 success, 2 config parse error, 3 validation error,
-4 solver failure. Errors print one line: "error: <category>: <reason>".
+Exit codes: 0 success, 2 config parse error (ConfigParseError), 3 validation
+error (ValueError), 4 solver failure (SolverError). Errors print one line:
+"error: <category>: <reason>".
 """
 
 from __future__ import annotations
@@ -59,10 +60,6 @@ from .timestep import LinearMeshOperator, TimeStepConfig, run_to_steady, step_mo
 
 
 class ConfigParseError(Exception):
-    pass
-
-
-class ValidationError(Exception):
     pass
 
 
@@ -180,7 +177,7 @@ def _writing(path: Path):
         with open(path, "w") as fh:
             yield fh
     except OSError as exc:
-        raise ValidationError(f"cannot write {path}: {exc.strerror}") from exc
+        raise ValueError(f"cannot write {path}: {exc.strerror}") from exc
 
 
 def write_table(path: Path, header: list[str], rows: list[tuple], fmt: str) -> None:
@@ -283,7 +280,7 @@ def _end_values(sec: SectionView) -> BoundaryData1D:
     ends = {key: sec.real(key) for key in ("u_left", "u_right")}
     for key, value in ends.items():
         if not np.isfinite(value):
-            raise ValidationError(f"{key} must be finite, got {value}")
+            raise ValueError(f"{key} must be finite, got {value}")
     return BoundaryData1D(*ends.values())
 
 
@@ -294,7 +291,7 @@ def run_solve1d(cfg: ConfigView, seed: int, tol: float | None) -> RunOutput:
     bc = _end_values(sec)
     dense_points = sec.integer("dense_points", 100)
     if dense_points < 3:
-        raise ValidationError(f"dense_points must be at least 3, got {dense_points}")
+        raise ValueError(f"dense_points must be at least 3, got {dense_points}")
 
     base = solve_base(c, mesh, bc)
     mono = solve_monotonized(c, mesh, bc)
@@ -361,8 +358,8 @@ def run_solve3d(cfg: ConfigView, seed: int, tol: float | None) -> RunOutput:
     msec = cfg.section("metrics")
     c_lo, c_hi = msec.integer("central_lo"), msec.integer("central_hi")
     if c_lo > c_hi or max(c_lo, 1) > min(c_hi, flow.N - 2):
-        raise ValidationError(f"central_lo..central_hi = {c_lo}..{c_hi} holds no cell with "
-                              f"all six neighbors; such cells are 1..{flow.N - 2}")
+        raise ValueError(f"central_lo..central_hi = {c_lo}..{c_hi} holds no cell with "
+                         f"all six neighbors; such cells are 1..{flow.N - 2}")
     central = ((c_lo, c_hi),) * 3
 
     base = solve_steady(flow, "base")
@@ -425,9 +422,9 @@ def run_metrics(cfg: ConfigView, seed: int, tol: float | None) -> RunOutput:
     trials = sec.integer("trials", 200)
     max_n = sec.integer("max_n", 5)
     if trials < 1:
-        raise ValidationError(f"trials must be at least 1, got {trials}")
+        raise ValueError(f"trials must be at least 1, got {trials}")
     if max_n < 3:
-        raise ValidationError(f"max_n must be at least 3, got {max_n}")
+        raise ValueError(f"max_n must be at least 3, got {max_n}")
     rng = np.random.default_rng(seed)
 
     records = []
@@ -524,7 +521,7 @@ def run_scan_det(cfg: ConfigView, seed: int, tol: float | None) -> RunOutput:
     scan = cfg.section("scan")
     h_values = scan.reals("h_values")
     if not h_values:
-        raise ValidationError("h_values must list at least one mesh step")
+        raise ValueError("h_values must list at least one mesh step")
     near_tol = scan.real("near_tol", 1e-10)
     rows_obj = determinant_scan(c, h_values, domain, near_tol)
     header = ["h", "n", "indicator_base", "indicator_monotonized", "flagged"]
@@ -615,9 +612,7 @@ def compare_reports(path_a: str, path_b: str) -> dict:
     except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
         raise ConfigParseError(f"cannot read report: {exc}") from exc
     if a.experiment != b.experiment:
-        raise ValidationError(
-            f"reports come from different experiments: {a.experiment} vs {b.experiment}"
-        )
+        raise ValueError(f"reports come from different experiments: {a.experiment} vs {b.experiment}")
     ra, rb = a.report, b.report
     deltas = {key: getattr(rb, key) - getattr(ra, key) for key in _COMPARED}
     if a.reference_distance_c is not None and b.reference_distance_c is not None:
@@ -667,7 +662,7 @@ def _output_dir(path: str) -> Path:
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        raise ValidationError(f"cannot use {out} as output directory: {exc.strerror}") from exc
+        raise ValueError(f"cannot use {out} as output directory: {exc.strerror}") from exc
     return out
 
 
@@ -675,7 +670,7 @@ def _run(args) -> int:
     cfg = load_config(args.config)
     kind = cfg.section("experiment").text("kind")
     if kind not in EXPERIMENTS:
-        raise ValidationError(f"unknown experiment kind {kind!r}")
+        raise ValueError(f"unknown experiment kind {kind!r}")
     out = _output_dir(args.out)
     result = EXPERIMENTS[kind](cfg, args.seed, args.tol)
     summary = {"experiment": kind, **result.summary}
@@ -703,7 +698,7 @@ def main(argv=None) -> int:
     except ConfigParseError as exc:
         print(f"error: parse: {exc}", file=sys.stderr)
         return 2
-    except (ValidationError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: validation: {exc}", file=sys.stderr)
         return 3
     except SolverError as exc:

@@ -19,22 +19,18 @@ from typing import Callable, Union
 import numpy as np
 
 
-class InvalidMeshError(ValueError):
-    """Raised for mesh parameters that violate the construction contract."""
-
-
 def check_domain(a: float, b: float) -> None:
-    """Raise InvalidMeshError unless [a, b] is finite and nonempty."""
+    """Raise ValueError unless [a, b] is finite and nonempty."""
     # False for NaN and infinite ends as well as for b <= a.
     if not -np.inf < a < b < np.inf:
-        raise InvalidMeshError(f"domain [a, b] = [{a}, {b}] must be finite with a < b")
+        raise ValueError(f"domain [a, b] = [{a}, {b}] must be finite with a < b")
 
 
 def _check_count(name: str, value) -> int:
     try:  # numpy integers pass; floats, 3.0 included, do not
         return operator.index(value)
     except TypeError:
-        raise InvalidMeshError(f"{name} must be an integer, got {value!r}") from None
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -48,7 +44,7 @@ class Mesh1D:
 
     def __post_init__(self):
         if _check_count("n", self.n) < 1:
-            raise InvalidMeshError(f"need at least one interior node, got n={self.n}")
+            raise ValueError(f"need at least one interior node, got n={self.n}")
         check_domain(self.a, self.b)
 
     @property
@@ -74,9 +70,9 @@ class Mesh3D:
     def __post_init__(self):
         # False for NaN as well as for L <= 0 and L = inf.
         if not 0.0 < self.L < np.inf:
-            raise InvalidMeshError(f"cube side must be positive and finite, got L={self.L}")
+            raise ValueError(f"cube side must be positive and finite, got L={self.L}")
         if _check_count("N", self.N) < 2:
-            raise InvalidMeshError(f"need at least 2 cells per direction, got N={self.N}")
+            raise ValueError(f"need at least 2 cells per direction, got N={self.N}")
 
     @property
     def h(self) -> float:

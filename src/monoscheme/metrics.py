@@ -32,22 +32,6 @@ STEP_CHANGE_LIPSCHITZ = 2.0
 Region3D = tuple[tuple[int, int], tuple[int, int], tuple[int, int]]
 
 
-class UndefinedIntervalError(ValueError):
-    """Oscillation is undefined on intervals of fewer than three points."""
-
-
-class EmptySetError(ValueError):
-    """Sharpness metrics are undefined over an empty extremum set."""
-
-
-class PremiseViolationError(ValueError):
-    """A hypothesis of the damping-ratio bound fails; message names it."""
-
-
-class DegenerateInputError(ValueError):
-    """The base solution is already flat for the chosen roughness functional."""
-
-
 # ---------------------------------------------------------------------------
 # 1D oscillation and roughness
 # ---------------------------------------------------------------------------
@@ -68,7 +52,7 @@ def oscillates_point_to_point(u: Sequence[float], k: int = 0, l: int | None = No
     if not (0 <= k and l < len(arr)):
         raise IndexError(f"interval {k}..{l} outside sequence of {len(arr)} points")
     if l - k < 2:
-        raise UndefinedIntervalError(f"interval {k}..{l} has fewer than 3 points")
+        raise ValueError(f"interval {k}..{l} has fewer than 3 points")
     return bool(_extrema(arr, (slice(k + 1, l),)).all())
 
 
@@ -130,22 +114,39 @@ def _extremum_index(g: np.ndarray, region: Sequence[tuple[int, int]]) -> np.ndar
     return np.argwhere(_extrema(g, box).T)[:, ::-1] + [s.start for s in box]
 
 
+def _jumps(x: np.ndarray, y: np.ndarray, axis: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """|x - y| and its max along axis (over all when None; 0 when empty). A
+    jump between equal values, the same infinity included, is 0, so a NaN
+    comes from NaN data only; one past the largest float is inf."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        jumps = x - y
+    np.abs(jumps, out=jumps)  # in place: the callers hold one more array of this size
+    top = jumps.max(axis=axis, initial=0.0)
+    if np.isnan(top).any():  # inf - inf is NaN; finite data never pays for the fix
+        jumps = np.where(x == y, 0.0, jumps)
+        top = jumps.max(axis=axis, initial=0.0)
+    return jumps, top
+
+
 def _sharpness(g: np.ndarray, idx: np.ndarray) -> tuple[float, float]:
     """(a, b) over the full-neighbor cells idx, an (m, g.ndim) array, of g;
     (0, 0) when m = 0."""
     at = tuple(idx.T)
-    c = g[at]
-    jumps = np.abs(np.stack([c - nbr for nbr in _neighbors(g, at)]))
+    jumps, top = _jumps(g[at], np.stack(list(_neighbors(g, at))), axis=0)
     # fmax passes over a cell whose jumps hold a NaN, so a and b stay numbers.
-    a = np.fmax.reduce(jumps.max(axis=0), initial=0.0)
+    a = np.fmax.reduce(top, initial=0.0)
     b = np.fmax.reduce(jumps.min(axis=0), initial=0.0)
     return float(a), float(b)
 
 
 def _largest_step(g: np.ndarray) -> float:
     """max over the axes of |step to the next cell| in g; 0 when it has none."""
-    steps = (np.abs(np.diff(g, axis=axis)) for axis in range(g.ndim))
-    return max((float(s.max()) for s in steps if s.size), default=0.0)
+    largest = 0.0
+    for axis in range(g.ndim):
+        head = (slice(None),) * axis
+        step = _jumps(g[head + (slice(1, None),)], g[head + (slice(-1),)])[1]
+        largest = np.maximum(largest, step)  # a NaN step stays NaN
+    return float(largest)
 
 
 def _grid_region(u: MeshFunction, region: Region3D | None) -> tuple[np.ndarray, Region3D]:
@@ -190,7 +191,7 @@ def sharpness_metrics(
     else:
         idx = np.asarray(list(cells))
     if idx.size == 0:
-        raise EmptySetError("sharpness metrics are undefined for an empty set")
+        raise ValueError("sharpness metrics are undefined for an empty set")
     if idx.ndim != 2 or idx.shape[1] != 3:
         raise ValueError("cells must be (i, j, k) triples")
     lacking = ((idx < 1) | (idx > N - 2)).any(axis=1)
@@ -221,9 +222,9 @@ def damping_bound_interval(
     damping factor f(Mu)/f(u), epsilon > 0 the C-norm distance between the
     base and auxiliary solutions, lipschitz the Lipschitz constant K of f
     (2 for max_step_change) and norm_m the C-norm of the smoother (1 for the
-    averaging smoothers). An input out of range raises ValueError; a failing
-    premise K*||M||*eps < k*delta or eps < delta raises
-    PremiseViolationError with the inequality spelled out.
+    averaging smoothers). An input out of range raises ValueError, and so
+    does a failing premise K*||M||*eps < k*delta or eps < delta, with the
+    inequality spelled out.
     """
     if not delta > 0:
         raise ValueError(f"delta must be positive, got {delta}")
@@ -233,11 +234,9 @@ def damping_bound_interval(
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     spread = lipschitz * norm_m * epsilon
     if not spread < k * delta:
-        raise PremiseViolationError(
-            f"premise K*||M||*eps < k*delta fails: {spread:.6g} >= {k * delta:.6g}"
-        )
+        raise ValueError(f"premise K*||M||*eps < k*delta fails: {spread:.6g} >= {k * delta:.6g}")
     if not epsilon < delta:
-        raise PremiseViolationError(f"premise eps < delta fails: {epsilon:.6g} >= {delta:.6g}")
+        raise ValueError(f"premise eps < delta fails: {epsilon:.6g} >= {delta:.6g}")
     return (k * delta - spread) / (delta + epsilon), (k * delta + spread) / (delta - epsilon)
 
 
@@ -281,7 +280,7 @@ def check_damping_bound(
         raise ValueError(f"shape mismatch: {u.shape} vs {v.shape}")
     delta = float(roughness(u))
     if delta == 0.0:
-        raise DegenerateInputError("base solution is flat: f(u) = 0")
+        raise ValueError("base solution is flat: f(u) = 0")
     k = float(roughness(smooth(u))) / delta
     eps = norm_c(u - v)
     k1 = float(roughness(smooth(v))) / delta
@@ -292,7 +291,7 @@ def check_damping_bound(
         )
     try:
         lo, hi = damping_bound_interval(delta, k, eps, lipschitz, norm_m)
-    except ValueError as exc:  # a PremiseViolationError is one
+    except ValueError as exc:
         return DampingCheck(
             delta=delta, k=k, epsilon=eps, k1=k1, lo=float("nan"), hi=float("nan"),
             premises_hold=False, inside=False, failed_premise=str(exc),
@@ -355,13 +354,9 @@ def report_3d(u: MeshFunction, region: Region3D | None = None) -> MonotonicityRe
 
 __all__ = [
     "DampingCheck",
-    "DegenerateInputError",
-    "EmptySetError",
     "MonotonicityReport",
-    "PremiseViolationError",
     "Region3D",
     "STEP_CHANGE_LIPSCHITZ",
-    "UndefinedIntervalError",
     "check_damping_bound",
     "count_extrema_3d",
     "damping_bound_interval",

@@ -282,14 +282,18 @@ class _Workspace:
         self.range = rng = pad_range(N)
         self.v_plans = [ghost_plan(policy.velocity(a), N) for a in range(3)]
         self.p_plan = ghost_plan(policy.p, N)
-        self.v_pads = [pad_grid(field.velocity(a).as_grid(), policy.velocity(a)) for a in range(3)]
-        self.p_pad = pad_grid(field.p.as_grid(), policy.p)
+        # A ghost extrapolated from huge values overflows as a sweep would;
+        # the callers report it as a diverged sweep, so numpy need not warn.
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.v_pads = [pad_grid(field.velocity(a).as_grid(), policy.velocity(a))
+                           for a in range(3)]
+            self.p_pad = pad_grid(field.p.as_grid(), policy.p)
+            self.steps = [central_step(pad, a, out=_aligned(rng.size))
+                          for a, pad in enumerate(self.v_pads)]
         self.c_d = scale * cfg.nu / (h * h)
         self.c_adv = -scale / ((24.0 if monotonized else 2.0) * h)
         self.c_p = -scale / (2.0 * h * cfg.rho)
         self.c_div = cfg.sigma_p / (2.0 * h)
-        self.steps = [central_step(pad, a, out=_aligned(rng.size))
-                      for a, pad in enumerate(self.v_pads)]
         self.lap = [_aligned(rng.size) for _ in range(3)]
         self.w = [_aligned(rng.size) for _ in range(3)] if monotonized else None
         self.inc, self.term = _aligned(rng.size), _aligned(rng.size)

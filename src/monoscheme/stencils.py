@@ -40,14 +40,6 @@ class SingularOperatorError(SolverError):
     """A direct solve hit a singular (or numerically singular) matrix."""
 
 
-class IterationFailureError(SolverError):
-    """An iterative solve did not reach its residual tolerance."""
-
-    def __init__(self, message: str, residual: float):
-        super().__init__(message)
-        self.residual = residual
-
-
 # ---------------------------------------------------------------------------
 # 1D operators
 # ---------------------------------------------------------------------------
@@ -587,9 +579,7 @@ def solve_smooth_3d(
     final = norm_c(b.values - smooth_3d(b.with_values(x), spec).values)
     if final <= tol:
         return b.with_values(x)
-    raise IterationFailureError(
-        f"smoothing solve stalled at residual {final:.3e} (tol {tol:.3e})", final
-    )
+    raise SolverError(f"smoothing solve stalled at residual {final:.3e} (tol {tol:.3e})")
 
 
 # ---------------------------------------------------------------------------
@@ -626,7 +616,6 @@ __all__ = [
     "FaceRule",
     "GhostPlan",
     "GhostSpec3D",
-    "IterationFailureError",
     "MIRROR_ALL",
     "PadRange",
     "SingularOperatorError",

@@ -34,14 +34,6 @@ from .grid import BoundaryData1D, Mesh1D, MeshFunction, norm_c
 from .stencils import SingularOperatorError, SolverError, Tridiagonal, smooth_1d, smoothing
 
 
-class StepFailureError(SolverError):
-    """An implicit step did not converge; carries the final residual."""
-
-    def __init__(self, message: str, residual: float):
-        super().__init__(message)
-        self.residual = residual
-
-
 @dataclass(frozen=True)
 class TimeStepConfig:
     """tau > 0; sigma in [0, 1] weights the implicit side; inner_tol and
@@ -109,7 +101,7 @@ def _step(u_n: MeshFunction, op: LinearMeshOperator, cfg: TimeStepConfig,
 
     with lead u^n taken with zero ends, since the ends' terms sit in offset.
     At sigma = 0 the matrix is lead itself. A singular matrix or a non-finite
-    band, right side or result raises StepFailureError.
+    band, right side or result raises SolverError.
     """
     n, a, ts, u = op.a.n, op.a, cfg.tau * cfg.sigma, u_n.values
     lead = Tridiagonal(0.0, 1.0, 0.0, n) if bc is None else smoothing(n)
@@ -120,10 +112,10 @@ def _step(u_n: MeshFunction, op: LinearMeshOperator, cfg: TimeStepConfig,
     try:
         u_next = u_n.with_values(lhs.solve(rhs))
     except SingularOperatorError as exc:
-        raise StepFailureError("implicit step matrix singular", math.inf) from exc
+        raise SolverError("implicit step matrix singular") from exc
     except SolverError as exc:
         kind = "implicit" if cfg.sigma else "explicit"
-        raise StepFailureError(f"{kind} step produced non-finite values", math.inf) from exc
+        raise SolverError(f"{kind} step produced non-finite values") from exc
     return u_next, (u_next if bc is None else smooth_1d(u_next, bc))
 
 
@@ -184,10 +176,9 @@ def step_monotonized_alt(
                     vf = v_n.with_values(guess)
                     return vf, smooth_1d(vf, bc)
     except SolverError as exc:
-        raise StepFailureError("fixed-point step diverged (tau too large for the rearranged form)",
-                               math.inf) from exc
-    raise StepFailureError(f"fixed-point step stalled with update {update:.3e} after "
-                           f"{cfg.max_inner} iterations", update)
+        raise SolverError("fixed-point step diverged (tau too large for the rearranged form)") from exc
+    raise SolverError(f"fixed-point step stalled with update {update:.3e} after "
+                      f"{cfg.max_inner} iterations")
 
 
 @dataclass(frozen=True)
@@ -252,7 +243,6 @@ def run_to_steady(
 __all__ = [
     "LinearMeshOperator",
     "SteadyStateResult",
-    "StepFailureError",
     "TimeStepConfig",
     "run_to_steady",
     "step_base",

@@ -1,6 +1,8 @@
 import filecmp
+import importlib
 import json
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -11,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import monoscheme
 from monoscheme import cli
 from monoscheme.cli import (
     EXPERIMENTS, ComparableReport, _field_rows, compare_reports, load_config, main,
@@ -18,6 +21,8 @@ from monoscheme.cli import (
 from monoscheme.grid import Mesh3D, MeshFunction, unflatten_index
 from monoscheme.metrics import MonotonicityReport
 from monoscheme.ns3d import FlowField
+from monoscheme.ns3d import FlowConfig, FlowDivergenceError
+from monoscheme.stencils import SingularOperatorError, SolverError
 from test_golden import GOLDEN, METRICS_CFG, _hashes
 
 
@@ -499,6 +504,52 @@ class TestSolverFailureExit:
         cfg = edited_config(tmp_path, name, **values)
         assert run_cli("run", str(cfg), "--out", str(tmp_path / "o")) == 4
         assert capsys.readouterr().err == f"error: solver: {message}\n"
+
+
+    @pytest.mark.parametrize("values", [{"p0": "1e308"}, {"p0": "1e308", "p1": "-1e308"}],
+                             ids=["overflow", "inf_minus_inf"])
+    def test_huge_inlet_pressure_exit_4(self, tmp_path, capsys, values):
+        # The pressure pad's extrapolated ghosts overflow when the pad is
+        # made; the first sweep reports it, and numpy prints no warning.
+        cfg = edited_config(tmp_path, "fig2_n10.cfg", **values)
+        assert run_cli("run", str(cfg), "--out", str(tmp_path / "o")) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: solver: sweep diverged at iteration 1 "
+                              "(no finite sweep before it); ")
+        assert err.count("\n") == 1
+
+
+class TestExitCodeContract:
+    def test_one_exception_type_per_exit_code(self):
+        # 2 is ConfigParseError, 3 ValueError and 4 SolverError; the solver
+        # errors' two subclasses are the ones code branches on or resumes from.
+        names = set()
+        for mod in ["monoscheme"] + [f"monoscheme.{m.name}"
+                                     for m in pkgutil.iter_modules(monoscheme.__path__)]:
+            for obj in vars(importlib.import_module(mod)).values():
+                if (isinstance(obj, type) and issubclass(obj, Exception)
+                        and obj.__module__ == mod):
+                    names.add(obj.__name__)
+        assert names == {"ConfigParseError", "SolverError", "SingularOperatorError",
+                         "FlowDivergenceError"}
+
+    @pytest.mark.parametrize("exc, code, category", [
+        (cli.ConfigParseError("bad entry"), 2, "parse"),
+        (ValueError("out of range"), 3, "validation"),
+        (SolverError("broke down"), 4, "solver"),
+        (SingularOperatorError("singular matrix"), 4, "solver"),
+        (FlowDivergenceError(FlowConfig(1 / 30, 10, 1.0, 1.002, 1e6, 0.0, 2, 7), 3, 1.0, 2.0),
+         4, "solver"),
+    ], ids=["parse", "value", "solver", "singular", "flow"])
+    def test_exit_code_of_each_type(self, tmp_path, capsys, monkeypatch, exc, code, category):
+        def runner(cfg, seed, tol):
+            raise exc
+
+        monkeypatch.setitem(cli.EXPERIMENTS, "solve1d", runner)
+        assert run_cli("run", "fig1.cfg", "--out", str(tmp_path / "o")) == code
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {category}: {exc}\n"
+        assert captured.out == ""
 
 
 class TestOptionalFlowKeys:

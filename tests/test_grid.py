@@ -6,7 +6,6 @@ import pytest
 
 from monoscheme.grid import (
     BoundaryData1D,
-    InvalidMeshError,
     Mesh1D,
     Mesh3D,
     MeshFunction,
@@ -32,19 +31,19 @@ class TestMesh1D:
             assert mesh.h == (b - a) / (n + 1)
 
     def test_rejects_bad_parameters(self):
-        with pytest.raises(InvalidMeshError):
+        with pytest.raises(ValueError, match="need at least one interior node, got n=0"):
             Mesh1D(0.0, 1.0, 0)
-        with pytest.raises(InvalidMeshError):
+        with pytest.raises(ValueError, match=r"domain \[a, b\] = \[1.0, 1.0\] must be finite with a < b"):
             Mesh1D(1.0, 1.0, 5)
 
     @pytest.mark.parametrize("a, b", [(-np.inf, 1.0), (0.0, np.inf), (np.nan, 1.0), (0.0, np.nan)])
     def test_rejects_unbounded_or_nan_domain(self, a, b):
-        with pytest.raises(InvalidMeshError, match=r"domain \[a, b\]"):
+        with pytest.raises(ValueError, match=r"domain \[a, b\]"):
             Mesh1D(a, b, 5)
 
     @pytest.mark.parametrize("n", [2.5, 3.0, "3"])
     def test_rejects_non_integer_count(self, n):
-        with pytest.raises(InvalidMeshError, match="n must be an integer"):
+        with pytest.raises(ValueError, match="n must be an integer"):
             Mesh1D(0.0, 1.0, n)
 
     def test_accepts_numpy_integer_count(self):
@@ -63,23 +62,23 @@ class TestMesh3D:
         assert mesh.cell_count == 8000
 
     def test_rejects_bad_parameters(self):
-        with pytest.raises(InvalidMeshError):
+        with pytest.raises(ValueError, match="need at least 2 cells per direction, got N=0"):
             Mesh3D(1.0, 0)
-        with pytest.raises(InvalidMeshError):
+        with pytest.raises(ValueError, match="cube side must be positive and finite, got L=-1.0"):
             Mesh3D(-1.0, 4)
 
     def test_non_integer_count_rejected_like_mesh3d(self):
-        with pytest.raises(InvalidMeshError, match="N must be an integer"):
+        with pytest.raises(ValueError, match="N must be an integer"):
             Mesh3D(1.0, 2.5)
 
     @pytest.mark.parametrize("L", [np.nan, np.inf])
     def test_rejects_non_finite_side(self, L):
-        with pytest.raises(InvalidMeshError, match="L="):
+        with pytest.raises(ValueError, match="L="):
             Mesh3D(L, 4)
 
     @pytest.mark.parametrize("N", [2.5, 4.0])
     def test_rejects_non_integer_count(self, N):
-        with pytest.raises(InvalidMeshError, match="N must be an integer"):
+        with pytest.raises(ValueError, match="N must be an integer"):
             Mesh3D(1.0, N)
 
     def test_accepts_numpy_integer_count(self):
