@@ -12,10 +12,8 @@ from .grid import (
     Mesh1D,
     Mesh3D,
     MeshFunction,
-    flat_index,
     norm_c,
     sample,
-    unflatten_index,
     with_boundary,
 )
 from .stencils import (
@@ -70,7 +68,6 @@ from .timestep import (
     LinearMeshOperator,
     TimeStepConfig,
     run_to_steady,
-    step_base,
     step_monotonized,
     step_monotonized_alt,
 )

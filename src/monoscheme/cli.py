@@ -15,9 +15,9 @@ report JSON per solution variant, and a machine-readable summary.json.
 Runners return their outputs as a `RunOutput`; `_run` alone writes them.
 Identical configs produce bitwise-identical outputs.
 
-Exit codes: 0 success, 2 config parse error (ConfigParseError), 3 validation
-error (ValueError), 4 solver failure (SolverError). Errors print one line:
-"error: <category>: <reason>".
+Exit codes: 0 success, 2 config or argument parse error (ConfigParseError),
+3 validation error (ValueError), 4 solver failure (SolverError). Errors
+print one line: "error: <category>: <reason>".
 """
 
 from __future__ import annotations
@@ -425,6 +425,8 @@ def run_metrics(cfg: ConfigView, seed: int, tol: float | None) -> RunOutput:
         raise ValueError(f"trials must be at least 1, got {trials}")
     if max_n < 3:
         raise ValueError(f"max_n must be at least 3, got {max_n}")
+    if seed < 0:
+        raise ValueError(f"--seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
 
     records = []
@@ -636,9 +638,15 @@ def compare_reports(path_a: str, path_b: str) -> dict:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises an argument error as a ConfigParseError, so it exits 2 with one line."""
+
+    def error(self, message):
+        raise ConfigParseError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="monoscheme",
-                                 description="Config-driven difference-scheme experiments")
+    ap = _Parser(prog="monoscheme", description="Config-driven difference-scheme experiments")
     sub = ap.add_subparsers(dest="command", required=True)
 
     runp = sub.add_parser("run", help="run the experiment named by a config file")
@@ -686,8 +694,8 @@ def _run(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         if args.command == "run":
             return _run(args)
         result = compare_reports(args.report_a, args.report_b)

@@ -1,4 +1,4 @@
-"""Regular 1D/3D meshes, mesh functions, and index mappings.
+"""Regular 1D/3D meshes and the mesh functions on them.
 
 1D unknowns are node-centered: x_i = a + i*h for i = 0..n+1, with the n
 interior nodes carrying unknowns and the two end nodes carrying Dirichlet
@@ -6,8 +6,7 @@ data. 3D unknowns are cell-centered: N^3 cubic cells of side h = L/N with
 centers at ((i+1/2)h, (j+1/2)h, (k+1/2)h).
 
 All types are immutable after construction and safe to share between
-threads. Mesh-function values are stored i-fastest in 3D:
-flat = i + N*j + N*N*k.
+threads.
 """
 
 from __future__ import annotations
@@ -85,25 +84,6 @@ class Mesh3D:
     def axis_centers(self) -> np.ndarray:
         """The N cell-center coordinates shared by all three axes."""
         return (np.arange(self.N) + 0.5) * self.h
-
-
-def flat_index(i: int, j: int, k: int, N: int) -> int:
-    """Single-index position of cell (i, j, k): i + N*j + N*N*k.
-
-    Bijective onto 0..N^3-1 for indices in 0..N-1.
-    """
-    if not (0 <= i < N and 0 <= j < N and 0 <= k < N):
-        raise IndexError(f"cell ({i}, {j}, {k}) outside mesh of {N}^3 cells")
-    return i + N * j + N * N * k
-
-
-def unflatten_index(p: int, N: int) -> tuple[int, int, int]:
-    """Inverse of flat_index."""
-    if not 0 <= p < N**3:
-        raise IndexError(f"flat index {p} outside 0..{N**3 - 1}")
-    k, r = divmod(p, N * N)
-    j, i = divmod(r, N)
-    return i, j, k
 
 
 Mesh = Union[Mesh1D, Mesh3D]

@@ -117,35 +117,38 @@ def _extremum_index(g: np.ndarray, region: Sequence[tuple[int, int]]) -> np.ndar
 def _jumps(x: np.ndarray, y: np.ndarray, axis: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """|x - y| and its max along axis (over all when None; 0 when empty). A
     jump between equal values, the same infinity included, is 0, so a NaN
-    comes from NaN data only; one past the largest float is inf."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        jumps = x - y
+    comes from NaN data only; one past the largest float is inf. The caller
+    holds numpy's overflow and invalid-value warnings."""
+    jumps = x - y
     np.abs(jumps, out=jumps)  # in place: the callers hold one more array of this size
     top = jumps.max(axis=axis, initial=0.0)
-    if np.isnan(top).any():  # inf - inf is NaN; finite data never pays for the fix
+    # inf - inf is NaN; finite data never pays for the fix, and a 0-d max tests it for free.
+    nan = top != top
+    if nan if axis is None else nan.any():
         jumps = np.where(x == y, 0.0, jumps)
         top = jumps.max(axis=axis, initial=0.0)
     return jumps, top
 
 
-def _sharpness(g: np.ndarray, idx: np.ndarray) -> tuple[float, float]:
-    """(a, b) over the full-neighbor cells idx, an (m, g.ndim) array, of g;
-    (0, 0) when m = 0."""
-    at = tuple(idx.T)
-    jumps, top = _jumps(g[at], np.stack(list(_neighbors(g, at))), axis=0)
+def _sharpness(g: np.ndarray, at: tuple) -> tuple[float, float]:
+    """(a, b) over the full-neighbor cells at of g, a tuple of one slice or
+    one index array per axis; (0, 0) when there are none."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        jumps, top = _jumps(g[at], np.stack(list(_neighbors(g, at))), axis=0)
     # fmax passes over a cell whose jumps hold a NaN, so a and b stay numbers.
-    a = np.fmax.reduce(top, initial=0.0)
-    b = np.fmax.reduce(jumps.min(axis=0), initial=0.0)
+    a = np.fmax.reduce(top, axis=None, initial=0.0)
+    b = np.fmax.reduce(jumps.min(axis=0), axis=None, initial=0.0)
     return float(a), float(b)
 
 
 def _largest_step(g: np.ndarray) -> float:
     """max over the axes of |step to the next cell| in g; 0 when it has none."""
     largest = 0.0
-    for axis in range(g.ndim):
-        head = (slice(None),) * axis
-        step = _jumps(g[head + (slice(1, None),)], g[head + (slice(-1),)])[1]
-        largest = np.maximum(largest, step)  # a NaN step stays NaN
+    with np.errstate(over="ignore", invalid="ignore"):
+        for axis in range(g.ndim):
+            head = (slice(None),) * axis
+            step = _jumps(g[head + (slice(1, None),)], g[head + (slice(-1),)])[1]
+            largest = np.maximum(largest, step)  # a NaN step stays NaN
     return float(largest)
 
 
@@ -182,23 +185,23 @@ def sharpness_metrics(
     case every full-neighbor cell of the region belongs to S.
     """
     g = u.as_grid()
-    N = len(g)
     if isinstance(cells, tuple) and len(cells) == 3 and all(
         isinstance(r, tuple) and len(r) == 2 for r in cells
     ):
         box = _box(cells, g.shape, 1)
-        idx = np.argwhere(np.ones(g[box].shape, dtype=bool)) + [s.start for s in box]
+        if g[box].size:
+            return _sharpness(g, box)
     else:
         idx = np.asarray(list(cells))
-    if idx.size == 0:
-        raise ValueError("sharpness metrics are undefined for an empty set")
-    if idx.ndim != 2 or idx.shape[1] != 3:
-        raise ValueError("cells must be (i, j, k) triples")
-    lacking = ((idx < 1) | (idx > N - 2)).any(axis=1)
-    if lacking.any():
-        i, j, k = idx[np.argmax(lacking)]
-        raise ValueError(f"cell ({i}, {j}, {k}) lacks a full six-neighbor set")
-    return _sharpness(g, idx)
+        if idx.size:
+            if idx.ndim != 2 or idx.shape[1] != 3:
+                raise ValueError("cells must be (i, j, k) triples")
+            lacking = ((idx < 1) | (idx > len(g) - 2)).any(axis=1)
+            if lacking.any():
+                i, j, k = idx[np.argmax(lacking)]
+                raise ValueError(f"cell ({i}, {j}, {k}) lacks a full six-neighbor set")
+            return _sharpness(g, tuple(idx.T))
+    raise ValueError("sharpness metrics are undefined for an empty set")
 
 
 # ---------------------------------------------------------------------------
@@ -254,23 +257,19 @@ class DampingCheck:
     inside: bool
     failed_premise: str = ""
 
-    @property
-    def passed(self) -> bool:
-        return self.premises_hold and self.inside
-
 
 def check_damping_bound(
     u: np.ndarray,
     v: np.ndarray,
     smooth: Callable[[np.ndarray], np.ndarray],
-    roughness: Callable[[np.ndarray], float] = max_step_change,
     lipschitz: float = STEP_CHANGE_LIPSCHITZ,
     norm_m: float = 1.0,
 ) -> DampingCheck:
     """Verify the damping-ratio interval on a concrete (u, v) pair.
 
     Computes delta = f(u), k = f(Mu)/delta, eps = ||u - v||_C and
-    k1 = f(Mv)/delta, checks the premises, and reports whether k1 falls in
+    k1 = f(Mv)/delta, with f = max_step_change (u and v may have any
+    dimension), checks the premises, and reports whether k1 falls in
     the predicted interval. v identical to u is the eps = 0 edge case: the
     interval collapses onto k and the check passes trivially.
     """
@@ -278,12 +277,12 @@ def check_damping_bound(
     v = np.asarray(v, dtype=float)
     if u.shape != v.shape:
         raise ValueError(f"shape mismatch: {u.shape} vs {v.shape}")
-    delta = float(roughness(u))
+    delta = max_step_change(u)
     if delta == 0.0:
         raise ValueError("base solution is flat: f(u) = 0")
-    k = float(roughness(smooth(u))) / delta
+    k = max_step_change(smooth(u)) / delta
     eps = norm_c(u - v)
-    k1 = float(roughness(smooth(v))) / delta
+    k1 = max_step_change(smooth(v)) / delta
     if eps == 0.0:
         return DampingCheck(
             delta=delta, k=k, epsilon=0.0, k1=k1, lo=k, hi=k,
@@ -324,7 +323,7 @@ def _report(g: np.ndarray, region: Sequence[tuple[int, int]], label: str,
     """f_value over region's cells of g, the strict extrema and their
     sharpness over its full-neighbor cells."""
     idx = _extremum_index(g, region)
-    a, b = _sharpness(g, idx)
+    a, b = _sharpness(g, tuple(idx.T))
     return MonotonicityReport(_largest_step(g[_box(region, g.shape, 0)]), len(idx), a, b,
                               label, oscillates)
 

@@ -1,25 +1,25 @@
-"""Weighted one-step time integration of du/dt = F(u) with built-in smoothing.
+"""Weighted one-step time integration of dy/dt = F(v), y = Mv, with built-in smoothing.
 
 The right side F is the 1D linear operator family of the boundary-value
 module, in two flavors:
 
-    plain       F(u) = k0 + k1 u    + k2 D1 u + k3 D2 u
+    plain       F(v) = k0 + k1 v    + k2 D1 v + k3 D2 v
     smoothed    F(v) = k0 + k1 (Mv) + k2 D1 v + k3 D2 v
 
 Both are bvp1d.scheme_matrix, the stationary scheme times h^2, divided by
 h^2, so a steady state of the smoothed flavor solves bvp1d's monotonized
 scheme.
 
-The weighted step blends explicit and implicit evaluation:
+The weighted step blends explicit and implicit evaluation of the stepped
+variable y = Mv:
 
-    (u^{n+1} - u^n)/tau = sigma F(u^{n+1}) + (1 - sigma) F(u^n)
+    (y^{n+1} - y^n)/tau = sigma F(v^{n+1}) + (1 - sigma) F(v^n)
 
-For the smoothed flavor the stepped variable is y = Mv, and two algebraically
-equivalent updates are provided: step_monotonized advances y and recovers
-v = M^{-1} y through one combined banded tridiagonal solve, while
-step_monotonized_alt advances v with explicit inverse-smoothing applications
-(a fixed-point loop, one pass at sigma = 0). They must agree to solver
-tolerance and serve as each other's cross-check.
+Two algebraically equivalent updates are provided: step_monotonized advances
+y and recovers v = M^{-1} y through one combined banded tridiagonal solve,
+while step_monotonized_alt advances v with explicit inverse-smoothing
+applications (a fixed-point loop, one pass at sigma = 0). They must agree to
+solver tolerance and serve as each other's cross-check.
 """
 
 from __future__ import annotations
@@ -89,43 +89,32 @@ class LinearMeshOperator:
             return cls(a, c.k0 * np.ones(mesh.n) + t.offset(bc) * s)
 
 
-def _step(u_n: MeshFunction, op: LinearMeshOperator, cfg: TimeStepConfig,
-          bc: BoundaryData1D | None = None) -> tuple[MeshFunction, MeshFunction]:
-    """One weighted step, mapping u^n to (u^{n+1}, y^{n+1}).
+def _step(v_n: MeshFunction, op: LinearMeshOperator, bc: BoundaryData1D,
+          cfg: TimeStepConfig) -> tuple[MeshFunction, MeshFunction]:
+    """One weighted step, mapping v^n to (v^{n+1}, y^{n+1} = M v^{n+1}).
 
-    bc None gives the plain flavor, where the stepped variable is u itself and
-    lead is the identity; a bc gives the smoothed flavor, where it is y = Mv,
-    lead is M and y^{n+1} = M u^{n+1}. The step is one banded solve for every sigma:
+    Since y and the right side are both affine in v, the step is one banded
+    solve for every sigma:
 
-        (lead - tau sigma A) u^{n+1} = lead u^n + tau sigma offset + tau (1 - sigma) F(u^n)
+        (M - tau sigma A) v^{n+1} = M v^n + tau sigma offset + tau (1 - sigma) F(v^n)
 
-    with lead u^n taken with zero ends, since the ends' terms sit in offset.
-    At sigma = 0 the matrix is lead itself. A singular matrix or a non-finite
+    with M v^n taken with zero ends, since the ends' terms sit in offset.
+    At sigma = 0 the matrix is M itself. A singular matrix or a non-finite
     band, right side or result raises SolverError.
     """
-    n, a, ts, u = op.a.n, op.a, cfg.tau * cfg.sigma, u_n.values
-    lead = Tridiagonal(0.0, 1.0, 0.0, n) if bc is None else smoothing(n)
+    n, a, ts, v = op.a.n, op.a, cfg.tau * cfg.sigma, v_n.values
+    m = smoothing(n)
     with np.errstate(over="ignore", invalid="ignore"):
-        lhs = Tridiagonal(lead.lower - ts * a.lower, lead.diag - ts * a.diag,
-                          lead.upper - ts * a.upper, n)
-        rhs = lead.apply(u, _ZERO_BC) + ts * op.offset + cfg.tau * (1.0 - cfg.sigma) * op(u)
+        lhs = Tridiagonal(m.lower - ts * a.lower, m.diag - ts * a.diag, m.upper - ts * a.upper, n)
+        rhs = m.apply(v, _ZERO_BC) + ts * op.offset + cfg.tau * (1.0 - cfg.sigma) * op(v)
     try:
-        u_next = u_n.with_values(lhs.solve(rhs))
+        v_next = v_n.with_values(lhs.solve(rhs))
     except SingularOperatorError as exc:
         raise SolverError("implicit step matrix singular") from exc
     except SolverError as exc:
         kind = "implicit" if cfg.sigma else "explicit"
         raise SolverError(f"{kind} step produced non-finite values") from exc
-    return u_next, (u_next if bc is None else smooth_1d(u_next, bc))
-
-
-def step_base(u_n: MeshFunction, op: LinearMeshOperator, cfg: TimeStepConfig) -> MeshFunction:
-    """One weighted step of du/dt = F(u).
-
-    One banded solve of (I - tau sigma A) u^{n+1} = u^n + tau sigma offset
-    + tau (1 - sigma) F(u^n); at sigma = 0 the matrix is the identity.
-    """
-    return _step(u_n, op, cfg)[0]
+    return v_next, smooth_1d(v_next, bc)
 
 
 def step_monotonized(
@@ -134,13 +123,9 @@ def step_monotonized(
     bc: BoundaryData1D,
     cfg: TimeStepConfig,
 ) -> tuple[MeshFunction, MeshFunction]:
-    """Advance (v, y = Mv) by one weighted step of dy/dt = F(Mv, D1 v, D2 v).
-
-    Since y and the right side are both affine in v, the step reduces to one
-    banded tridiagonal solve (M - tau sigma A) v^{n+1} = rhs; at sigma = 0
-    that is one inverse-smoothing solve.
-    """
-    return _step(v_n, aux_op, cfg, bc)
+    """Advance (v, y = Mv) by one weighted step of dy/dt = F(Mv, D1 v, D2 v):
+    one banded tridiagonal solve, at sigma = 0 one inverse-smoothing solve."""
+    return _step(v_n, aux_op, bc, cfg)
 
 
 def step_monotonized_alt(
@@ -224,7 +209,7 @@ def run_to_steady(
     snapshots: list[tuple[float, np.ndarray, np.ndarray]] = []
     t = 0.0
     for step in range(1, max_steps + 1):
-        v_next, y_next = _step(v, aux_op, cfg, bc)
+        v_next, y_next = _step(v, aux_op, bc, cfg)
         update = norm_c(v_next.values - v.values)
         t += cfg.tau
         if step % record_every == 0:
@@ -245,7 +230,6 @@ __all__ = [
     "SteadyStateResult",
     "TimeStepConfig",
     "run_to_steady",
-    "step_base",
     "step_monotonized",
     "step_monotonized_alt",
 ]

@@ -18,7 +18,7 @@ from monoscheme import cli
 from monoscheme.cli import (
     EXPERIMENTS, ComparableReport, _field_rows, compare_reports, load_config, main,
 )
-from monoscheme.grid import Mesh3D, MeshFunction, unflatten_index
+from monoscheme.grid import Mesh3D, MeshFunction
 from monoscheme.metrics import MonotonicityReport
 from monoscheme.ns3d import FlowField
 from monoscheme.ns3d import FlowConfig, FlowDivergenceError
@@ -425,9 +425,9 @@ def test_field_rows_match_per_cell_loop():
     rng = np.random.default_rng(3)
     fld = FlowField(*(MeshFunction(mesh, rng.standard_normal(N**3)) for _ in range(4)))
     expected = [
-        (*unflatten_index(p, N), float(fld.vx.values[p]), float(fld.vy.values[p]),
+        (i, j, k, float(fld.vx.values[p]), float(fld.vy.values[p]),
          float(fld.vz.values[p]), float(fld.p.values[p]))
-        for p in range(N**3)
+        for p, (k, j, i) in enumerate(np.ndindex(N, N, N))
     ]
     rows = _field_rows(fld)
     assert rows == expected
@@ -550,6 +550,32 @@ class TestExitCodeContract:
         captured = capsys.readouterr()
         assert captured.err == f"error: {category}: {exc}\n"
         assert captured.out == ""
+
+    @pytest.mark.parametrize("argv, code, line", [
+        (["run", "fig1.cfg", "--format", "xml"], 2,
+         r"error: parse: argument --format: invalid choice: 'xml' \(choose from .*csv.*jsonl.*\)"),
+        (["run", "fig1.cfg", "--tol", "abc"], 2,
+         r"error: parse: argument --tol: invalid float value: 'abc'"),
+        ([], 2, r"error: parse: the following arguments are required: command"),
+        (["run", "fig1.cfg", "--bogus"], 2, r"error: parse: unrecognized arguments: --bogus"),
+        (["compare"], 2, r"error: parse: the following arguments are required: report_a, report_b"),
+        (["run", "metrics.cfg", "--seed", "-1"], 3,
+         r"error: validation: --seed must be non-negative, got -1"),
+    ], ids=["format", "tol", "bare", "unknown_flag", "compare_args", "negative_seed"])
+    def test_argument_errors_print_one_line(self, tmp_path, capsys, monkeypatch, argv, code, line):
+        monkeypatch.chdir(tmp_path)
+        Path("metrics.cfg").write_text(METRICS_CFG)
+        assert run_cli(*argv) == code
+        captured = capsys.readouterr()
+        assert re.fullmatch(line + "\n", captured.err)
+        assert captured.out == ""
+
+    def test_help_exits_0_with_usage(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            run_cli("run", "-h")
+        assert info.value.code == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("usage: monoscheme run") and captured.err == ""
 
 
 class TestOptionalFlowKeys:

@@ -1,11 +1,11 @@
 """Golden outputs: sha256 of every file `monoscheme run` writes.
 
-The hashes pin the bundled fig2_n10 flow cell, a seeded `metrics` run, the
-fig1 solve written as csv and as json-lines, the bundled order1d,
-timestep1d and scan configs, a `timestep` run at n = 400, and `compare` of
-fig1's base and monotonized reports. A refactor must keep them; a change that moves them on purpose
-updates them and says why. They were checked to be identical under 1 and 2
-BLAS threads.
+The hashes pin the bundled fig2_n10 and fig2 (N=20) flow cells, a seeded
+`metrics` run, the fig1 solve written as csv and as json-lines, the bundled
+order1d, timestep1d and scan configs, a `timestep` run at n = 400, and
+`compare` of fig1's base and monotonized reports. A refactor must keep them;
+a change that moves them on purpose updates them and says why. They were
+checked to be identical under 1 and 2 BLAS threads.
 """
 
 import hashlib
@@ -42,6 +42,17 @@ GOLDEN = {
         "report_base.json": "e522bd86f6a90a6a9296f9b26aac64a76dd474a02a2b07ae3eb149d0c858ebfa",
         "report_monotonized.json": "a67dff80ebc33ad32d8077b9c04014bba62f38574bfa91c04b8df51a1398968d",
         "summary.json": "b33416e46a19bb9e9b85e46c6174432dba69d94cf46f2144c1d77cb660ba9b0f",
+    },
+    # The bundled fig2 at N=20: 1910 and 1906 sweeps.
+    "fig2": {
+        "centerline.csv": "d99cf471b2f2e9763a4318025932e137c443e4792d3de32056d21956af698d58",
+        "field_auxiliary.csv": "3fb9e5e710e952e1f13c66175b60201c737f7aeb9bb2eb0274e7c45a47ed97f5",
+        "field_base.csv": "a7548187df11bb2269a44c5f148724efb91cb5bef98759d3b050712394ce1957",
+        "field_monotonized.csv": "edce17367e16f74ba4f50eafa3a4755c58cb46e867665e74c4d7741fb897c95d",
+        "report_auxiliary.json": "4461d4ba67d3735a62a557a9c99c235af58b4169b027de8c4d373ac2f52cb5a9",
+        "report_base.json": "9a1f51720d1e9806678bcb3121bcfab0ef751247ffeeb321912fa4c1a8ddeb91",
+        "report_monotonized.json": "0656dab14243342cea37bb21844cb580713dc87816470a6b5544cdd810a3a7ee",
+        "summary.json": "6f80c7e0688c74d1cd3bc2e60eba4660d4c87d00e404d7a435cd741e203d6485",
     },
     "metrics_seed7": {
         "metrics_trials.csv": "c17010c82e24b26596574855246d6f9ec583b2160864dd162568b7dab832c06b",

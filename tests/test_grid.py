@@ -9,10 +9,8 @@ from monoscheme.grid import (
     Mesh1D,
     Mesh3D,
     MeshFunction,
-    flat_index,
     norm_c,
     sample,
-    unflatten_index,
     with_boundary,
 )
 from monoscheme.stencils import pad_range
@@ -89,39 +87,32 @@ class TestMesh3D:
         assert mesh.axis_centers().tolist() == [0.25, 0.75]
 
 
-class TestFlatIndex:
+class TestFlatOrder:
+    """MeshFunction stores 3D values flat, i-fastest: flat = i + N*j + N*N*k."""
+
     def test_corners(self):
-        assert flat_index(0, 0, 0, 20) == 0
-        assert flat_index(19, 19, 19, 20) == 7999
+        g = MeshFunction(Mesh3D(1.0, 20), np.arange(8000, dtype=float)).as_grid()
+        assert g[0, 0, 0] == 0
+        assert g[19, 19, 19] == 7999
 
     def test_arithmetic(self):
-        assert flat_index(1, 2, 3, 4) == 1 + 8 + 48
-
-    def test_out_of_range(self):
-        with pytest.raises(IndexError):
-            flat_index(4, 0, 0, 4)
-        with pytest.raises(IndexError):
-            flat_index(0, -1, 0, 4)
-
-    @pytest.mark.parametrize("p", [-1, 27])
-    def test_unflatten_out_of_range(self, p):
-        with pytest.raises(IndexError, match=r"flat index -?\d+ outside 0..26"):
-            unflatten_index(p, 3)
+        g = MeshFunction(Mesh3D(1.0, 4), np.arange(64, dtype=float)).as_grid()
+        assert g[1, 2, 3] == 1 + 8 + 48
 
     @pytest.mark.parametrize("N", [2, 3, 5, 8])
     def test_roundtrip_is_identity(self, N):
-        for p in range(N**3):
-            i, j, k = unflatten_index(p, N)
-            assert flat_index(i, j, k, N) == p
+        # A grid holding each cell's own flat index flattens to 0, 1, ..., N^3 - 1.
+        i, j, k = np.indices((N, N, N))
+        mf = MeshFunction(Mesh3D(1.0, N), (i + N * j + N * N * k).astype(float))
+        assert np.array_equal(mf.values, np.arange(N**3, dtype=float))
 
     def test_grid_view_matches_flat_order(self):
         mesh = Mesh3D(1.0, 3)
         values = np.arange(27, dtype=float)
         mf = MeshFunction(mesh, values)
         g = mf.as_grid()
-        for p in range(27):
-            i, j, k = unflatten_index(p, 3)
-            assert g[i, j, k] == p
+        for i, j, k in np.ndindex(3, 3, 3):
+            assert g[i, j, k] == i + 3 * j + 9 * k
 
 
 class TestMeshFunction:

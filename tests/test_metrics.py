@@ -1,3 +1,4 @@
+import itertools
 from dataclasses import asdict
 
 import numpy as np
@@ -251,6 +252,28 @@ class TestSharpness:
         cells = [(i, j, k) for i in (1, 2, 3) for j in (1, 2, 3) for k in (1, 2, 3)]
         assert (a, b) == brute_sharpness(u.as_grid(), cells)
 
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(data=st.data(), N=st.integers(2, 6))
+    def test_region_equals_its_cell_list(self, data, N):
+        # Ties, signed zeros, infinities and NaN; a region's bounds may reach
+        # past the mesh on either side, and an unsorted pair may be inverted.
+        special = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, np.inf, -np.inf, np.nan])
+        values = data.draw(st.lists(special, min_size=N**3, max_size=N**3))
+        u = MeshFunction(Mesh3D(1.0, N), np.asarray(values))
+        pair = st.tuples(st.integers(-2, N + 1), st.integers(-2, N + 1))
+        bounds = pair.map(sorted).map(tuple) | pair
+        region = data.draw(st.tuples(bounds, bounds, bounds))
+        axes = [range(max(lo, 1), min(hi, N - 2) + 1) for lo, hi in region]
+        cells = list(itertools.product(*axes))
+        if not cells:
+            for form in (region, cells):
+                with pytest.raises(ValueError) as info:
+                    sharpness_metrics(u, form)
+                assert str(info.value) == "sharpness metrics are undefined for an empty set"
+            return
+        by_region = np.array(sharpness_metrics(u, region))
+        assert by_region.tobytes() == np.array(sharpness_metrics(u, cells)).tobytes()
+
     def test_pairs_are_not_cells(self):
         u = MeshFunction(Mesh3D(1.0, 5), RNG.standard_normal(125))
         with pytest.raises(ValueError, match=r"cells must be \(i, j, k\) triples"):
@@ -324,7 +347,7 @@ class TestCheckDampingBound:
         u = np.array([0.0, 1.0, 0.0, 1.0, 0.0])
         chk = check_damping_bound(u, u.copy(), _smooth_full)
         assert chk.epsilon == 0.0
-        assert chk.passed
+        assert chk.premises_hold and chk.inside
         assert chk.k1 == chk.k
 
     def test_uniform_shift_is_invariant(self):
@@ -361,6 +384,13 @@ class TestCheckDampingBound:
         chk = check_damping_bound(u, u + v_shift, smooth, **kwargs)
         assert not chk.premises_hold and not chk.inside
         assert chk.failed_premise == message
+
+    def test_three_dimensional_field(self):
+        # f is the largest axis step: report_3d's f_value over the whole grid.
+        g = RNG.standard_normal((5, 5, 5))
+        chk = check_damping_bound(g, g + 1e-3, lambda a: a / 2.0)
+        assert chk.delta == report_3d(MeshFunction(Mesh3D(1.0, 5), g), ((0, 4),) * 3).f_value
+        assert chk.k == 0.5 and chk.premises_hold and chk.inside
 
     def test_shape_mismatch_raises(self):
         with pytest.raises(ValueError, match=r"shape mismatch: \(5,\) vs \(4,\)"):
