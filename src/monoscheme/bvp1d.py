@@ -182,8 +182,12 @@ def solve_monotonized_inverse(
     # Dirichlet data), independent of y.
     d_aff = d.offset(bc)
 
-    full = h * h * c.k1 * np.eye(n) + d_mat @ minv
+    # h^2 k1 goes onto the product's diagonal in place, and the factors go
+    # once rhs is formed, so at most three n x n arrays are alive at once.
+    full = d_mat @ minv
+    full.flat[:: n + 1] += h * h * c.k1
     rhs = -(h * h * c.k0) * np.ones(n) - d_aff + d_mat @ (minv @ m_aff)
+    del d_mat, minv
     y = _at_step(h, lambda: np.linalg.solve(full, rhs))
     yf = MeshFunction(mesh, y)
     v = solve_smooth_1d(yf, bc)
@@ -302,7 +306,7 @@ def determinant_scan(
 class AnalyticSolution:
     """Closed form U = P + w1 phi1 + w2 phi2 of the constant-coefficient problem.
 
-    P is a polynomial particular solution. The phi come from the roots of
+    P is the particular solution of _particular. The phi come from the roots of
     k3 r^2 + k2 r + k1 = 0: e^{r_i (x - s_i)} for roots at least 1/(b - a)
     apart, and e^{r1 t}, (e^{r2 t} - e^{r1 t}) / (r2 - r1) with t = x - s
     for closer ones, which is t e^{r t} at a double root. Each exponential is
@@ -319,6 +323,7 @@ class AnalyticSolution:
     domain: tuple[float, float]
     _roots: tuple = field(repr=False, default=())
     _weights: tuple = field(repr=False, default=())
+    _q: complex = field(repr=False, default=0.0)
 
     def __call__(self, x) -> np.ndarray | float:
         return self.derivative(x, 0)
@@ -327,8 +332,8 @@ class AnalyticSolution:
         x = np.asarray(x, dtype=float)
         phi1, phi2 = _basis(self._roots, self.domain, x, order)
         w1, w2 = self._weights
-        p = np.polyder(_particular(self.coefficients), order)
-        out = np.polyval(p, x) + np.real(w1 * phi1 + w2 * phi2)
+        p = _particular(self.coefficients, self._q, self._roots[1], self.domain, x, order)
+        out = np.real(p + w1 * phi1 + w2 * phi2)
         return out if out.shape else float(out)
 
     def ode_residual(self, x) -> np.ndarray:
@@ -336,13 +341,25 @@ class AnalyticSolution:
         return c.k0 + c.k1 * self(x) + c.k2 * self.derivative(x, 1) + c.k3 * self.derivative(x, 2)
 
 
-def _particular(c: SchemeCoefficients) -> np.ndarray:
-    """Highest-first coefficients of a polynomial P with k0 + k1 P + k2 P' + k3 P'' = 0."""
-    if c.k1 != 0.0:
-        return np.array([-c.k0 / c.k1])
-    if c.k2 != 0.0:
-        return np.array([-c.k0 / c.k2, 0.0])
-    return np.array([-c.k0 / (2.0 * c.k3), 0.0, 0.0])
+def _particular(c: SchemeCoefficients, q, r, domain: tuple[float, float], x: np.ndarray,
+                order: int):
+    """The order-th derivative at x of a P with k0 + k1 P + k2 P' + k3 P'' = 0,
+    q as in analytic_solution and r = k1/q its root of smaller magnitude.
+
+    P = (k0/q) expm1(r t)/r with t = x - s, s the end r is anchored at in
+    _basis. It is -k0/k1 plus a multiple of e^{r t}, so it solves the
+    problem, but it stays finite as k1 -> 0, where -k0/k1 grows without
+    bound and the fit's weight on e^{r t} would have to cancel it. At r = 0
+    (k1 = 0) it is (k0/q) t = -(k0/k2) t; at q = 0 (k1 = k2 = 0) P is
+    -k0 t^2 / (2 k3).
+    """
+    a, b = domain
+    t = x - (b if r.real > 0 else a)
+    if not q:
+        return np.polyval(np.polyder([-c.k0 / (2.0 * c.k3), 0.0, 0.0], order), t)
+    if order == 0:
+        return c.k0 / q * (np.expm1(r * t) / r if r else t)
+    return c.k0 / q * r ** (order - 1) * np.exp(r * t)
 
 
 def _basis(roots: tuple, domain: tuple[float, float], x: np.ndarray, order: int):
@@ -382,10 +399,10 @@ def analytic_solution(
             roots = (q / c.k3, c.k1 / q) if q else (0.0, 0.0)
             ends = np.array([a, b])
             fit = np.stack(_basis(roots, domain, ends, 0), axis=1)
-            rhs = np.array([bc.u0, bc.u_np1]) - np.polyval(_particular(c), ends)
+            rhs = np.array([bc.u0, bc.u_np1]) - _particular(c, q, roots[1], domain, ends, 0)
             weights = tuple(np.linalg.solve(fit, rhs))
             sol = AnalyticSolution(coefficients=c, bc=bc, domain=domain, _roots=roots,
-                                   _weights=weights)
+                                   _weights=weights, _q=q)
             xs = np.linspace(a, b, 41)
             vals = sol(xs)
             scale = max(1.0, norm_c(vals))
@@ -402,7 +419,8 @@ def analytic_solution(
     if not res <= 1e-9 * scale * max(1.0, abs(c.k1) + abs(c.k2) + abs(c.k3)):
         raise ValueError(f"analytic form failed its residual check: {res:.3e}")
     # Sound forms meet their ends to 1.4e-13 relative (6000 random problems);
-    # a small nonzero k1 makes P = -k0/k1 huge, and its cancellation shows here.
+    # roots that are both small and close make k0/q huge, and the fit's
+    # cancellation of P shows here.
     if not miss <= 1e-10 * scale:
         raise ValueError(f"analytic form misses its end values by {miss:.3e}")
     return sol

@@ -12,7 +12,8 @@ resolve by name when no such file exists on disk.
 
 Every run writes plot-ready tables (csv or json-lines), one comparable
 report JSON per solution variant, and a machine-readable summary.json.
-Runners return their outputs as a `RunOutput`; `_run` alone writes them.
+Runners return their outputs as a `RunOutput`; `_run` alone writes them,
+turning one table's columns into rows at a time.
 Identical configs produce bitwise-identical outputs.
 
 Exit codes: 0 success, 2 config or argument parse error (ConfigParseError),
@@ -196,7 +197,9 @@ def write_table(path: Path, header: list[str], rows: list[tuple], fmt: str) -> N
 
 def _rows(*columns) -> list[tuple]:
     """Table rows from equal-length columns; each value a Python int, float
-    or bool, as str and json write them."""
+    or bool, as str and json write them. A row tuple takes several times the
+    memory of its values in an array, so `_run` makes one table's rows at a
+    time."""
     return list(zip(*(np.asarray(col).tolist() for col in columns)))
 
 
@@ -255,10 +258,11 @@ def _number(value, name: str):
 @dataclass(frozen=True)
 class RunOutput:
     """What a runner returns: the payload of summary.json, tables by file stem
-    as (header, rows), and comparable reports by label."""
+    as (header, columns) with equal-length columns, and comparable reports
+    by label."""
 
     summary: dict
-    tables: dict[str, tuple[list[str], list[tuple]]]
+    tables: dict[str, tuple[list[str], list]]
     reports: dict[str, ComparableReport] = field(default_factory=dict)
 
 
@@ -318,7 +322,7 @@ def run_solve1d(cfg: ConfigView, seed: int, tol: float | None) -> RunOutput:
                                     ("auxiliary", v_full, mono.v.values),
                                     ("monotonized", y_full, mono.y.values))
     }
-    rows = _rows(xs, base.u.values, mono.v.values, mono.y.values, ref, exact)
+    columns = [xs, base.u.values, mono.v.values, mono.y.values, ref, exact]
     header = ["x", "u", "v", "y", "reference_dense", "reference_analytic"]
     summary = {
         "coefficients": asdict(c),
@@ -340,7 +344,7 @@ def run_solve1d(cfg: ConfigView, seed: int, tol: float | None) -> RunOutput:
             "y_analytic_distance_c": norm_c(mono.y.values - exact),
         },
     }
-    return RunOutput(summary, {"solution1d": (header, rows)}, reports)
+    return RunOutput(summary, {"solution1d": (header, columns)}, reports)
 
 
 def run_solve3d(cfg: ConfigView, seed: int, tol: float | None) -> RunOutput:
@@ -386,10 +390,11 @@ def run_solve3d(cfg: ConfigView, seed: int, tol: float | None) -> RunOutput:
         vel_counts[label] = sum(r.extremum_count for r in per_var[:3])
         central_region_a[label] = sharpness_metrics(fld.vx, central)[0]
         profiles[label] = centerline_profile(fld, flow)
-        field_tables[f"field_{label}"] = (["i", "j", "k", "vx", "vy", "vz", "p"], _field_rows(fld))
+        field_tables[f"field_{label}"] = (["i", "j", "k", "vx", "vy", "vz", "p"],
+                                          _field_columns(fld))
 
-    rows = _rows(flow.mesh.axis_centers(), *profiles.values())
-    tables = {"centerline": (["x", "vx_base", "vx_auxiliary", "vx_monotonized"], rows),
+    tables = {"centerline": (["x", "vx_base", "vx_auxiliary", "vx_monotonized"],
+                             [flow.mesh.axis_centers(), *profiles.values()]),
               **field_tables}
     count_u = reports["base"].report.extremum_count
     count_y = reports["monotonized"].report.extremum_count
@@ -443,8 +448,7 @@ def run_metrics(cfg: ConfigView, seed: int, tol: float | None) -> RunOutput:
             a2, b2 = _brute_sharpness(u, cells)
             ok = ok and a == a2 and b == b2
         records.append((t, n, mine, len(cells), a, b, ok))
-    rows = _rows(*zip(*records))
-    mismatches = sum(not row[-1] for row in rows)
+    mismatches = sum(not ok for *_, ok in records)
 
     lipschitz_ok = True
     worst = 0.0
@@ -467,13 +471,13 @@ def run_metrics(cfg: ConfigView, seed: int, tol: float | None) -> RunOutput:
         "lipschitz_worst_ratio": worst,
         "passed": mismatches == 0 and lipschitz_ok,
     }
-    return RunOutput(summary, {"metrics_trials": (header, rows)})
+    return RunOutput(summary, {"metrics_trials": (header, list(zip(*records)))})
 
 
-def _field_rows(fld) -> list[tuple]:
-    """(i, j, k, vx, vy, vz, p) records in flat-index order."""
+def _field_columns(fld) -> list[np.ndarray]:
+    """The (i, j, k, vx, vy, vz, p) columns in flat-index order."""
     ijk = np.unravel_index(np.arange(fld.mesh.cell_count), (fld.mesh.N,) * 3, order="F")
-    return _rows(*ijk, fld.vx.values, fld.vy.values, fld.vz.values, fld.p.values)
+    return [*ijk, fld.vx.values, fld.vy.values, fld.vz.values, fld.p.values]
 
 
 def _brute_extrema(u: MeshFunction) -> list[tuple[int, int, int]]:
@@ -508,13 +512,13 @@ def run_order(cfg: ConfigView, seed: int, tol: float | None) -> RunOutput:
     ns = cfg.section("study").integers("n_values")
     est_base = convergence_order(c, bc, "base", ns, domain)
     est_mono = convergence_order(c, bc, "monotonized", ns, domain)
-    rows = _rows(ns, est_base.hs, est_base.errors, est_mono.errors)
+    columns = [ns, est_base.hs, est_base.errors, est_mono.errors]
     summary = {
         "coefficients": asdict(c),
         "base": asdict(est_base),
         "monotonized": asdict(est_mono),
     }
-    return RunOutput(summary, {"order": (["n", "h", "error_base", "error_monotonized"], rows)})
+    return RunOutput(summary, {"order": (["n", "h", "error_base", "error_monotonized"], columns)})
 
 
 def run_scan_det(cfg: ConfigView, seed: int, tol: float | None) -> RunOutput:
@@ -527,14 +531,14 @@ def run_scan_det(cfg: ConfigView, seed: int, tol: float | None) -> RunOutput:
     near_tol = scan.real("near_tol", 1e-10)
     rows_obj = determinant_scan(c, h_values, domain, near_tol)
     header = ["h", "n", "indicator_base", "indicator_monotonized", "flagged"]
-    rows = _rows(*([getattr(r, key) for r in rows_obj] for key in header))
+    columns = [[getattr(r, key) for r in rows_obj] for key in header]
     summary = {
         "coefficients": asdict(c),
         "near_tol": near_tol,
         "rows": [asdict(r) for r in rows_obj],
         "flagged_steps": [r.h for r in rows_obj if r.flagged],
     }
-    return RunOutput(summary, {"determinant_scan": (header, rows)})
+    return RunOutput(summary, {"determinant_scan": (header, columns)})
 
 
 def run_timestep(cfg: ConfigView, seed: int, tol: float | None) -> RunOutput:
@@ -550,7 +554,7 @@ def run_timestep(cfg: ConfigView, seed: int, tol: float | None) -> RunOutput:
     record_every = st.integer("record_every", 1)
     snapshot_every = st.integer("snapshot_every", 0)
 
-    aux_op = LinearMeshOperator.from_coefficients(c, mesh, bc, smoothed=True)
+    aux_op = LinearMeshOperator.from_coefficients(c, mesh, bc)
     v0 = MeshFunction(mesh, np.full(mesh.n, (bc.u0 + bc.u_np1) / 2.0))
     result = run_to_steady(v0, aux_op, bc, ts_cfg, steady_tol, max_steps,
                            record_every, snapshot_every)
@@ -571,11 +575,11 @@ def run_timestep(cfg: ConfigView, seed: int, tol: float | None) -> RunOutput:
         v2, y2 = step_monotonized_alt(v0, aux_op, bc, pc)
         agreements[f"sigma_{sigma:g}"] = norm_c(v1.values - v2.values)
 
-    tables = {"trajectory": (["t", "update_c_norm"], _rows(*zip(*result.history)))}
+    tables = {"trajectory": (["t", "update_c_norm"], list(zip(*result.history)))}
     if result.snapshots:
         ts, vs, ys = map(np.array, zip(*result.snapshots))
-        tables["snapshots"] = (["t", "x", "v", "y"], _rows(
-            np.repeat(ts, mesh.n), np.tile(mesh.interior_x(), len(ts)), vs.ravel(), ys.ravel()))
+        tables["snapshots"] = (["t", "x", "v", "y"], [
+            np.repeat(ts, mesh.n), np.tile(mesh.interior_x(), len(ts)), vs.ravel(), ys.ravel()])
     summary = {
         "coefficients": asdict(c),
         "tau": ts_cfg.tau,
@@ -686,8 +690,8 @@ def _run(args) -> int:
         summary["reports"] = {label: asdict(r) for label, r in result.reports.items()}
         for label, payload in summary["reports"].items():
             write_json(out / f"report_{label}.json", payload)
-    for stem, (header, rows) in result.tables.items():
-        write_table(out / f"{stem}.{args.format}", header, rows, args.format)
+    for stem, (header, columns) in result.tables.items():
+        write_table(out / f"{stem}.{args.format}", header, _rows(*columns), args.format)
     write_json(out / "summary.json", summary)
     print(f"{kind}: wrote {out / 'summary.json'}")
     return 0

@@ -1,14 +1,12 @@
 """Weighted one-step time integration of dy/dt = F(v), y = Mv, with built-in smoothing.
 
-The right side F is the 1D linear operator family of the boundary-value
-module, in two flavors:
+The right side F is the 1D linear operator of the boundary-value module
+with the smoother in its k1 term,
 
-    plain       F(v) = k0 + k1 v    + k2 D1 v + k3 D2 v
-    smoothed    F(v) = k0 + k1 (Mv) + k2 D1 v + k3 D2 v
+    F(v) = k0 + k1 (Mv) + k2 D1 v + k3 D2 v,
 
-Both are bvp1d.scheme_matrix, the stationary scheme times h^2, divided by
-h^2, so a steady state of the smoothed flavor solves bvp1d's monotonized
-scheme.
+bvp1d's monotonized scheme_matrix, the stationary scheme times h^2, divided
+by h^2, so a steady state solves bvp1d's monotonized scheme.
 
 The weighted step blends explicit and implicit evaluation of the stepped
 variable y = Mv:
@@ -73,16 +71,15 @@ class LinearMeshOperator:
         c: SchemeCoefficients,
         mesh: Mesh1D,
         bc: BoundaryData1D,
-        smoothed: bool = False,
     ) -> "LinearMeshOperator":
-        """F = k0 + k1 u + k2 D1 u + k3 D2 u (or with Mu in the k1 term): the
-        stationary scheme's matrix and end-value terms over h^2, plus k0.
-        Raises ValueError when 1/h^2 is not finite."""
+        """F = k0 + k1 Mu + k2 D1 u + k3 D2 u: the monotonized stationary
+        scheme's matrix and end-value terms over h^2, plus k0. Raises
+        ValueError when 1/h^2 is not finite."""
         h2 = mesh.h * mesh.h
         s = 1.0 / h2 if h2 else math.inf
         if not math.isfinite(s):
             raise ValueError(f"mesh step h = {mesh.h:.3e} is too small: 1/h^2 is not finite")
-        t = scheme_matrix(c, mesh, smoothed)
+        t = scheme_matrix(c, mesh, monotonized=True)
         # A step's solve reports a band or offset that overflows, so numpy need not warn of it.
         with np.errstate(over="ignore", invalid="ignore"):
             a = Tridiagonal(t.lower * s, t.diag * s, t.upper * s, mesh.n)

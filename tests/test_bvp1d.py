@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
@@ -178,6 +179,20 @@ class TestInverseRoute:
         mesh = Mesh1D(0.0, 1.0, 7)
         inv = solve_monotonized_inverse(c, mesh, BoundaryData1D(5.0, 5.0))
         assert np.allclose(inv.y.values, 5.0, atol=1e-11)
+
+    def test_holds_at_most_three_and_a_half_dense_arrays(self):
+        # The dense operator is formed in place from D M^{-1}, and D and
+        # M^{-1} go before the solve: three n x n arrays at a time. A
+        # separate h^2 k1 I would be a fourth.
+        mesh = Mesh1D(0.0, 1.0, 400)
+        solve_monotonized_inverse(OSCILLATORY, mesh, BC_05)  # imports and caches outside the trace
+        tracemalloc.start()
+        try:
+            solve_monotonized_inverse(OSCILLATORY, mesh, BC_05)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5 * mesh.n * mesh.n * 8
 
 
 class TestDeterminantScan:
@@ -401,28 +416,45 @@ class TestAnalyticSolution:
         (1.0, 0.01, -0.2, 1.0),     # double root 0.1, rounded apart in decimals
         (-2.0, 0.0, 0.0, 1.0),      # k1 = k2 = 0: double root 0
         (10.0, -5.0, 30.0, -0.01),  # steep layer: a root near 3000
+        (1.0, 1e-8, 1.0, 1.0),      # small k1: -k0/k1 = -1e8 beside an order-one answer
+        (1.0, 1e-15, 1e-12, 1.0),   # small close complex roots, -k0/k1 = -1e15
+        (1.0, 1e-7, 1e-4, 1.0),     # small close complex roots, -k0/k1 = -1e7
     ], ids=["distinct", "k1_zero", "complex", "exact_double", "rounded_double",
-            "k1_k2_zero", "steep_layer"])
+            "k1_k2_zero", "steep_layer", "k1_1e-8", "k1_1e-15", "k1_1e-7"])
     def test_fit_meets_both_ends_and_the_ode(self, ks, domain):
+        self.assert_meets_ends_and_ode(SchemeCoefficients(*ks), BoundaryData1D(0.3, -0.7), domain)
+
+    @pytest.mark.parametrize("ks, miss", [
+        ((1.0, -1e-15, 1e-12, 1.0), "7.451e-10"),
+        ((1.0, -1e-20, 1e-12, 1.0), "7.629e-07"),
+    ], ids=["k1_-1e-15", "k1_-1e-20"])
+    def test_missed_end_value_raises(self, ks, miss):
+        # Two small real roots close together make P's scale k0/q huge, and
+        # U = P + w1 phi1 + w2 phi2 cancels it: the form passes its residual
+        # check but misses the end values.
+        with pytest.raises(ValueError, match=f"misses its end values by {miss}"):
+            analytic_solution(SchemeCoefficients(*ks), BoundaryData1D(0.3, -0.7))
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(k1_exponent=st.floats(-15.0, -3.0), k1_sign=st.sampled_from([-1.0, 1.0]),
+           k0=st.floats(-2.0, 2.0), k2=st.floats(0.5, 2.0) | st.floats(-2.0, -0.5),
+           k3=st.floats(0.5, 2.0) | st.floats(-2.0, -0.5),
+           ends=st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)))
+    def test_small_k1_property(self, k1_exponent, k1_sign, k0, k2, k3, ends):
+        # -k0/k1 reaches 2e15 here; the folded P stays order one.
+        c = SchemeCoefficients(k0, k1_sign * 10.0**k1_exponent, k2, k3)
+        self.assert_meets_ends_and_ode(c, BoundaryData1D(*ends))
+
+    @staticmethod
+    def assert_meets_ends_and_ode(c, bc, domain=(0.0, 1.0)):
         # Ends to 1e-12 absolute; the residual to 1e-11 of
         # (|k1| + |k2| + |k3|) max(1, |U|), 100 times the construction check.
-        c = SchemeCoefficients(*ks)
-        sol = analytic_solution(c, BoundaryData1D(0.3, -0.7), domain)
-        assert abs(sol(domain[0]) - 0.3) <= 1e-12
-        assert abs(sol(domain[1]) + 0.7) <= 1e-12
+        sol = analytic_solution(c, bc, domain)
+        assert abs(sol(domain[0]) - bc.u0) <= 1e-12
+        assert abs(sol(domain[1]) - bc.u_np1) <= 1e-12
         xs = np.linspace(*domain, 201)
         scale = max(1.0, norm_c(sol(xs))) * (abs(c.k1) + abs(c.k2) + abs(c.k3))
         assert norm_c(sol.ode_residual(xs)) <= 1e-11 * scale
-
-    @pytest.mark.parametrize("ks, miss", [
-        ((1.0, 1e-15, 1e-12, 1.0), "5.000e-02"),
-        ((1.0, 1e-7, 1e-4, 1.0), "2.608e-09"),
-    ], ids=["k1_1e-15", "k1_1e-7"])
-    def test_missed_end_value_raises(self, ks, miss):
-        # P = -k0/k1 is huge, and U = P + w1 phi1 + w2 phi2 cancels it: the
-        # form passes its residual check but misses the end values.
-        with pytest.raises(ValueError, match=f"misses its end values by {miss}"):
-            analytic_solution(SchemeCoefficients(*ks), BoundaryData1D(0.3, -0.7))
 
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -16,7 +16,7 @@ import pytest
 import monoscheme
 from monoscheme import cli
 from monoscheme.cli import (
-    EXPERIMENTS, ComparableReport, _field_rows, compare_reports, load_config, main,
+    EXPERIMENTS, ComparableReport, _field_columns, _rows, compare_reports, load_config, main,
 )
 from monoscheme.grid import Mesh3D, MeshFunction
 from monoscheme.metrics import MonotonicityReport
@@ -329,14 +329,23 @@ class TestOtherExperiments:
 
     @pytest.mark.parametrize("name", ["fig1.cfg", "order1d.cfg"], ids=["solve1d", "order"])
     def test_missed_end_value_exit_3(self, tmp_path, capsys, name):
-        # A tiny k1 makes the analytic form cancel a particular part of -1e15.
-        cfg = edited_config(tmp_path, name, k0=1, k1="1e-15", k2="1e-12", k3=1,
+        # Two small close real roots make the analytic form cancel a
+        # particular part of scale k0/q = -3e7.
+        cfg = edited_config(tmp_path, name, k0=1, k1="-1e-15", k2="1e-12", k3=1,
                             u_left="0.3", u_right="-0.7")
         out = tmp_path / "o"
         assert run_cli("run", str(cfg), "--out", str(out)) == 3
         err = capsys.readouterr().err
-        assert err == "error: validation: analytic form misses its end values by 5.000e-02\n"
+        assert err == "error: validation: analytic form misses its end values by 7.451e-10\n"
         assert not (out / "summary.json").exists()
+
+    @pytest.mark.parametrize("name", ["fig1.cfg", "order1d.cfg"], ids=["solve1d", "order"])
+    def test_small_k1_exit_0(self, tmp_path, name):
+        # k1 = 1e-8 is well posed, and the analytic form must not cancel
+        # -k0/k1 = -1e8 against an order-one answer.
+        cfg = edited_config(tmp_path, name, k0=1, k1="1e-8", k2=1, k3=1,
+                            u_left="0.5", u_right="0.5")
+        assert run_cli("run", str(cfg), "--out", str(tmp_path / "o")) == 0
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("values, message", [
@@ -429,10 +438,36 @@ def test_field_rows_match_per_cell_loop():
          float(fld.vz.values[p]), float(fld.p.values[p]))
         for p, (k, j, i) in enumerate(np.ndindex(N, N, N))
     ]
-    rows = _field_rows(fld)
+    rows = _rows(*_field_columns(fld))
     assert rows == expected
     assert all(type(x) is int for x in rows[-1][:3])
     assert all(type(x) is float for x in rows[-1][3:])
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+@pytest.mark.parametrize("config", BUNDLED)
+def test_write_table_takes_one_file_rows_at_a_time(config, fmt, tmp_path, monkeypatch):
+    # Runners return columns, and _run makes one table's rows just before
+    # writing them: one write_table call per table file, whose rows are a
+    # list of tuples as long as the file's data. The traced benchmark reads
+    # that len for cli.rows_written.
+    calls, built = [], []
+    write_table, rows_of = cli.write_table, cli._rows
+
+    def recording(path, header, rows, fmt):
+        calls.append((path.name, type(rows), len(rows), {type(row) for row in rows}))
+        assert len(built) == len(calls)  # no other table's rows are made yet
+        write_table(path, header, rows, fmt)
+
+    monkeypatch.setattr(cli, "write_table", recording)
+    monkeypatch.setattr(cli, "_rows", lambda *columns: built.append(1) or rows_of(*columns))
+    out = tmp_path / "out"
+    assert run_cli("run", config, "--out", str(out), "--format", fmt) == 0
+    assert sorted(name for name, *_ in calls) == sorted(p.name for p in out.glob(f"*.{fmt}"))
+    for name, kind, count, row_types in calls:
+        assert kind is list and row_types == {tuple}
+        data_rows = len((out / name).read_text().splitlines()) - (fmt == "csv")  # csv has a header
+        assert count == data_rows > 0
 
 
 class TestSolverFailureExit:

@@ -137,6 +137,19 @@ class TestMaxStepChange:
         slack = 4 * np.finfo(float).eps * (norm_c(u) + norm_c(v))
         assert gap <= 2.0 * norm_c(u - v) + slack
 
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(data=st.data(), n=st.integers(2, 7))
+    def test_lipschitz_bound_property_3d(self, data, n):
+        # Values from a small pool give ties and both zeros on every axis;
+        # the draws around them give distinct jumps.
+        value = st.sampled_from((0.0, -0.0, 1.0, -1.0, 2.5)) | st.floats(-1e3, 1e3)
+        grids = st.lists(value, min_size=n**3, max_size=n**3).map(
+            lambda xs: np.reshape(xs, (n, n, n)))
+        u, v = data.draw(grids), data.draw(grids)
+        gap = abs(max_step_change(u) - max_step_change(v))
+        slack = 4 * np.finfo(float).eps * (norm_c(u) + norm_c(v))
+        assert gap <= 2.0 * norm_c(u - v) + slack
+
     def test_smoothing_reduces_alternation(self):
         # Constant-amplitude alternation around a level: smoothing flattens
         # the interior, strictly shrinking the maximal step.
