@@ -27,6 +27,7 @@ import argparse
 import configparser
 import json
 import math
+import os
 import sys
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
@@ -366,8 +367,16 @@ def run_solve3d(cfg: ConfigView, seed: int, tol: float | None) -> RunOutput:
                          f"all six neighbors; such cells are 1..{flow.N - 2}")
     central = ((c_lo, c_hi),) * 3
 
-    base = solve_steady(flow, "base")
-    mono = solve_steady(flow, "monotonized")
+    # The two solves share nothing, and each sweeps in a forked child
+    # (ns3d.solve_steady), so two threads run them on two cores at once. On
+    # one CPU they run one after the other, which is faster there. Results
+    # come in call order, so a failed base solve is the error reported.
+    from concurrent.futures import ThreadPoolExecutor  # loads logging; start-up need not
+
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    with ThreadPoolExecutor(min(2, cpus)) as pool:
+        base, mono = pool.map(lambda variant: solve_steady(flow, variant),
+                              ("base", "monotonized"))
 
     fields = {"base": base.field, "auxiliary": mono.field, "monotonized": mono.y}
     reports: dict[str, ComparableReport] = {}
@@ -375,6 +384,7 @@ def run_solve3d(cfg: ConfigView, seed: int, tol: float | None) -> RunOutput:
     # dependent variable in both schemes), so velocity-basis counts and the
     # always-defined region-basis central sharpness carry the comparison.
     vel_counts, central_region_a, profiles, field_tables = {}, {}, {}, {}
+    ijk = _cell_indices(flow.mesh)  # one triple serves the three field tables
     for label, fld in fields.items():
         per_var = [report_3d(getattr(fld, var)) for var in ("vx", "vy", "vz", "p")]
         combined = MonotonicityReport(
@@ -391,7 +401,7 @@ def run_solve3d(cfg: ConfigView, seed: int, tol: float | None) -> RunOutput:
         central_region_a[label] = sharpness_metrics(fld.vx, central)[0]
         profiles[label] = centerline_profile(fld, flow)
         field_tables[f"field_{label}"] = (["i", "j", "k", "vx", "vy", "vz", "p"],
-                                          _field_columns(fld))
+                                          _field_columns(fld, ijk))
 
     tables = {"centerline": (["x", "vx_base", "vx_auxiliary", "vx_monotonized"],
                              [flow.mesh.axis_centers(), *profiles.values()]),
@@ -474,9 +484,14 @@ def run_metrics(cfg: ConfigView, seed: int, tol: float | None) -> RunOutput:
     return RunOutput(summary, {"metrics_trials": (header, list(zip(*records)))})
 
 
-def _field_columns(fld) -> list[np.ndarray]:
-    """The (i, j, k, vx, vy, vz, p) columns in flat-index order."""
-    ijk = np.unravel_index(np.arange(fld.mesh.cell_count), (fld.mesh.N,) * 3, order="F")
+def _cell_indices(mesh: Mesh3D) -> tuple[np.ndarray, ...]:
+    """The (i, j, k) index columns of a mesh's cells in flat-index order."""
+    return np.unravel_index(np.arange(mesh.cell_count), (mesh.N,) * 3, order="F")
+
+
+def _field_columns(fld, ijk) -> list[np.ndarray]:
+    """The (i, j, k, vx, vy, vz, p) columns in flat-index order, with ijk
+    from _cell_indices(fld.mesh)."""
     return [*ijk, fld.vx.values, fld.vy.values, fld.vz.values, fld.p.values]
 
 

@@ -123,6 +123,19 @@ class MeshFunction:
     def with_values(self, values: np.ndarray) -> "MeshFunction":
         return MeshFunction(self.mesh, values)
 
+    def __reduce__(self):
+        return _unpickled, (self.mesh, self.values)
+
+
+def _unpickled(mesh: Mesh, values: np.ndarray) -> MeshFunction:
+    """A pickled MeshFunction back: its values were checked and copied when
+    it was made, and their unpickled array is its own, so it is frozen
+    again and not copied a second time."""
+    values.setflags(write=False)
+    mf = object.__new__(MeshFunction)
+    mf.__dict__.update(mesh=mesh, values=values)
+    return mf
+
 
 @dataclass(frozen=True)
 class BoundaryData1D:

@@ -36,6 +36,11 @@ be overridden per run.
 
 from __future__ import annotations
 
+import copyreg
+import os
+import pickle
+import signal
+import threading
 from dataclasses import dataclass
 from typing import Optional
 
@@ -86,6 +91,11 @@ class FlowDivergenceError(SolverError):
             "below about 1 but are not enough: the advection condition "
             "sigma_v*|w|^2/(2nu) <= 1 at the flow's peak speed |w| must hold too"
         )
+
+    def __reduce__(self):
+        # Rebuilt from its message and fields without __init__, which needs
+        # the config: the error is pickled to cross from a solve's worker.
+        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 
 @dataclass(frozen=True)
@@ -383,9 +393,80 @@ def iterate(field: FlowField, cfg: FlowConfig, variant: str = "base") -> FlowFie
     return new
 
 
+#: Held from os.pipe() until the parent has closed the write end, so that a
+#: child forked by another thread holds no copy of it: the parent's read
+#: ends only when every copy of its pipe's write end is closed.
+_FORKING = threading.Lock()
+
+
 def solve_steady(cfg: FlowConfig, variant: str = "base") -> SolutionReport:
     """Sweep until both the velocity update sigma_v*R and div v fall below
-    cfg.tol in C-norm, or max_iters is reached (reported, not raised)."""
+    cfg.tol in C-norm, or max_iters is reached (reported, not raised).
+
+    The sweeps run in a forked child process, which pickles the report or
+    the exception it raised into a pipe; this call returns or raises it in
+    the caller's process. Two calls from two threads therefore solve on two
+    cores at once, each as one serial computation with the same bits. A
+    child that ends without a result raises SolverError naming its exit
+    status; a caller that stops waiting kills and reaps its child.
+    """
+    with _FORKING:
+        read_end, write_end = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:
+            os.close(read_end)
+            os.close(write_end)
+            raise
+        if pid == 0:
+            _send_solution(read_end, write_end, cfg, variant)
+        os.close(write_end)
+    outcome = status = None
+    try:
+        # Unpickled as it arrives: the arrays are read straight into their
+        # own buffers, with no copy of the whole message held beside them.
+        with open(read_end, "rb", closefd=False) as pipe:
+            try:
+                outcome = pickle.load(pipe)
+            except (EOFError, pickle.UnpicklingError):
+                pass  # a child that died mid-way; its status says how
+        status = os.waitpid(pid, 0)[1]
+    finally:
+        os.close(read_end)
+        if status is None:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    code = os.waitstatus_to_exitcode(status)
+    if code:
+        ended = f"exit status {code}" if code > 0 else f"signal {-code}"
+        raise SolverError(f"the {variant} flow solve's worker process ended with "
+                          f"{ended} before sending a result")
+    ok, result = outcome
+    if not ok:
+        raise result
+    return result
+
+
+def _send_solution(read_end: int, write_end: int, cfg: FlowConfig, variant: str):
+    """In a forked child: solve, pickle (True, report) or (False, exception)
+    into the pipe and end the process, with status 0 only if all of it was
+    written. Never returns, so the child runs none of its parent's code."""
+    code = 1
+    try:
+        os.close(read_end)
+        try:
+            outcome = (True, _solve_steady(cfg, variant))
+        except Exception as exc:
+            outcome = (False, exc)
+        with open(write_end, "wb") as pipe:
+            pickle.dump(outcome, pipe, pickle.HIGHEST_PROTOCOL)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _solve_steady(cfg: FlowConfig, variant: str) -> SolutionReport:
+    """solve_steady's sweep loop, in the process that calls it."""
     ws = _Workspace(init_field(cfg), cfg, variant, scale=cfg.sigma_v)
     update_norm = div_norm = float("inf")
     finite_norms = (None, None)

@@ -6,6 +6,7 @@ import pkgutil
 import re
 import subprocess
 import sys
+import time
 from dataclasses import asdict
 from importlib import resources
 from pathlib import Path
@@ -14,9 +15,10 @@ import numpy as np
 import pytest
 
 import monoscheme
-from monoscheme import cli
+from monoscheme import cli, ns3d
 from monoscheme.cli import (
-    EXPERIMENTS, ComparableReport, _field_columns, _rows, compare_reports, load_config, main,
+    EXPERIMENTS, ComparableReport, _cell_indices, _field_columns, _rows, compare_reports,
+    load_config, main,
 )
 from monoscheme.grid import Mesh3D, MeshFunction
 from monoscheme.metrics import MonotonicityReport
@@ -438,7 +440,7 @@ def test_field_rows_match_per_cell_loop():
          float(fld.vz.values[p]), float(fld.p.values[p]))
         for p, (k, j, i) in enumerate(np.ndindex(N, N, N))
     ]
-    rows = _rows(*_field_columns(fld))
+    rows = _rows(*_field_columns(fld, _cell_indices(mesh)))
     assert rows == expected
     assert all(type(x) is int for x in rows[-1][:3])
     assert all(type(x) is float for x in rows[-1][3:])
@@ -470,7 +472,53 @@ def test_write_table_takes_one_file_rows_at_a_time(config, fmt, tmp_path, monkey
         assert count == data_rows > 0
 
 
+@pytest.mark.parametrize("cpus", [2, 1])
+def test_both_solves_are_called_in_the_parent(cpus, tmp_path, monkeypatch):
+    # The traced benchmark wraps cli.solve_steady in this process, so both
+    # calls must be made here, with each sweep loop forked inside the call.
+    # Two usable CPUs run them at once, one CPU one after the other, and the
+    # files are the same either way.
+    calls, solve = [], cli.solve_steady
+
+    def recording(flow, variant):
+        start = time.perf_counter()
+        report = solve(flow, variant)
+        calls.append((variant, os.getpid(), start, time.perf_counter()))
+        return report
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    monkeypatch.setattr(cli, "solve_steady", recording)
+    assert run_cli("run", "fig2_n10.cfg", "--out", str(tmp_path / "o")) == 0
+    spans = {variant: (pid, start, end) for variant, pid, start, end in calls}
+    assert len(calls) == 2 and set(spans) == {"base", "monotonized"}
+    assert {pid for pid, _, _ in spans.values()} == {os.getpid()}
+    (_, base_start, base_end), (_, mono_start, mono_end) = spans["base"], spans["monotonized"]
+    if cpus == 2:
+        assert max(base_start, mono_start) < min(base_end, mono_end)
+    else:
+        assert base_end <= mono_start
+    assert _hashes(tmp_path / "o") == GOLDEN["fig2_n10"]
+
+
 class TestSolverFailureExit:
+    def test_base_error_is_reported_when_both_fail(self, tmp_path, capsys, monkeypatch):
+        # The monotonized solve fails first; the base solve's error is the one.
+        def failing(cfg, variant):
+            if variant == "base":
+                time.sleep(0.3)
+            raise SolverError(f"{variant} failed")
+
+        monkeypatch.setattr(ns3d, "_solve_steady", failing)
+        assert run_cli("run", "fig2_n10.cfg", "--out", str(tmp_path / "o")) == 4
+        assert capsys.readouterr().err == "error: solver: base failed\n"
+
+    def test_worker_that_dies_exit_4(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(ns3d, "_solve_steady", lambda cfg, variant: os._exit(3))
+        assert run_cli("run", "fig2_n10.cfg", "--out", str(tmp_path / "o")) == 4
+        assert capsys.readouterr().err == (
+            "error: solver: the base flow solve's worker process ended with exit status 3 "
+            "before sending a result\n")
+
     def test_unstable_flow_parameters_exit_4(self, tmp_path, capsys):
         cfg = tmp_path / "blowup.cfg"
         cfg.write_text(

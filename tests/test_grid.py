@@ -1,4 +1,5 @@
 import math
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -172,6 +173,15 @@ class TestOneCopy:
         assert not mf.values.flags.writeable
         with pytest.raises(ValueError):
             mf.values[0] = 1.0
+
+    @pytest.mark.parametrize("name", list(_inputs()))
+    def test_pickle_round_trip_stays_frozen(self, name):
+        # A flow solve's result crosses a pipe from its worker process.
+        mf = MeshFunction(*_inputs()[name])
+        again = pickle.loads(pickle.dumps(mf))
+        assert again.mesh == mf.mesh
+        assert again.values.tobytes() == mf.values.tobytes()
+        assert not again.values.flags.writeable
 
     @pytest.mark.parametrize("mesh, shape", [
         (MESH_IN, (N_IN**2, N_IN)),

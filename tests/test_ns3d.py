@@ -1,8 +1,14 @@
+import os
+import pickle
+import signal
+import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from monoscheme import ns3d
 from monoscheme.grid import Mesh3D, MeshFunction, norm_c
 from monoscheme.metrics import count_extrema_3d
 from monoscheme.ns3d import (
@@ -17,7 +23,7 @@ from monoscheme.ns3d import (
     momentum_residual,
     solve_steady,
 )
-from monoscheme.stencils import pad_grid
+from monoscheme.stencils import SolverError, pad_grid
 
 # Small, fast configuration used throughout; the pressure drop matches the
 # bundled flow-cell configs (1e6 in the mm/s/mg unit system).
@@ -469,6 +475,83 @@ class TestSolveSteady:
         f_base = max_step_change(centerline_profile(base.field, cfg))
         f_mono = max_step_change(centerline_profile(mono.y, cfg))
         assert f_mono < f_base
+
+
+class TestWorkerProcess:
+    """solve_steady sweeps in a forked child and leaves no process or pipe."""
+
+    @staticmethod
+    def open_fds():
+        return len(os.listdir("/proc/self/fd"))
+
+    @pytest.fixture
+    def no_leak(self):
+        if not Path("/proc/self/fd").is_dir():
+            pytest.skip("needs /proc/self/fd")
+        before = self.open_fds()
+        yield
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert self.open_fds() == before
+
+    def test_return(self, no_leak):
+        rep = solve_steady(small_config(tol=1e-3, max_iters=20000), "monotonized")
+        assert rep.converged and rep.y is not None
+        # The report crosses the pipe whole: frozen values, y sharing v's p.
+        assert not rep.field.vx.values.flags.writeable
+        assert rep.y.p is rep.field.p
+
+    def test_raise(self, no_leak):
+        h = SMALL["L"] / SMALL["N"]
+        with pytest.raises(FlowDivergenceError, match="sweep diverged"):
+            solve_steady(small_config(sigma_v=2.0 * h * h / SMALL["nu"], max_iters=5000))
+
+    def test_crash_names_exit_status(self, no_leak, monkeypatch):
+        # The fork inherits the patch, so the child ends with status 3.
+        monkeypatch.setattr(ns3d, "_solve_steady", lambda cfg, variant: os._exit(3))
+        with pytest.raises(SolverError, match="base flow solve's worker process ended "
+                                              "with exit status 3 before sending a result"):
+            solve_steady(small_config())
+
+    def test_crash_names_signal(self, no_leak, monkeypatch):
+        monkeypatch.setattr(ns3d, "_solve_steady",
+                            lambda cfg, variant: os.kill(os.getpid(), signal.SIGKILL))
+        with pytest.raises(SolverError, match="ended with signal 9 "):
+            solve_steady(small_config(), "monotonized")
+
+    def test_caller_that_stops_waiting_kills_the_child(self, no_leak, monkeypatch):
+        class Interrupted(Exception):
+            pass
+
+        class StopsReading:
+            """The pickle module, but a load from the pipe is interrupted."""
+
+            def __getattr__(self, name):
+                return getattr(pickle, name)
+
+            @staticmethod
+            def load(file):
+                raise Interrupted
+
+        monkeypatch.setattr(ns3d, "_solve_steady", lambda cfg, variant: time.sleep(60))
+        monkeypatch.setattr(ns3d, "pickle", StopsReading())
+        start = time.perf_counter()
+        with pytest.raises(Interrupted):
+            solve_steady(small_config())
+        assert time.perf_counter() - start < 30
+
+
+class TestDivergenceErrorPickles:
+    def test_round_trip_keeps_every_field(self):
+        h = SMALL["L"] / SMALL["N"]
+        cfg = small_config(sigma_v=2.0 * h * h / SMALL["nu"], sigma_p=-3.0)
+        for norms in ((1.5e3, 2.5e-2), (None, None)):
+            err = FlowDivergenceError(cfg, 17, *norms)
+            again = pickle.loads(pickle.dumps(err))
+            assert type(again) is FlowDivergenceError
+            assert str(again) == str(err) and again.args == err.args
+            assert (again.iteration, again.momentum_residual_c, again.divergence_c) == (17, *norms)
+            assert (again.diffusion_margin, again.coupling_margin) == cfg.stability_margins()
 
 
 class TestCenterline:
