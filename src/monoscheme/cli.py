@@ -126,11 +126,11 @@ class SectionView:
     def text(self, key: str, default=_REQUIRED) -> str | None:
         return self._value(key, default, str.strip)
 
-    def reals(self, key: str) -> list[float]:
-        return self._value(key, _REQUIRED, lambda raw: [_parse_real(t) for t in raw.split()])
+    def reals(self, key: str, default=_REQUIRED) -> list[float] | None:
+        return self._value(key, default, lambda raw: [_parse_real(t) for t in raw.split()])
 
-    def integers(self, key: str) -> list[int]:
-        return self._value(key, _REQUIRED, lambda raw: [_parse_int(t) for t in raw.split()])
+    def integers(self, key: str, default=_REQUIRED) -> list[int] | None:
+        return self._value(key, default, lambda raw: [_parse_int(t) for t in raw.split()])
 
 
 def load_config(path: str) -> ConfigView:
@@ -272,29 +272,74 @@ class RunOutput:
 # ---------------------------------------------------------------------------
 
 
-# Each 1D kind reads only the [problem] keys its output depends on; it ignores the rest.
-def _coefficients(sec: SectionView) -> SchemeCoefficients:
-    return SchemeCoefficients(*(sec.real(k) for k in ("k0", "k1", "k2", "k3")))
+_REAL, _INT = SectionView.real, SectionView.integer
+_PROBLEM = {**{k: (_REAL, _REQUIRED) for k in ("k0", "k1", "k2", "k3")},
+            "a": (_REAL, 0.0), "b": (_REAL, 1.0)}
+_ENDS = {"u_left": (_REAL, _REQUIRED), "u_right": (_REAL, _REQUIRED)}
+
+#: Experiment kind -> section -> key -> (SectionView reader, default or
+#: _REQUIRED), in the order a run reads them: every key a kind reads, and each
+#: CLI default. [flow] and [stepping] keys bear FlowConfig's, TimeStepConfig's
+#: and run_to_steady's parameter names. `_run` reads [experiment] kind.
+KEYS = {
+    "solve1d": {"problem": {**_PROBLEM, "n": (_INT, _REQUIRED), **_ENDS, "dense_points": (_INT, 100)}},
+    "solve3d": {
+        "flow": {"L": (_REAL, _REQUIRED), "N": (_INT, _REQUIRED), "rho": (_REAL, _REQUIRED),
+                 "nu": (_REAL, _REQUIRED), "p0": (_REAL, _REQUIRED), "p1": (_REAL, _REQUIRED),
+                 "hole_lo": (_INT, _REQUIRED), "hole_hi": (_INT, _REQUIRED), "tol": (_REAL, 1e-2),
+                 "max_iters": (_INT, 200000), "sigma_v": (_REAL, None), "sigma_p": (_REAL, None)},
+        "metrics": {"central_lo": (_INT, _REQUIRED), "central_hi": (_INT, _REQUIRED)}},
+    "metrics": {"metrics": {"trials": (_INT, 200), "max_n": (_INT, 5)}},
+    "order": {"problem": {**_PROBLEM, **_ENDS}, "study": {"n_values": (SectionView.integers, _REQUIRED)}},
+    # scan-det's matrices need no end values.
+    "scan-det": {"problem": _PROBLEM,
+                 "scan": {"h_values": (SectionView.reals, _REQUIRED), "near_tol": (_REAL, 1e-10)}},
+    # The direct step has no fixed-point loop for inner_tol or max_inner to steer.
+    "timestep": {"problem": {**_PROBLEM, "n": (_INT, _REQUIRED), **_ENDS},
+                 "stepping": {"tau": (_REAL, _REQUIRED), "sigma": (_REAL, 1.0),
+                              "steady_tol": (_REAL, 1e-12), "max_steps": (_INT, 10000),
+                              "record_every": (_INT, 1), "snapshot_every": (_INT, 0)}},
+}
 
 
-def _domain(sec: SectionView) -> tuple[float, float]:
-    return sec.real("a", 0.0), sec.real("b", 1.0)
+def _params(cfg: ConfigView, kind: str, section: str, **given) -> dict:
+    """The keys `kind` reads from [section], by name, as KEYS reads them; a
+    value in `given` other than None (the --tol override) replaces its key's."""
+    sec = cfg.section(section)
+    read = {key: reader(sec, key, default) for key, (reader, default) in KEYS[kind][section].items()}
+    return read | {key: value for key, value in given.items() if value is not None}
 
 
-def _end_values(sec: SectionView) -> BoundaryData1D:
-    ends = {key: sec.real(key) for key in ("u_left", "u_right")}
-    for key, value in ends.items():
-        if not np.isfinite(value):
-            raise ValueError(f"{key} must be finite, got {value}")
-    return BoundaryData1D(*ends.values())
+def _unread(cfg: ConfigView) -> list[str]:
+    """'[section] key' for each key, and '[section]' for each section, that no kind reads."""
+    parser, known, unread = cfg._p, {"experiment": {"kind"}}, []
+    for sections in KEYS.values():
+        for name, keys in sections.items():
+            known.setdefault(name, set()).update(map(parser.optionxform, keys))
+    for name in parser.sections():
+        unread += ([f"[{name}] {key}" for key in parser[name] if key not in known[name]]
+                   if name in known else [f"[{name}]"])
+    return unread
+
+
+def _problem(p: dict) -> tuple[SchemeCoefficients, tuple[float, float]]:
+    """The coefficients and the domain (a, b) of a 1D kind's [problem] keys."""
+    return SchemeCoefficients(p["k0"], p["k1"], p["k2"], p["k3"]), (p["a"], p["b"])
+
+
+def _end_values(p: dict) -> BoundaryData1D:
+    for key in ("u_left", "u_right"):
+        if not np.isfinite(p[key]):
+            raise ValueError(f"{key} must be finite, got {p[key]}")
+    return BoundaryData1D(p["u_left"], p["u_right"])
 
 
 def run_solve1d(cfg: ConfigView, seed: int, tol: float | None) -> RunOutput:
-    sec = cfg.section("problem")
-    c = _coefficients(sec)
-    mesh = Mesh1D(*_domain(sec), sec.integer("n"))
-    bc = _end_values(sec)
-    dense_points = sec.integer("dense_points", 100)
+    p = _params(cfg, "solve1d", "problem")
+    c, domain = _problem(p)
+    mesh = Mesh1D(*domain, p["n"])
+    bc = _end_values(p)
+    dense_points = p["dense_points"]
     if dense_points < 3:
         raise ValueError(f"dense_points must be at least 3, got {dense_points}")
 
@@ -349,19 +394,8 @@ def run_solve1d(cfg: ConfigView, seed: int, tol: float | None) -> RunOutput:
 
 
 def run_solve3d(cfg: ConfigView, seed: int, tol: float | None) -> RunOutput:
-    sec = cfg.section("flow")
-    flow = FlowConfig(
-        L=sec.real("L"), N=sec.integer("N"), rho=sec.real("rho"), nu=sec.real("nu"),
-        p0=sec.real("p0"), p1=sec.real("p1"),
-        hole_lo=sec.integer("hole_lo"), hole_hi=sec.integer("hole_hi"),
-        tol=tol if tol is not None else sec.real("tol", 1e-2),
-        max_iters=sec.integer("max_iters", 200000),
-        sigma_v=sec.real("sigma_v", None),
-        sigma_p=sec.real("sigma_p", None),
-    )
-
-    msec = cfg.section("metrics")
-    c_lo, c_hi = msec.integer("central_lo"), msec.integer("central_hi")
+    flow = FlowConfig(**_params(cfg, "solve3d", "flow", tol=tol))
+    c_lo, c_hi = _params(cfg, "solve3d", "metrics").values()
     if c_lo > c_hi or max(c_lo, 1) > min(c_hi, flow.N - 2):
         raise ValueError(f"central_lo..central_hi = {c_lo}..{c_hi} holds no cell with "
                          f"all six neighbors; such cells are 1..{flow.N - 2}")
@@ -433,9 +467,7 @@ def run_solve3d(cfg: ConfigView, seed: int, tol: float | None) -> RunOutput:
 
 
 def run_metrics(cfg: ConfigView, seed: int, tol: float | None) -> RunOutput:
-    sec = cfg.section("metrics")
-    trials = sec.integer("trials", 200)
-    max_n = sec.integer("max_n", 5)
+    trials, max_n = _params(cfg, "metrics", "metrics").values()
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     if max_n < 3:
@@ -522,9 +554,9 @@ def _brute_sharpness(u: MeshFunction, cells) -> tuple[float, float]:
 
 
 def run_order(cfg: ConfigView, seed: int, tol: float | None) -> RunOutput:
-    sec = cfg.section("problem")
-    c, domain, bc = _coefficients(sec), _domain(sec), _end_values(sec)
-    ns = cfg.section("study").integers("n_values")
+    p = _params(cfg, "order", "problem")
+    (c, domain), bc = _problem(p), _end_values(p)
+    ns = _params(cfg, "order", "study")["n_values"]
     est_base = convergence_order(c, bc, "base", ns, domain)
     est_mono = convergence_order(c, bc, "monotonized", ns, domain)
     columns = [ns, est_base.hs, est_base.errors, est_mono.errors]
@@ -537,13 +569,10 @@ def run_order(cfg: ConfigView, seed: int, tol: float | None) -> RunOutput:
 
 
 def run_scan_det(cfg: ConfigView, seed: int, tol: float | None) -> RunOutput:
-    sec = cfg.section("problem")
-    c, domain = _coefficients(sec), _domain(sec)
-    scan = cfg.section("scan")
-    h_values = scan.reals("h_values")
+    c, domain = _problem(_params(cfg, "scan-det", "problem"))
+    h_values, near_tol = _params(cfg, "scan-det", "scan").values()
     if not h_values:
         raise ValueError("h_values must list at least one mesh step")
-    near_tol = scan.real("near_tol", 1e-10)
     rows_obj = determinant_scan(c, h_values, domain, near_tol)
     header = ["h", "n", "indicator_base", "indicator_monotonized", "flagged"]
     columns = [[getattr(r, key) for r in rows_obj] for key in header]
@@ -557,22 +586,17 @@ def run_scan_det(cfg: ConfigView, seed: int, tol: float | None) -> RunOutput:
 
 
 def run_timestep(cfg: ConfigView, seed: int, tol: float | None) -> RunOutput:
-    sec = cfg.section("problem")
-    c = _coefficients(sec)
-    mesh = Mesh1D(*_domain(sec), sec.integer("n"))
-    bc = _end_values(sec)
-    st = cfg.section("stepping")
-    # run_to_steady takes the direct step; inner_tol and max_inner steer only the fixed-point one.
-    ts_cfg = TimeStepConfig(tau=st.real("tau"), sigma=st.real("sigma", 1.0))
-    steady_tol = tol if tol is not None else st.real("steady_tol", 1e-12)
-    max_steps = st.integer("max_steps", 10000)
-    record_every = st.integer("record_every", 1)
-    snapshot_every = st.integer("snapshot_every", 0)
+    p = _params(cfg, "timestep", "problem")
+    c, domain = _problem(p)
+    mesh = Mesh1D(*domain, p["n"])
+    bc = _end_values(p)
+    limits = _params(cfg, "timestep", "stepping", steady_tol=tol)
+    ts_cfg = TimeStepConfig(tau=limits.pop("tau"), sigma=limits.pop("sigma"))
+    steady_tol = limits["steady_tol"]
 
     aux_op = LinearMeshOperator.from_coefficients(c, mesh, bc)
     v0 = MeshFunction(mesh, np.full(mesh.n, (bc.u0 + bc.u_np1) / 2.0))
-    result = run_to_steady(v0, aux_op, bc, ts_cfg, steady_tol, max_steps,
-                           record_every, snapshot_every)
+    result = run_to_steady(v0, aux_op, bc, ts_cfg, **limits)
 
     stationary = solve_monotonized(c, mesh, bc)
     dist = norm_c(result.y.values - stationary.y.values)
@@ -698,6 +722,12 @@ def _run(args) -> int:
     kind = cfg.section("experiment").text("kind")
     if kind not in EXPERIMENTS:
         raise ValueError(f"unknown experiment kind {kind!r}")
+    # Without its header a section's keys fall into the one above; the
+    # missing section is then the one line printed.
+    for section in KEYS[kind]:
+        cfg.section(section)
+    for entry in _unread(cfg):
+        print(f"warning: {entry} is read by no experiment kind; ignored", file=sys.stderr)
     out = _output_dir(args.out)
     result = EXPERIMENTS[kind](cfg, args.seed, args.tol)
     summary = {"experiment": kind, **result.summary}

@@ -86,9 +86,9 @@ class LinearMeshOperator:
             return cls(a, c.k0 * np.ones(mesh.n) + t.offset(bc) * s)
 
 
-def _step(v_n: MeshFunction, op: LinearMeshOperator, bc: BoundaryData1D,
-          cfg: TimeStepConfig) -> tuple[MeshFunction, MeshFunction]:
-    """One weighted step, mapping v^n to (v^{n+1}, y^{n+1} = M v^{n+1}).
+def step_monotonized(v_n: MeshFunction, aux_op: LinearMeshOperator, bc: BoundaryData1D,
+                     cfg: TimeStepConfig) -> tuple[MeshFunction, MeshFunction]:
+    """Advance (v, y = Mv) by one weighted step of dy/dt = F(Mv, D1 v, D2 v).
 
     Since y and the right side are both affine in v, the step is one banded
     solve for every sigma:
@@ -96,14 +96,14 @@ def _step(v_n: MeshFunction, op: LinearMeshOperator, bc: BoundaryData1D,
         (M - tau sigma A) v^{n+1} = M v^n + tau sigma offset + tau (1 - sigma) F(v^n)
 
     with M v^n taken with zero ends, since the ends' terms sit in offset.
-    At sigma = 0 the matrix is M itself. A singular matrix or a non-finite
-    band, right side or result raises SolverError.
+    At sigma = 0 the matrix is M itself, one inverse-smoothing solve. A
+    singular matrix or a non-finite band, right side or result raises SolverError.
     """
-    n, a, ts, v = op.a.n, op.a, cfg.tau * cfg.sigma, v_n.values
+    n, a, ts, v = aux_op.a.n, aux_op.a, cfg.tau * cfg.sigma, v_n.values
     m = smoothing(n)
     with np.errstate(over="ignore", invalid="ignore"):
         lhs = Tridiagonal(m.lower - ts * a.lower, m.diag - ts * a.diag, m.upper - ts * a.upper, n)
-        rhs = m.apply(v, _ZERO_BC) + ts * op.offset + cfg.tau * (1.0 - cfg.sigma) * op(v)
+        rhs = m.apply(v, _ZERO_BC) + ts * aux_op.offset + cfg.tau * (1.0 - cfg.sigma) * aux_op(v)
     try:
         v_next = v_n.with_values(lhs.solve(rhs))
     except SingularOperatorError as exc:
@@ -112,17 +112,6 @@ def _step(v_n: MeshFunction, op: LinearMeshOperator, bc: BoundaryData1D,
         kind = "implicit" if cfg.sigma else "explicit"
         raise SolverError(f"{kind} step produced non-finite values") from exc
     return v_next, smooth_1d(v_next, bc)
-
-
-def step_monotonized(
-    v_n: MeshFunction,
-    aux_op: LinearMeshOperator,
-    bc: BoundaryData1D,
-    cfg: TimeStepConfig,
-) -> tuple[MeshFunction, MeshFunction]:
-    """Advance (v, y = Mv) by one weighted step of dy/dt = F(Mv, D1 v, D2 v):
-    one banded tridiagonal solve, at sigma = 0 one inverse-smoothing solve."""
-    return _step(v_n, aux_op, bc, cfg)
 
 
 def step_monotonized_alt(
@@ -206,7 +195,7 @@ def run_to_steady(
     snapshots: list[tuple[float, np.ndarray, np.ndarray]] = []
     t = 0.0
     for step in range(1, max_steps + 1):
-        v_next, y_next = _step(v, aux_op, bc, cfg)
+        v_next, y_next = step_monotonized(v, aux_op, bc, cfg)
         update = norm_c(v_next.values - v.values)
         t += cfg.tau
         if step % record_every == 0:

@@ -1,3 +1,4 @@
+import configparser
 import filecmp
 import importlib
 import json
@@ -815,6 +816,117 @@ def test_keys_a_kind_does_not_read_change_no_file(tmp_path, golden, text):
     out = tmp_path / "out"
     assert run_cli("run", str(cfg), "--out", str(out)) == 0
     assert _hashes(out) == GOLDEN[golden]
+
+
+#: The bundled config that gives each kind's required keys their values.
+KIND_VALUES = {"solve1d": "fig1.cfg", "solve3d": "fig2_n10.cfg", "order": "order1d.cfg",
+               "scan-det": "scan.cfg", "timestep": "timestep1d.cfg"}
+
+
+def minimal_sections(kind):
+    """[experiment] and each section cli.KEYS gives `kind`, with only the
+    required keys, valued as in the kind's bundled config."""
+    bundled = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    if kind in KIND_VALUES:
+        bundled.read_string(load_config_text(KIND_VALUES[kind]))
+    return {"experiment": {"kind": kind}, **{
+        section: {key: bundled[section][key]
+                  for key, (_, default) in keys.items() if default is cli._REQUIRED}
+        for section, keys in cli.KEYS[kind].items()}}
+
+
+def config_text(sections):
+    return "".join(f"[{name}]\n" + "".join(f"{key} = {value}\n" for key, value in keys.items())
+                   for name, keys in sections.items())
+
+
+def test_every_kind_has_a_key_table():
+    assert set(cli.KEYS) == set(EXPERIMENTS) == set(KIND_VALUES) | {"metrics"}
+
+
+@pytest.mark.parametrize("kind", sorted(cli.KEYS))
+def test_minimal_config_runs_without_a_warning(kind, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config_text(minimal_sections(kind)))
+    assert run_cli("run", str(cfg), "--out", str(tmp_path / "o"), "--tol", "1e-1") == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("kind, section, key", [
+    (kind, section, key) for kind in sorted(cli.KEYS)
+    for section, keys in minimal_sections(kind).items() for key in (None, *keys)
+], ids=lambda value: value or "section")
+def test_missing_required_key_or_section_is_parse_error(kind, section, key, tmp_path, capsys):
+    """Each required key and each section, left out of a kind's minimal
+    config, exits 2 with the one line that names it."""
+    sections = minimal_sections(kind)
+    if key is None:
+        del sections[section]
+        named = f"missing [{section}] section"
+    else:
+        del sections[section][key]
+        named = f"missing key {key!r} in [{section}]"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config_text(sections))
+    assert run_cli("run", str(cfg), "--out", str(tmp_path / "o")) == 2
+    assert capsys.readouterr().err == f"error: parse: {named}\n"
+
+
+def unread_warnings(*entries):
+    return "".join(f"warning: {entry} is read by no experiment kind; ignored\n" for entry in entries)
+
+
+def test_misspelt_keys_are_named_and_change_no_file(tmp_path, capsys):
+    """fig2_n10 with tol and max_iters misspelt and a key no kind reads in
+    [metrics] warns once for each, exits 0 and writes the files of the same
+    config without those keys: the defaults hold."""
+    text = load_config_text("fig2_n10.cfg")
+    edits = [(r"^tol = .*$", "tolerance = 1e-9"), (r"^max_iters = .*$", "max_iter = 5"),
+             (r"^central_lo = ", "bogus_key = 3\ncentral_lo = ")]
+    typo = text
+    for pattern, replacement in edits:
+        typo, count = re.subn(pattern, replacement, typo, flags=re.M)
+        assert count == 1
+    clean = re.sub(r"^(tol|max_iters) = .*\n", "", text, flags=re.M)
+    hashes, stderr = {}, {}
+    for name, body in (("typo", typo), ("clean", clean)):
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_text(body)
+        assert run_cli("run", str(cfg), "--out", str(tmp_path / name)) == 0
+        hashes[name], stderr[name] = _hashes(tmp_path / name), capsys.readouterr().err
+    assert stderr == {"typo": unread_warnings("[flow] tolerance", "[flow] max_iter",
+                                              "[metrics] bogus_key"),
+                      "clean": ""}
+    assert hashes["typo"] == hashes["clean"]
+
+
+@pytest.mark.parametrize("text, entries", [
+    (with_keys("scan.cfg", "problem", n=0, u_left="nan"), ()),
+    (with_keys("order1d.cfg", "problem", n=0), ()),
+    (with_keys("timestep1d.cfg", "stepping", inner_tol="nan", max_inner=0),
+     ("[stepping] inner_tol", "[stepping] max_inner")),
+    (with_keys("order1d.cfg", "problem", N=0, Bogus=1), ("[problem] bogus",)),
+    (with_keys("fig1.cfg", "experiment", dense_points=100), ("[experiment] dense_points",)),
+    (load_config_text("fig1.cfg") + "[plot]\ncolor = red\n[study]\nn_values = 4\n", ("[plot]",)),
+], ids=["scan_with_n_and_u_left", "order_with_n", "timestep_with_inner_keys",
+        "keys_compared_and_named_lower_case", "key_read_in_another_section", "unread_section"])
+def test_only_keys_no_kind_reads_warn(text, entries, tmp_path, capsys):
+    """A key that some kind reads in its section stays silent; any other key,
+    or a section no kind reads, is named once, by its parsed name."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    assert run_cli("run", str(cfg), "--out", str(tmp_path / "o"), "--tol", "1e-1") == 0
+    assert capsys.readouterr().err == unread_warnings(*entries)
+
+
+def test_error_line_stays_last_after_warnings(tmp_path, capsys):
+    text, count = re.subn(r"^k3 = ", "k_3 = ", load_config_text("fig1.cfg"), flags=re.M)
+    assert count == 1
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    assert run_cli("run", str(cfg), "--out", str(tmp_path / "o")) == 2
+    assert capsys.readouterr().err == (unread_warnings("[problem] k_3")
+                                       + "error: parse: missing key 'k3' in [problem]\n")
 
 
 class TestExperimentKeyValidation:

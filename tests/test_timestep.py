@@ -361,18 +361,13 @@ class TestFactorOnce:
 class TestBandedStepMatchesDense:
     """One step equals the same step solved densely."""
 
-    @settings(max_examples=200, deadline=None, derandomize=True)
-    @given(data=st.data(), k=st.tuples(MAGNITUDE, MAGNITUDE, MAGNITUDE,
-                                       MAGNITUDE.filter(lambda x: x != 0.0)),
-           n=st.integers(1, 60), tau=st.floats(0.0, 1.0, exclude_min=True),
-           sigma=st.floats(0.0, 1.0))
-    def test_one_step(self, data, k, n, tau, sigma):
-        mesh = Mesh1D(0.0, 1.0, n)
-        u = MeshFunction(mesh, np.array(data.draw(st.lists(MAGNITUDE, min_size=n, max_size=n))))
-        bc = BoundaryData1D(data.draw(MAGNITUDE), data.draw(MAGNITUDE))
+    @staticmethod
+    def assert_matches_dense(k, u_values, bc, tau, sigma):
+        mesh = Mesh1D(0.0, 1.0, len(u_values))
+        u = MeshFunction(mesh, np.array(u_values))
         op = LinearMeshOperator.from_coefficients(SchemeCoefficients(*k), mesh, bc)
         cfg = TimeStepConfig(tau=tau, sigma=sigma)
-        m = smoothing(n).dense()
+        m = smoothing(mesh.n).dense()
         lhs = m - tau * sigma * op.a.dense()
         rhs = m @ u.values + tau * sigma * op.offset + tau * (1.0 - sigma) * op(u.values)
         want = np.linalg.solve(lhs, rhs)
@@ -380,6 +375,27 @@ class TestBandedStepMatchesDense:
         # Both solves are LU with partial pivoting, so they differ by rounding
         # times the condition number. Over 5000 random draws of these
         # strategies the relative gap was at most 0.57 eps kappa wherever the
-        # answer was a normal number.
+        # answer was a normal number. Where a tiny tau makes it subnormal,
+        # rounding is absolute, in units of the subnormal spacing: over 20000
+        # draws with such answers the gap was at most kappa units.
         kappa = np.linalg.cond(lhs, np.inf)
-        assert norm_c(got.values - want) <= 4 * np.finfo(float).eps * kappa * norm_c(want)
+        tiny = np.finfo(float).smallest_subnormal
+        assert (norm_c(got.values - want)
+                <= 4 * np.finfo(float).eps * kappa * norm_c(want) + 4 * kappa * tiny)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(data=st.data(), k=st.tuples(MAGNITUDE, MAGNITUDE, MAGNITUDE,
+                                       MAGNITUDE.filter(lambda x: x != 0.0)),
+           n=st.integers(1, 60), tau=st.floats(0.0, 1.0, exclude_min=True),
+           sigma=st.floats(0.0, 1.0))
+    def test_one_step(self, data, k, n, tau, sigma):
+        u = data.draw(st.lists(MAGNITUDE, min_size=n, max_size=n))
+        bc = BoundaryData1D(data.draw(MAGNITUDE), data.draw(MAGNITUDE))
+        self.assert_matches_dense(k, u, bc, tau, sigma)
+
+    def test_subnormal_answer(self):
+        """A draw of test_one_step's strategies whose answer, from a zero
+        start and tau = 2e-323, is subnormal (about 1e-320): the two solves
+        end 3 subnormal units apart, where the relative term reads 0."""
+        self.assert_matches_dense((30.0, 30.0, 1.0, 30.0), [0.0] * 4,
+                                  BoundaryData1D(0.5, 1.0), 2e-323, 0.25)
