@@ -46,7 +46,7 @@ from typing import Optional
 
 import numpy as np
 
-from .grid import Mesh3D, MeshFunction
+from .grid import Mesh3D, MeshFunction, _check_count
 from .stencils import (
     BoundaryPolicy3D,
     FaceGhost,
@@ -126,7 +126,7 @@ class FlowConfig:
         for name in ("L", "rho", "nu"):
             if not 0.0 < getattr(self, name) < np.inf:
                 raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
-        if self.N < 4:
+        if _check_count("N", self.N) < 4:
             raise ValueError(f"need N >= 4, got N={self.N}")
         if not (0 <= self.hole_lo <= self.hole_hi <= self.N - 1):
             raise ValueError(

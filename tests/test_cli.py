@@ -22,11 +22,11 @@ from monoscheme.cli import (
     load_config, main,
 )
 from monoscheme.grid import Mesh3D, MeshFunction
-from monoscheme.metrics import MonotonicityReport
+from monoscheme.metrics import STEP_CHANGE_LIPSCHITZ, MonotonicityReport, damping_bound_interval
 from monoscheme.ns3d import FlowField
 from monoscheme.ns3d import FlowConfig, FlowDivergenceError
-from monoscheme.stencils import SingularOperatorError, SolverError
-from test_golden import GOLDEN, METRICS_CFG, _hashes
+from monoscheme.stencils import SingularOperatorError, SolverError, Tridiagonal
+from test_golden import GOLDEN, METRICS_CFG, TIMESTEP400_CFG, _hashes
 
 
 BUNDLED = ("fig1.cfg", "fig2.cfg", "fig2_n10.cfg", "order1d.cfg", "scan.cfg", "timestep1d.cfg")
@@ -210,6 +210,19 @@ class TestSolve1dRun:
         for name in ("summary.json", "solution1d.csv"):
             assert filecmp.cmp(outdir / name, again / name, shallow=False)
 
+    @pytest.mark.parametrize("n, norm_m", [(1, 0.5), (2, 0.75)])
+    def test_damping_check_takes_the_smoothers_norm(self, n, norm_m, tmp_path):
+        """On fewer than three unknowns M's C-norm over them is below 1, and
+        the check's interval is the one that norm gives. At n = 1 the premise
+        fails with norm 1 and holds with 1/2."""
+        cfg = edited_config(tmp_path, "fig1.cfg", n=n)
+        out = tmp_path / "out"
+        assert run_cli("run", str(cfg), "--out", str(out)) == 0
+        chk = json.loads((out / "summary.json").read_text())["damping_check"]
+        assert chk["premises_hold"] and chk["inside"]
+        assert (chk["lo"], chk["hi"]) == damping_bound_interval(
+            chk["delta"], chk["k"], chk["epsilon"], STEP_CHANGE_LIPSCHITZ, norm_m)
+
 
 class TestOtherExperiments:
     def test_order_run(self, tmp_path):
@@ -232,11 +245,25 @@ class TestOtherExperiments:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["converged"]
         assert summary["within_10x_tol"]
-        assert summary["form_agreement"]["sigma_0"] <= 1e-10
-        assert summary["form_agreement"]["sigma_1"] <= 1e-10
         snaps = (out / "snapshots.csv").read_text().splitlines()
         assert snaps[0] == "t,x,v,y"
         assert len(snaps) == 1 + summary["steps"] * 9
+
+    @pytest.mark.parametrize("name", ["timestep1d", "timestep400"])
+    def test_timestep_run_builds_no_dense_matrix(self, name, tmp_path, monkeypatch):
+        """A timestep run steps and solves on bands alone: with
+        Tridiagonal.dense refused, it exits 0 and writes the golden files."""
+        def refuse(self):
+            raise AssertionError(f"dense {self.n} x {self.n} matrix built")
+
+        monkeypatch.setattr(Tridiagonal, "dense", refuse)
+        config = f"{name}.cfg"
+        if name == "timestep400":
+            config = tmp_path / config
+            config.write_text(TIMESTEP400_CFG)
+        out = tmp_path / "out"
+        assert run_cli("run", str(config), "--out", str(out)) == 0
+        assert _hashes(out) == GOLDEN[name]
 
     def test_timestep_single_node_settles_on_stationary(self, tmp_path):
         # At n=1 both end values feed the one interior row.
@@ -802,15 +829,23 @@ MINIMAL_SCAN = (
 )
 
 
+#: fig1.cfg with its `a = 0` moved into a [DEFAULT] section, which [problem] reads.
+FIG1_A_IN_DEFAULT = "[DEFAULT]\na = 0\n" + re.sub(r"^a = 0\n", "", load_config_text("fig1.cfg"),
+                                                  flags=re.M)
+
+
 @pytest.mark.parametrize("golden, text", [
     ("scan", MINIMAL_SCAN),
     ("scan", with_keys("scan.cfg", "problem", n=0, u_left="nan")),
     ("order1d", with_keys("order1d.cfg", "problem", n=0)),
     ("timestep1d", with_keys("timestep1d.cfg", "stepping", inner_tol="nan", max_inner=0)),
-], ids=["minimal_scan", "scan_with_n_and_u_left", "order_with_n", "timestep_with_inner_keys"])
+    ("fig1", FIG1_A_IN_DEFAULT),
+], ids=["minimal_scan", "scan_with_n_and_u_left", "order_with_n", "timestep_with_inner_keys",
+        "fig1_a_in_default"])
 def test_keys_a_kind_does_not_read_change_no_file(tmp_path, golden, text):
     """scan-det reads no n or end values, order no n and timestep neither
-    inner_tol nor max_inner: such keys are ignored, whatever their values."""
+    inner_tol nor max_inner: such keys are ignored, whatever their values. A
+    [DEFAULT] key is read in every section that reads its name."""
     cfg = tmp_path / "run.cfg"
     cfg.write_text(text)
     out = tmp_path / "out"
@@ -908,11 +943,16 @@ def test_misspelt_keys_are_named_and_change_no_file(tmp_path, capsys):
     (with_keys("order1d.cfg", "problem", N=0, Bogus=1), ("[problem] bogus",)),
     (with_keys("fig1.cfg", "experiment", dense_points=100), ("[experiment] dense_points",)),
     (load_config_text("fig1.cfg") + "[plot]\ncolor = red\n[study]\nn_values = 4\n", ("[plot]",)),
+    (FIG1_A_IN_DEFAULT, ()),
+    ("[DEFAULT]\nbogus = 1\n" + load_config_text("fig1.cfg"), ("[DEFAULT] bogus",)),
 ], ids=["scan_with_n_and_u_left", "order_with_n", "timestep_with_inner_keys",
-        "keys_compared_and_named_lower_case", "key_read_in_another_section", "unread_section"])
+        "keys_compared_and_named_lower_case", "key_read_in_another_section", "unread_section",
+        "default_key_a_kind_reads", "default_key_no_kind_reads"])
 def test_only_keys_no_kind_reads_warn(text, entries, tmp_path, capsys):
     """A key that some kind reads in its section stays silent; any other key,
-    or a section no kind reads, is named once, by its parsed name."""
+    or a section no kind reads, is named once, by its parsed name. A
+    [DEFAULT] key, which configparser shows in every section, is named once,
+    as [DEFAULT]'s, when no kind reads it in any section."""
     cfg = tmp_path / "run.cfg"
     cfg.write_text(text)
     assert run_cli("run", str(cfg), "--out", str(tmp_path / "o"), "--tol", "1e-1") == 0

@@ -185,6 +185,9 @@ class TestFlowConfig:
         ({"max_iters": 0}, "max_iters must be at least 1, got 0"),
         ({"sigma_v": 0.0}, "sigma_v must be positive"),
         ({"sigma_v": -1e-9}, "sigma_v must be positive"),
+        # Checked before sigma_v is derived from N, not later by a solve.
+        ({"N": 12.0}, r"N must be an integer, got 12\.0"),
+        ({"N": 10.5}, r"N must be an integer, got 10\.5"),
     ])
     def test_rejects_out_of_range(self, over, message):
         with pytest.raises(ValueError, match=f"^{message}$"):

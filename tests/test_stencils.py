@@ -40,6 +40,9 @@ from monoscheme.ns3d import BoundaryPolicy3D
 from test_ns3d import MINUS, PLUS, same_bits, slice_difference, slice_laplacian, slice_smooth
 
 
+PROPERTY = settings(max_examples=40, deadline=None, derandomize=True)
+
+
 def _mesh_fn(mesh, values):
     return MeshFunction(mesh, np.asarray(values, dtype=float))
 
@@ -149,11 +152,21 @@ class TestSecondDerivative1D:
         assert out.values[0] == pytest.approx((8.0 - 10.0 + 2.0) / 0.25)
 
 
+def _rounding_bound(scale):
+    """The 3D smoother properties' bound, 4 eps |scale|, plus two units of the
+    smallest subnormal: below the normal range a product's rounding is
+    absolute (0.25 x 2 units is 0.5 units, which rounds to 0)."""
+    return 4 * np.finfo(float).eps * abs(scale) + 2 * np.finfo(float).smallest_subnormal
+
+
 class TestSmooth1D:
-    def test_preserves_constants(self):
-        mesh = Mesh1D(0.0, 1.0, 8)
-        u = _mesh_fn(mesh, np.full(8, 2.5))
-        assert np.allclose(smooth_1d(u, BoundaryData1D(2.5, 2.5)).values, 2.5)
+    @PROPERTY
+    @given(n=st.integers(1, 60), c=st.floats(-1e6, 1e6))
+    @example(n=3, c=2 * np.finfo(float).smallest_subnormal)
+    def test_preserves_constants(self, n, c):
+        u = _mesh_fn(Mesh1D(0.0, 1.0, n), np.full(n, c))
+        out = smooth_1d(u, BoundaryData1D(c, c)).values
+        assert np.max(np.abs(out - c)) <= _rounding_bound(c)
 
     def test_spike(self):
         mesh = Mesh1D(0.0, 1.0, 3)
@@ -161,11 +174,14 @@ class TestSmooth1D:
         out = smooth_1d(u, BoundaryData1D(0.0, 0.0))
         assert out.values[1] == pytest.approx(0.5)
 
-    def test_annihilates_alternation(self):
-        mesh = Mesh1D(0.0, 1.0, 9)
-        u = _mesh_fn(mesh, [(-1.0) ** i for i in range(1, 10)])
-        bc = BoundaryData1D(1.0, 1.0)  # continues the (-1)^i pattern at i=0, 10
-        assert np.allclose(smooth_1d(u, bc).values, 0.0, atol=1e-15)
+    @PROPERTY
+    @given(n=st.integers(1, 60), amp=st.floats(-1e6, 1e6))
+    @example(n=3, amp=2 * np.finfo(float).smallest_subnormal)
+    def test_annihilates_alternation(self, n, amp):
+        u = _mesh_fn(Mesh1D(0.0, 1.0, n), amp * (-1.0) ** np.arange(1, n + 1))
+        bc = BoundaryData1D(amp, amp * (-1.0) ** (n + 1))  # the pattern at i = 0 and n + 1
+        out = smooth_1d(u, bc).values
+        assert np.max(np.abs(out)) <= _rounding_bound(amp)
 
     def test_strictly_reduces_max_step_on_alternation(self):
         from monoscheme.grid import with_boundary
@@ -524,10 +540,6 @@ class TestPatchRanges:
         assert pad_grid(np.ones((5, 5, 5)), spec)[0, 5, 5] == 1.0
         with pytest.raises(ValueError, match="outside cells 0..3"):
             pad_grid(np.ones((4, 4, 4)), spec)
-
-
-PROPERTY = settings(max_examples=40, deadline=None, derandomize=True)
-
 
 
 class TestStencilProperties:
